@@ -98,4 +98,4 @@ from .virtualt import (
     writhe,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -5,14 +5,15 @@ on V (x) V (basis ``e_i (x) e_j``, first factor major) and ``kappa`` /
 ``kappainv`` on V.  The axiom checker verifies, as exact matrix identities:
 
 * (XC0)  R^{+-1} = (kappa (x) kappa) . R^{+-1} . (kappa^-1 (x) kappa^-1)
-* (XC1f) mu3(R_31 . kappa_2) = mu3(R_13 . kappa_2^-1)
-* (XC2c) 1 (x) kappa^-1 = (mu (x) mu3)(R_15 . R_23^-1 . kappa_4^-1)
-* (XC2d) kappa (x) 1 = (mu3 (x) mu)(R_15^-1 . R_34 . kappa_2)
-* (XC3)  R_12 R_13 R_23 = R_23 R_13 R_12
-* invertibility of R and kappa.
+  [move G0]
+* (XC1f) mu3(R_31 . kappa_2) = mu3(R_13 . kappa_2^-1)  [G1f]
+* (XC2c) 1 (x) kappa^-1 = (mu (x) mu3)(R_15 . R_23^-1 . kappa_4^-1)  [G2p]
+* (XC2d) kappa (x) 1 = (mu3 (x) mu)(R_15^-1 . R_34 . kappa_2)  [G2p]
+* (XC3)  R_12 R_13 R_23 = R_23 R_13 R_12  [G3]
+* invertibility of R [G2] and kappa [G0r].
 
-``R_ij`` places the two tensor legs of R^{+-1} on factors i and j; for i > j
-this equals conjugating by the flip, i.e. placing the opposite leg first.
+Each axiom is checked as the ``zeval`` of two diagrams: the two sides of
+its move from ``data/patterns.cfg``, with fragment i opened on strand i.
 
 Algebra file format::
 
@@ -32,10 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
-from .errors import DimensionError, DomainError, ParseError
+from .errors import DimensionError, ParseError
+from .gauss import XCGaussDiagram, parse_diagram
 from .ring import LAURENT, RATIONAL, Coefficient, parse_laurent
 
 
@@ -163,137 +164,45 @@ class MatrixXCAlgebra:
             raise DimensionError("kappainv must be d x d")
 
 
-def _place_two_legs(m: RingMatrix, d: int, i: int, j: int, n: int, variant: str) -> RingMatrix:
-    """Place the two legs of a d^2 x d^2 operator on tensor factors i and j
-    (1-based, i != j, any order) of V^{(x)n}."""
-    size = d**n
-    zero = Coefficient.zero(variant)
-    out = [[zero] * size for _ in range(size)]
-    i -= 1
-    j -= 1
-    rest = [k for k in range(n) if k not in (i, j)]
-    for ridx in product(range(d), repeat=2):
-        for cidx in product(range(d), repeat=2):
-            entry = m[(ridx[0] * d + ridx[1], cidx[0] * d + cidx[1])]
-            if entry.is_zero():
-                continue
-            for other in product(range(d), repeat=len(rest)):
-                row = [0] * n
-                col = [0] * n
-                row[i], row[j] = ridx
-                col[i], col[j] = cidx
-                for k, v in zip(rest, other):
-                    row[k] = col[k] = v
-                r = c = 0
-                for k in range(n):
-                    r = r * d + row[k]
-                    c = c * d + col[k]
-                out[r][c] = entry
-    return RingMatrix(out)
+# Each axiom is one shipped move (data/patterns.cfg) opened with fragment i
+# on strand i: name, chord signs, then the two sides with "|" between
+# strands.
+_AXIOM_MOVES = (
+    ("invertibility-R", "1:+ 2:-", "O2 O1 | U2 U1", "|"),  # G2, e = -
+    ("invertibility-R'", "1:- 2:+", "O2 O1 | U2 U1", "|"),  # G2, e = +
+    ("invertibility-kappa", "", "D+ D-", ""),  # G0r v1
+    ("XC0", "1:+", "O1 | U1", "D+ O1 D- | D+ U1 D-"),  # G0, e = +
+    ("XC0'", "1:-", "O1 | U1", "D+ O1 D- | D+ U1 D-"),  # G0, e = -
+    ("XC1f", "1:+", "O1 D- U1", "U1 D+ O1"),  # G1f v1
+    ("XC2c", "1:+ 2:-", "| D+", "O2 O1 | U1 D+ U2"),  # G2p v2
+    ("XC2d", "1:- 2:+", "D- |", "O2 D- O1 | U1 U2"),  # G2p v3
+    ("XC3", "1:+ 2:+ 3:+",  # G3
+     "O2 O1 | O3 U1 | U3 U2", "O1 O2 | U1 O3 | U2 U3"),
+)
 
 
-def _place_one_leg(m: RingMatrix, d: int, i: int, n: int, variant: str) -> RingMatrix:
-    left = RingMatrix.identity(d ** (i - 1), variant)
-    right = RingMatrix.identity(d ** (n - i), variant)
-    return mat_tensor(mat_tensor(left, m), right)
+def _axiom_side(signs: str, strands: str) -> XCGaussDiagram:
+    """Read one side of an axiom, keeping the signs of the chords it has."""
+    runs = strands.split("|")
+    ids = {tok[1:] for tok in strands.split() if tok[0] in "OU"}
+    chords = " ".join(c for c in signs.split() if c.partition(":")[0] in ids)
+    lines = [f"strands: {len(runs)}", f"chords: {chords}"]
+    lines += [f"strand {i}: {run}" for i, run in enumerate(runs, start=1)]
+    return parse_diagram("\n".join(lines))
 
 
-def embed_R(a: MatrixXCAlgebra, i: int, j: int, n: int, inverse: bool = False) -> RingMatrix:
-    """R^{+-1} with first leg on factor i, second on factor j, of V^{(x)n}."""
-    if i == j:
-        raise DimensionError("embed_R requires i != j")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise DimensionError(f"leg indices ({i},{j}) out of range 1..{n}")
-    m = a.Rinv if inverse else a.R
-    return _place_two_legs(m, a.d, i, j, n, a.variant)
-
-
-def embed_kappa(a: MatrixXCAlgebra, i: int, n: int, inverse: bool = False) -> RingMatrix:
-    """kappa^{+-1} on factor i of V^{(x)n}, identity elsewhere."""
-    if not 1 <= i <= n:
-        raise DimensionError(f"leg index {i} out of range 1..{n}")
-    return _place_one_leg(a.kappainv if inverse else a.kappa, a.d, i, n, a.variant)
-
-
-def flip_matrix(d: int, variant: str = LAURENT) -> RingMatrix:
-    """The flip P on V (x) V."""
-    one, zero = Coefficient.one(variant), Coefficient.zero(variant)
-    size = d * d
-    out = [[zero] * size for _ in range(size)]
-    for i in range(d):
-        for j in range(d):
-            out[i * d + j][j * d + i] = one
-    return RingMatrix(out)
-
-
-def mu_groups(t: RingMatrix, d: int, groups: Sequence[int], variant: str = LAURENT) -> RingMatrix:
-    """Apply the multiplication map leg-group-wise.
-
-    ``t`` acts on V^{(x)n} with n = sum(groups); each group of k consecutive
-    legs is contracted by multiplying its End(V) factors left to right,
-    producing an operator on V^{(x)len(groups)}.  A group of size 0 contributes
-    an identity factor.
-    """
-    n = sum(groups)
-    if t.rows != d**n or t.cols != d**n:
-        raise DimensionError("mu_groups: matrix size does not match leg count")
-    g = len(groups)
-    size = d**g
-    zero = Coefficient.zero(variant)
-    out = [[zero] * size for _ in range(size)]
-    # Positions of each group's legs within the n legs.
-    starts = []
-    pos = 0
-    for k in groups:
-        starts.append(pos)
-        pos += k
-    for orow in product(range(d), repeat=g):
-        for ocol in product(range(d), repeat=g):
-            # Sum over internal contraction indices: group of size k needs k-1.
-            acc = None
-            internal_sizes = [max(k - 1, 0) for k in groups]
-            for internal in product(range(d), repeat=sum(internal_sizes)):
-                row = [0] * n
-                col = [0] * n
-                ipos = 0
-                ok = True
-                for gi, k in enumerate(groups):
-                    if k == 0:
-                        # empty group: identity factor, indices must agree
-                        if orow[gi] != ocol[gi]:
-                            ok = False
-                            break
-                        continue
-                    chain = [orow[gi]] + list(
-                        internal[ipos : ipos + k - 1]
-                    ) + [ocol[gi]]
-                    ipos += k - 1
-                    for leg in range(k):
-                        row[starts[gi] + leg] = chain[leg]
-                        col[starts[gi] + leg] = chain[leg + 1]
-                if not ok:
-                    continue
-                r = c = 0
-                for kk in range(n):
-                    r = r * d + row[kk]
-                    c = c * d + col[kk]
-                e = t[(r, c)]
-                if e.is_zero():
-                    continue
-                acc = e if acc is None else acc + e
-            if acc is None:
-                acc = zero
-            rr = cc = 0
-            for gi in range(g):
-                rr = rr * d + orow[gi]
-                cc = cc * d + ocol[gi]
-            out[rr][cc] = acc
-    return RingMatrix(out)
+def _axiom_diagrams() -> list[tuple[str, XCGaussDiagram, XCGaussDiagram]]:
+    """The XC axioms as (name, lhs, rhs) diagram pairs, in report order."""
+    return [
+        (name, _axiom_side(signs, lhs), _axiom_side(signs, rhs))
+        for name, signs, lhs, rhs in _AXIOM_MOVES
+    ]
 
 
 def check_axioms(a: MatrixXCAlgebra) -> dict:
     """Verify the XC axioms exactly; returns a per-axiom report."""
-    d, variant = a.d, a.variant
+    from .invariant import zeval
+
     report: dict[str, dict] = {}
 
     def record(name: str, lhs: RingMatrix, rhs: RingMatrix) -> None:
@@ -314,57 +223,8 @@ def check_axioms(a: MatrixXCAlgebra) -> dict:
                 "rhs": str(rhs[where]),
             }
 
-    idd = RingMatrix.identity(d, variant)
-    id2 = RingMatrix.identity(d * d, variant)
-    record("invertibility-R", mat_mul(a.R, a.Rinv), id2)
-    record("invertibility-R'", mat_mul(a.Rinv, a.R), id2)
-    record("invertibility-kappa", mat_mul(a.kappa, a.kappainv), idd)
-
-    kk = mat_tensor(a.kappa, a.kappa)
-    kkinv = mat_tensor(a.kappainv, a.kappainv)
-    record("XC0", a.R, mat_mul(mat_mul(kk, a.R), kkinv))
-    record("XC0'", a.Rinv, mat_mul(mat_mul(kk, a.Rinv), kkinv))
-
-    r31 = embed_R(a, 3, 1, 3)
-    r13 = embed_R(a, 1, 3, 3)
-    k2 = embed_kappa(a, 2, 3)
-    k2inv = embed_kappa(a, 2, 3, inverse=True)
-    record(
-        "XC1f",
-        mu_groups(mat_mul(r31, k2), d, [3], variant),
-        mu_groups(mat_mul(r13, k2inv), d, [3], variant),
-    )
-
-    lhs = mu_groups(
-        mat_mul(
-            mat_mul(embed_R(a, 1, 5, 5), embed_R(a, 2, 3, 5, inverse=True)),
-            embed_kappa(a, 4, 5, inverse=True),
-        ),
-        d,
-        [2, 3],
-        variant,
-    )
-    record("XC2c", mat_tensor(idd, a.kappainv), lhs)
-
-    lhs = mu_groups(
-        mat_mul(
-            mat_mul(embed_R(a, 1, 5, 5, inverse=True), embed_R(a, 3, 4, 5)),
-            embed_kappa(a, 2, 5),
-        ),
-        d,
-        [3, 2],
-        variant,
-    )
-    record("XC2d", mat_tensor(a.kappa, idd), lhs)
-
-    r12 = embed_R(a, 1, 2, 3)
-    r13 = embed_R(a, 1, 3, 3)
-    r23 = embed_R(a, 2, 3, 3)
-    record(
-        "XC3",
-        mat_mul(mat_mul(r12, r13), r23),
-        mat_mul(mat_mul(r23, r13), r12),
-    )
+    for name, lhs, rhs in _axiom_diagrams():
+        record(name, zeval(lhs, a).value, zeval(rhs, a).value)
     report["ok"] = all(v["ok"] for k, v in report.items() if k != "ok")
     return report
 

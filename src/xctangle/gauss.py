@@ -32,18 +32,6 @@ UNDER = "U"
 DIAMOND = "D"
 
 
-def over(cid: int) -> Event:
-    return (OVER, cid)
-
-
-def under(cid: int) -> Event:
-    return (UNDER, cid)
-
-
-def diamond(sign: int) -> Event:
-    return (DIAMOND, sign)
-
-
 @dataclass(frozen=True)
 class XCGaussDiagram:
     """Immutable XC-Gauss diagram."""

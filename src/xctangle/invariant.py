@@ -16,6 +16,7 @@ realization map sends ``(u, sigma)`` to ``perm_matrix(sigma) . u``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from . import gauss
@@ -94,25 +95,20 @@ def identity_value(n: int, a: MatrixXCAlgebra) -> InvariantValue:
 
 # -- R decomposition --------------------------------------------------
 
-_DECOMP_CACHE: dict[int, list] = {}
 
+@lru_cache(maxsize=64)
+def _decompose_two_leg(m: RingMatrix, d: int) -> tuple:
+    """Write a d^2 x d^2 operator as sum of E_ac (x) Q_ac, dropping zero Q.
 
-def _decompose_two_leg(m: RingMatrix, d: int, variant: str):
-    """Write a d^2 x d^2 operator as sum of E_ac (x) Q_ac, dropping zero Q."""
-    key = id(m)
-    hit = _DECOMP_CACHE.get(key)
-    if hit is not None:
-        return hit
+    Cached by matrix content (``RingMatrix`` hashes by its entries)."""
     terms = []
-    zero = Coefficient.zero(variant)
     for a in range(d):
         for c in range(d):
             q = [[m[(a * d + b, c * d + e)] for e in range(d)] for b in range(d)]
             if all(x.is_zero() for row in q for x in row):
                 continue
             terms.append((a, c, RingMatrix(q)))
-    _DECOMP_CACHE[key] = terms
-    return terms
+    return tuple(terms)
 
 
 def _unit_left_mul(a: int, c: int, acc: list[list[Coefficient]], d: int, zero) -> list:
@@ -139,10 +135,10 @@ def zeval(
     sign = d_.chord_sign
     chord_ids = sorted(sign)
     chord_pos = {c: k for k, c in enumerate(chord_ids)}
-    terms_for = {
-        c: _decompose_two_leg(a.R if sign[c] > 0 else a.Rinv, dim, variant)
-        for c in chord_ids
+    decomp = {
+        s: _decompose_two_leg(a.R if s > 0 else a.Rinv, dim) for s in set(sign.values())
     }
+    terms_for = {c: decomp[sign[c]] for c in chord_ids}
     kappa = a.kappa.entries
     kappainv = a.kappainv.entries
 

@@ -267,13 +267,3 @@ def parse_laurent(text: str, line: int = 0, column_offset: int = 0) -> Coefficie
         pos = m.end()
         first = False
     return Coefficient.laurent(acc)
-
-
-def ring_add(a: Coefficient, b: Coefficient) -> Coefficient:
-    """Exact sum of two coefficients of the same variant."""
-    return a + b
-
-
-def ring_mul(a: Coefficient, b: Coefficient) -> Coefficient:
-    """Exact product of two coefficients of the same variant."""
-    return a * b

@@ -1,25 +1,36 @@
-"""Matrix algebra layer: axiom checking, leg embeddings, multiplication
-maps, and the algebra text format."""
-
-import random
+"""Matrix algebra layer: axiom checking through zeval, the axioms' match
+with the move table, matrix arithmetic, and the algebra text format."""
 
 import pytest
 
 from xctangle.algebra import (
     RingMatrix,
+    _axiom_diagrams,
     builtin_uqsl2,
     check_axioms,
-    embed_R,
-    embed_kappa,
-    flip_matrix,
     mat_mul,
-    mat_tensor,
-    mu_groups,
     parse_algebra,
     print_algebra,
 )
 from xctangle.errors import DimensionError, ParseError
+from xctangle.gauss import canonical_key
+from xctangle.moves import _closure_diagram, builtin_patterns
 from xctangle.ring import Coefficient
+
+# The shipped move instance behind each axiom, in report order: kind,
+# variant, sign choice e, and whether the axiom's lhs is the move's right
+# side.
+AXIOM_MOVES = {
+    "invertibility-R": ("G2", 1, -1, False),
+    "invertibility-R'": ("G2", 1, 1, False),
+    "invertibility-kappa": ("G0r", 1, 1, False),
+    "XC0": ("G0", 1, 1, True),
+    "XC0'": ("G0", 1, -1, True),
+    "XC1f": ("G1f", 1, 1, False),
+    "XC2c": ("G2p", 2, 1, True),
+    "XC2d": ("G2p", 3, 1, True),
+    "XC3": ("G3", 1, 1, False),
+}
 
 
 def test_builtin_passes_all_axioms():
@@ -40,48 +51,30 @@ def test_axiom_failure_reports_entry():
     assert "entry" in report["invertibility-R"]
 
 
+def test_axioms_are_the_shipped_moves():
+    patterns = {(p.kind, p.variant): p for p in builtin_patterns()}
+    axioms = _axiom_diagrams()
+    assert [name for name, _, _ in axioms] == list(AXIOM_MOVES)
+    for name, lhs, rhs in axioms:
+        kind, variant, eps, flipped = AXIOM_MOVES[name]
+        p = patterns[(kind, variant)]
+        assign = {letter: i + 1 for i, (letter, _) in enumerate(p.vars)}
+        opened = tuple((i,) for i in range(len(p.left)))
+        sides = [
+            canonical_key(_closure_diagram(frags, opened, {}, assign, eps, p, ()))
+            for frags in (p.left, p.right)
+        ]
+        if flipped:
+            sides.reverse()
+        assert [canonical_key(lhs), canonical_key(rhs)] == sides, name
+
+
 def test_matrix_dimension_errors():
     with pytest.raises(DimensionError):
         mat_mul(RingMatrix.identity(2), RingMatrix.identity(3))
     with pytest.raises(DimensionError):
         RingMatrix([[Coefficient.one()], [Coefficient.one(),
                                           Coefficient.one()]])
-
-
-def test_flip_matrix_swaps_factors():
-    f = flip_matrix(2)
-    assert mat_mul(f, f) == RingMatrix.identity(4)
-    a = builtin_uqsl2()
-    # flip . (x (x) y) . flip = (y (x) x) as conjugation on kappa (x) kappa^-1
-    lhs = mat_mul(mat_mul(f, mat_tensor(a.kappa, a.kappainv)), f)
-    assert lhs == mat_tensor(a.kappainv, a.kappa)
-
-
-def test_embed_R_identity_on_other_legs():
-    a = builtin_uqsl2()
-    full = embed_R(a, 1, 2, 3)
-    direct = mat_tensor(a.R, RingMatrix.identity(a.d))
-    assert full == direct
-    assert mat_mul(embed_R(a, 1, 3, 3), embed_R(a, 1, 3, 3, inverse=True)) \
-        == RingMatrix.identity(a.d ** 3)
-
-
-def test_embed_kappa_multiplicative():
-    a = builtin_uqsl2()
-    rng = random.Random(3)
-    for _ in range(50):
-        n = rng.randrange(1, 5)
-        i = rng.randrange(1, n + 1)
-        k1 = embed_kappa(a, i, n)
-        k2 = embed_kappa(a, i, n, inverse=True)
-        assert mat_mul(k1, k2) == RingMatrix.identity(a.d ** n)
-
-
-def test_mu_groups_concatenates_products():
-    a = builtin_uqsl2()
-    # multiplying two legs of kappa (x) kappa gives kappa^2 on one leg
-    m = mu_groups(mat_tensor(a.kappa, a.kappa), a.d, [2], a.variant)
-    assert m == mat_mul(a.kappa, a.kappa)
 
 
 def test_algebra_text_round_trip():

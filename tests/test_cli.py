@@ -1,9 +1,12 @@
 """CLI: subcommand behavior, exit codes, deterministic output."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import xctangle
 from xctangle.cli import main
 
 IDENTITY = "strands: 1\ntop: 1\nchords:\nstrand 1:\n"
@@ -23,6 +26,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    version = re.search(r'^version = "([^"]+)"', text, re.MULTILINE).group(1)
+    assert xctangle.__version__ == version
 
 
 def test_validate_identity(files, capsys):
@@ -66,6 +75,160 @@ def test_bracket_golden(files, capsys):
 def test_axioms_ok(capsys):
     code, out, _ = run(capsys, "axioms")
     assert code == 0 and "all: ok" in out
+
+
+# Two seeded non-XC rational algebras on which every axiom fails, and the
+# full `xct axioms` reports (text and json-lines) for them and the builtin.
+ALGEBRA_D2 = """\
+dim: 2
+ring: rational
+R:
+0, -3/2, 1/2, 0
+1, -3/2, 2, -3/2
+0, -3/2, 0, 2
+0, 1/2, 0, 0
+Rinv:
+2, 1/2, 1/2, 2
+-1, 0, 0, 0
+1/2, -1, 0, 0
+0, -3/2, 0, 0
+kappa:
+0, 0
+2, -3/2
+kappainv:
+-1, -1
+-1, -3/2
+"""
+
+ALGEBRA_D3 = """\
+dim: 3
+ring: rational
+R:
+0, 0, 0, -1, 2, 0, 0, 0, 0
+-1, 1/2, 0, 0, 0, 1/2, 1/2, 1, 0
+0, 0, 0, 0, 0, 0, 0, 0, 0
+0, 0, 1, 0, -3/2, 1, -1, 1/2, 0
+0, 0, 2, 0, 0, 1/2, 0, 0, 0
+-3/2, 0, 1/2, 0, -1, -1, -3/2, 0, -1
+2, 0, 0, 0, 0, 0, 0, 0, 2
+0, 1/2, 1/2, 2, 1, 0, 0, 0, -1
+0, 2, 0, 0, 1, -1, -3/2, 1, 1/2
+Rinv:
+0, 1, 0, 0, 0, 0, -3/2, -3/2, 0
+0, 1, 0, 0, 2, 0, 0, 1, 0
+0, 1, 0, 1, 0, 1, 0, -1, -3/2
+0, 0, -3/2, 0, 2, 0, 0, 0, -1
+-3/2, 0, 1, -3/2, 0, 1, 0, 2, 0
+1, 1, 0, -3/2, 0, 2, 0, -1, 0
+0, 0, 0, 0, 0, -3/2, 0, -3/2, 0
+1/2, 2, -3/2, 0, 1, 0, 0, 1/2, 0
+-1, 0, 2, 0, 0, 2, -1, 2, 0
+kappa:
+0, -1, 2
+0, -1, 0
+2, 0, 0
+kappainv:
+0, 0, 0
+0, 1/2, 0
+0, -1, 0
+"""
+
+AXIOMS_BUILTIN_TEXT = """\
+invertibility-R: ok
+invertibility-R': ok
+invertibility-kappa: ok
+XC0: ok
+XC0': ok
+XC1f: ok
+XC2c: ok
+XC2d: ok
+XC3: ok
+all: ok
+"""
+
+AXIOMS_BUILTIN_JSON = (
+    '{"XC0": {"ok": true}, '
+    '"XC0\'": {"ok": true}, '
+    '"XC1f": {"ok": true}, '
+    '"XC2c": {"ok": true}, '
+    '"XC2d": {"ok": true}, '
+    '"XC3": {"ok": true}, '
+    '"invertibility-R": {"ok": true}, '
+    '"invertibility-R\'": {"ok": true}, '
+    '"invertibility-kappa": {"ok": true}, '
+    '"ok": true}\n'
+)
+
+AXIOMS_D2_TEXT = """\
+invertibility-R: FAIL at (0, 0)
+invertibility-R': FAIL at (0, 0)
+invertibility-kappa: FAIL at (0, 0)
+XC0: FAIL at (0, 1)
+XC0': FAIL at (0, 0)
+XC1f: FAIL at (0, 0)
+XC2c: FAIL at (0, 0)
+XC2d: FAIL at (0, 2)
+XC3: FAIL at (0, 0)
+all: FAIL
+"""
+
+AXIOMS_D2_JSON = (
+    '{"XC0": {"entry": [0, 1], "lhs": "-3/2", "ok": false, "rhs": "0"}, '
+    '"XC0\'": {"entry": [0, 0], "lhs": "2", "ok": false, "rhs": "0"}, '
+    '"XC1f": {"entry": [0, 0], "lhs": "-3/4", "ok": false, "rhs": "-9/2"}, '
+    '"XC2c": {"entry": [0, 0], "lhs": "-1", "ok": false, "rhs": "-1/2"}, '
+    '"XC2d": {"entry": [0, 2], "lhs": "0", "ok": false, "rhs": "1/2"}, '
+    '"XC3": {"entry": [0, 0], "lhs": "-3/4", "ok": false, "rhs": "0"}, '
+    '"invertibility-R": {"entry": [0, 0], "lhs": "7/4", "ok": false, "rhs": "1"}, '
+    '"invertibility-R\'": {"entry": [0, 0], "lhs": "1/2", "ok": false, "rhs": "1"}, '
+    '"invertibility-kappa": {"entry": [0, 0], "lhs": "0", "ok": false, "rhs": "1"}, '
+    '"ok": false}\n'
+)
+
+AXIOMS_D3_TEXT = """\
+invertibility-R: FAIL at (0, 0)
+invertibility-R': FAIL at (0, 0)
+invertibility-kappa: FAIL at (0, 0)
+XC0: FAIL at (0, 3)
+XC0': FAIL at (0, 1)
+XC1f: FAIL at (0, 0)
+XC2c: FAIL at (0, 0)
+XC2d: FAIL at (0, 0)
+XC3: FAIL at (0, 0)
+all: FAIL
+"""
+
+AXIOMS_D3_JSON = (
+    '{"XC0": {"entry": [0, 3], "lhs": "-1", "ok": false, "rhs": "0"}, '
+    '"XC0\'": {"entry": [0, 1], "lhs": "1", "ok": false, "rhs": "0"}, '
+    '"XC1f": {"entry": [0, 0], "lhs": "4", "ok": false, "rhs": "-1/2"}, '
+    '"XC2c": {"entry": [0, 0], "lhs": "0", "ok": false, "rhs": "-1/2"}, '
+    '"XC2d": {"entry": [0, 0], "lhs": "0", "ok": false, "rhs": "-1"}, '
+    '"XC3": {"entry": [0, 0], "lhs": "-3", "ok": false, "rhs": "2"}, '
+    '"invertibility-R": {"entry": [0, 0], "lhs": "-3", "ok": false, "rhs": "1"}, '
+    '"invertibility-R\'": {"entry": [0, 0], "lhs": "-4", "ok": false, "rhs": "1"}, '
+    '"invertibility-kappa": {"entry": [0, 0], "lhs": "0", "ok": false, "rhs": "1"}, '
+    '"ok": false}\n'
+)
+
+
+@pytest.mark.parametrize("algebra, fmt, expected", [
+    (None, "text", AXIOMS_BUILTIN_TEXT),
+    (None, "json-lines", AXIOMS_BUILTIN_JSON),
+    (ALGEBRA_D2, "text", AXIOMS_D2_TEXT),
+    (ALGEBRA_D2, "json-lines", AXIOMS_D2_JSON),
+    (ALGEBRA_D3, "text", AXIOMS_D3_TEXT),
+    (ALGEBRA_D3, "json-lines", AXIOMS_D3_JSON),
+])
+def test_axioms_report_golden(tmp_path, capsys, algebra, fmt, expected):
+    argv = ["axioms", "--format", fmt]
+    if algebra is not None:
+        path = tmp_path / "algebra.txt"
+        path.write_text(algebra)
+        argv += ["--algebra", str(path)]
+    code, out, _ = run(capsys, *argv)
+    assert out == expected
+    assert code == (0 if algebra is None else 1)
 
 
 def test_zeval_identity(files, capsys):

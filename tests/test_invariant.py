@@ -5,9 +5,16 @@ import random
 
 import pytest
 
-from xctangle.algebra import builtin_uqsl2
+from xctangle.algebra import MatrixXCAlgebra, builtin_uqsl2
 from xctangle.errors import GuardrailError, NonScalarError
-from xctangle.gauss import XCGaussDiagram, braiding, compose, identity, tensor
+from xctangle.gauss import (
+    XCGaussDiagram,
+    braiding,
+    compose,
+    identity,
+    parse_diagram,
+    tensor,
+)
 from xctangle.invariant import (
     identity_value,
     iota_realize,
@@ -89,3 +96,18 @@ def test_trefoil_scalar_golden():
     from xctangle.virtualt import lift
     lam = long_knot_scalar(zeval(lift(tre), ALG))
     assert lam == Coefficient.laurent({4: 1, 0: 1, -2: -1})
+
+
+def test_decomposition_cache_follows_matrix_content():
+    # Each algebra is freed once evaluated, so a later one may reuse the
+    # memory of its R; the value must still come from the new entries.
+    crossing = parse_diagram("strands: 2\nchords: 1:+\nstrand 1: O1\nstrand 2: U1\n")
+
+    def evaluate(k):
+        alg = MatrixXCAlgebra(ALG.d, ALG.R.scale(Coefficient.q_power(k)),
+                              ALG.Rinv.scale(Coefficient.q_power(-k)),
+                              ALG.kappa, ALG.kappainv, ALG.variant)
+        return zeval(crossing, alg).value
+
+    for k in range(1, 300):
+        assert evaluate(k) == ALG.R.scale(Coefficient.q_power(k)), k
