@@ -5,36 +5,43 @@ with no diamond events: chords record crossings (over -> under, signed) and
 nothing records rotation.  This module provides
 
 * ``forget`` -- drop all diamond decorations from a diagram;
-* ``lift`` -- the canonical section of ``forget``: decorate a code with
-  diamonds so that the decorated diagram evaluates like a planar realization
-  of the code (``forget(lift(g)) == g``, the rotation--writhe identity holds,
-  and the evaluated invariant of ``lift`` is unchanged by the classical
-  framed moves on codes);
+* ``lift`` -- a section of ``forget``: decorate a code with diamonds so
+  that, on one-strand classical codes, the decorated diagram is the
+  rotational diagram of the upright planar realization of the code;
 * classical oracles: ``writhe``, ``rotation_total`` and the Kauffman-bracket
   state sum ``bracket_oracle``;
 * ``random_move_on_code`` -- apply one random classical framed move;
 * a text format for signed codes (``O<id><+|->`` / ``U<id><+|->`` tokens
   with the sign attached at both endpoints).
 
-Lift strategy
--------------
+Lift rule
+---------
 
-The decoration is built by certified local reductions.  A *kink* (the two
-endpoints of one chord adjacent on a strand) and a *parallel pair* (two
-opposite-sign chords whose endpoints form two adjacent parallel blocks) can
-be removed, the smaller code decorated recursively, and the block reinserted
-with a fixed diamond decoration; each such insertion multiplies the evaluated
-invariant by a context-independent factor (a kink) or leaves it unchanged (a
-parallel pair), so the decorated value is independent of the reduction order.
-Codes without such sites are canonicalized across their orbit under the
-triangle rewrite (the braid-like rearrangement of three positive chords):
-the orbit is explored breadth-first, the lexicographically smallest member is
-decorated, and the decoration is transported back through rewrites that are
-individually certified exact invariances of the evaluation.  Irreducible
-codes receive a direct decoration: a backward-arc winding rule with
-per-strand end corrections, supplemented by a small table of planar winding
-vectors for specific irreducible codes the arc rule does not decorate
-honestly (entries verified against the bracket oracle).
+``lift`` sweeps the code once in reading order: strand 1 from bottom to
+top, then strand 2, and so on.  Chord ``x`` has a first endpoint ``p_x`` and
+a second endpoint ``q_x`` in that order; ``eps_x`` is ``sign(x)`` when the
+pass at ``p_x`` is the over pass and ``-sign(x)`` otherwise.  A signed
+number ``w`` of diamonds (``w`` ``D+`` for ``w > 0``, ``|w|`` ``D-`` for
+``w < 0``) is written in these slots only:
+
+* before a first endpoint, ``w = 0``: the gauge that the G0 move leaves
+  free, since G0 turns one crossing by a full turn;
+* before a second endpoint ``q_x``, ``w = rho_x + J_x`` minus the diamonds
+  already written strictly between ``p_x`` and ``q_x``, where
+  ``rho_x = -eps_x - sum(eps_y : p_x < p_y < q_y < q_x)
+  - 2 sum(eps_y : p_y < p_x < q_y < q_x)`` and ``J_x`` counts the strand
+  boundaries the reading order crosses between ``p_x`` and ``q_x``;
+* in the last slot of strand ``s``, ``w = -sum(eps_y)`` over the chords
+  with both ends on ``s``, minus the diamonds already on ``s``.
+
+On one strand, ``rho_x`` is the rotation number of the loop from the first
+pass through ``x`` to the second: Whitney's formula ("On regular closed
+curves in the plane", 1937), with the loop's winding round its corner
+counted along the incoming strand.  The last-slot rule is the
+rotation--writhe identity.  Rotation numbers on upright diagrams follow
+Bar-Natan and van der Veen, "A polynomial time knot polynomial" (2019).
+The rule is exact on one-strand classical codes; on virtual codes and on
+several strands it is a decoration, not a planar realization.
 """
 
 from __future__ import annotations
@@ -47,8 +54,6 @@ from .ring import Coefficient
 
 #: Structural alias: a signed Gauss code is a diamond-free diagram.
 SignedGaussCode = XCGaussDiagram
-
-ORBIT_CAP = 512
 
 
 def validate_code(g: SignedGaussCode) -> None:
@@ -93,421 +98,72 @@ def underfirst_writhe(g: SignedGaussCode) -> int:
     return tot
 
 
-# -- lift internals ----------------------------------------------------
-
-
-def _pi(sign, k, v):
-    """Local winding contribution of a pass: +sign on over, -sign on under."""
-    return sign[v] if k == OVER else -sign[v]
-
-
-def _remove_events(g, marks):
-    ev = []
-    for s, e in enumerate(g.events):
-        ev.append(tuple(x for p, x in enumerate(e) if (s, p) not in marks))
-    return ev
-
-
-def _strip_chords(g, ev, gone):
-    chords = [(c, s) for c, s in g.chords if c not in gone]
-    return XCGaussDiagram(g.n, g.top, chords, ev)
-
-
-def _find_kink(g):
-    """First adjacent same-chord endpoint pair, or None."""
-    for s, e in enumerate(g.events):
-        for p in range(len(e) - 1):
-            (k1, v1), (k2, v2) = e[p], e[p + 1]
-            if k1 != DIAMOND and k2 != DIAMOND and v1 == v2:
-                return s, p, v1, k1
-    return None
-
-
-def _adj_blocks(g):
-    """Adjacent distinct-chord event pairs, keyed by endpoint kinds."""
-    oo, uu, ou, uo = {}, {}, {}, {}
-    for s, e in enumerate(g.events):
-        for p in range(len(e) - 1):
-            (k1, v1), (k2, v2) = e[p], e[p + 1]
-            if k1 == DIAMOND or k2 == DIAMOND or v1 == v2:
-                continue
-            d = {"OO": oo, "UU": uu, "OU": ou, "UO": uo}[k1 + k2]
-            d[(v1, v2)] = (s, p)
-    return oo, uu, ou, uo
-
-
-def _find_r2(g):
-    """First parallel opposite-sign pair: blocks [Oa Ob] and [Ua Ub]."""
-    sign = g.chord_sign
-    oo, uu, _, _ = _adj_blocks(g)
-    for (a, b), op in sorted(oo.items()):
-        if sign[a] == -sign[b] and (a, b) in uu:
-            return a, b, op, uu[(a, b)]
-    return None
-
-
-def _triangles(g):
-    """All triangle configurations on three positive chords, either side.
-    Left side: blocks [Ob Oa] [Oc Ua] [Uc Ub]; right side: [Oa Ob] [Ua Oc]
-    [Ub Uc]."""
-    sign = g.chord_sign
-    oo, uu, ou, uo = _adj_blocks(g)
-    out = []
-    for (b, a), p1 in sorted(oo.items()):
-        if sign.get(a) != 1 or sign.get(b) != 1:
-            continue
-        for (c, a2), p2 in sorted(ou.items()):
-            if a2 != a or sign.get(c) != 1 or c in (a, b):
-                continue
-            p3 = uu.get((c, b))
-            if p3 is not None:
-                out.append(("L", (a, b, c), p1, p2, p3))
-    for (a, b), p1 in sorted(oo.items()):
-        if sign.get(a) != 1 or sign.get(b) != 1:
-            continue
-        for (a2, c), p2 in sorted(uo.items()):
-            if a2 != a or sign.get(c) != 1 or c in (a, b):
-                continue
-            p3 = uu.get((b, c))
-            if p3 is not None:
-                out.append(("R", (a, b, c), p1, p2, p3))
-    return out
-
-
-def _tri_frags(side, abc):
-    a, b, c = abc
-    if side == "L":
-        return (((OVER, b), (OVER, a)), ((OVER, c), (UNDER, a)),
-                ((UNDER, c), (UNDER, b)))
-    return (((OVER, a), (OVER, b)), ((UNDER, a), (OVER, c)),
-            ((UNDER, b), (UNDER, c)))
-
-
-def _apply_triangle(g, tri):
-    side, abc, (s1, p1), (s2, p2), (s3, p3) = tri
-    other = "R" if side == "L" else "L"
-    frs = _tri_frags(other, abc)
-    ev = [list(e) for e in g.events]
-    for (s, p), (x, y) in zip(((s1, p1), (s2, p2), (s3, p3)), frs):
-        ev[s][p], ev[s][p + 1] = x, y
-    return XCGaussDiagram(g.n, g.top, g.chords, [tuple(e) for e in ev])
-
-
-def _orbit(g):
-    """Breadth-first orbit of ``g`` under triangle rewrites.  Returns the
-    member list, the fragment pairs seen across the orbit (both sides), and
-    the set of participating passes."""
-    seen = {g.events}
-    queue = [g]
-    pairs = set()
-    passes = set()
-    qi = 0
-    while qi < len(queue) and len(seen) <= ORBIT_CAP:
-        cur = queue[qi]
-        qi += 1
-        for tri in _triangles(cur):
-            for fp in _tri_frags(tri[0], tri[1]):
-                pairs.add(fp)
-                passes.update(fp)
-            for fp in _tri_frags("R" if tri[0] == "L" else "L", tri[1]):
-                pairs.add(fp)
-            h = _apply_triangle(cur, tri)
-            if h.events not in seen:
-                seen.add(h.events)
-                queue.append(h)
-    return queue, pairs, passes
-
-
-def _forget_events(events):
-    return tuple(tuple(e for e in ev if e[0] != DIAMOND) for ev in events)
-
-
-def _certified_rewrites(events, chords):
-    """Triangle rewrites applicable to a decorated diagram such that every
-    fragment pair is adjacent as events (no diamond inside a block): each
-    such rewrite is an exact invariance of the evaluated value."""
-    bare = XCGaussDiagram(len(events), tuple(range(1, len(events) + 1)),
-                          chords, _forget_events(events))
-    out = []
-    for tri in _triangles(bare):
-        frs = _tri_frags(tri[0], tri[1])
-        spots = []
-        for (x, y) in frs:
-            found = None
-            for s, ev in enumerate(events):
-                for i in range(len(ev) - 1):
-                    if ev[i] == x and ev[i + 1] == y:
-                        found = (s, i)
-                        break
-                if found:
-                    break
-            if found is None:
-                break
-            spots.append(found)
-        if len(spots) == 3:
-            out.append((tri, spots))
-    return out
-
-
-def _apply_decorated(events, tri, spots):
-    other = "R" if tri[0] == "L" else "L"
-    frs = _tri_frags(other, tri[1])
-    ev = [list(e) for e in events]
-    for (s, i), (x, y) in zip(spots, frs):
-        ev[s][i], ev[s][i + 1] = x, y
-    return tuple(tuple(e) for e in ev)
-
-
-def _transport(g, lifted):
-    """Carry a decorated diagram to code ``g`` through certified triangle
-    rewrites; returns None when no certified route exists."""
-    target = g.events
-    start = lifted.events
-    if _forget_events(start) == target:
-        return XCGaussDiagram(g.n, g.top, g.chords, start)
-    seen = {start}
-    stack = [start]
-    while stack:
-        cur = stack.pop()
-        for tri, spots in _certified_rewrites(cur, g.chords):
-            nxt = _apply_decorated(cur, tri, spots)
-            if nxt in seen:
-                continue
-            if _forget_events(nxt) == target:
-                return XCGaussDiagram(g.n, g.top, g.chords, nxt)
-            if len(seen) > ORBIT_CAP:
-                return None
-            seen.add(nxt)
-            stack.append(nxt)
-    return None
+# -- lift --------------------------------------------------------------
 
 
 def _dias(w):
     return [(DIAMOND, 1 if w > 0 else -1)] * abs(w)
 
 
-def _relic_arcs(g):
-    """Arcs that must stay bare because they are the relic a triangle leaves
-    after its middle chord is peeled as a kink: ordered adjacencies
-    (O_a, U_c) and (U_a, O_c) both present, with both chords positive."""
-    sign = g.chord_sign
-    adj = set()
-    for e in g.events:
-        for p in range(len(e) - 1):
-            if e[p][0] != DIAMOND and e[p + 1][0] != DIAMOND:
-                adj.add((e[p], e[p + 1]))
-    out = set()
-    for (k1, a), (k2, c) in adj:
-        if a == c or sign.get(a) != 1 or sign.get(c) != 1:
-            continue
-        if k1 == OVER and k2 == UNDER and ((UNDER, a), (OVER, c)) in adj:
-            out.add(((OVER, a), (UNDER, c)))
-        if k1 == UNDER and k2 == OVER and ((OVER, a), (UNDER, c)) in adj:
-            out.add(((UNDER, a), (OVER, c)))
-    return out
-
-
-_FIG8_PASSES = ((OVER, 1), (UNDER, 2), (OVER, 3), (UNDER, 1),
-                (OVER, 4), (UNDER, 3), (OVER, 2), (UNDER, 4))
-
-#: Planar winding vectors for irreducible one-strand codes that the
-#: backward-arc rule does not decorate honestly.  Keys are (passes, signs)
-#: in first-appearance normal form; values give per-slot windings (slot i
-#: precedes pass i, the final slot trails the strand).  Entries verified
-#: against the state-sum bracket oracle.
-DECOR_TABLE = {
-    (_FIG8_PASSES, (-1, 1, 1, -1)): (-1, 0, 0, 1, 0, 0, 1, 0, 1),
-    (_FIG8_PASSES, (1, -1, -1, 1)): (-1, 0, 0, -1, 0, 0, -1, 0, 1),
-}
-
-
-def _table_lookup(g):
-    if g.n != 1:
-        return None
-    ev = g.events[0]
-    if any(k == DIAMOND for k, _ in ev):
-        return None
-    ren: dict[int, int] = {}
-    for k, v in ev:
-        if v not in ren:
-            ren[v] = len(ren) + 1
-    key = (tuple((k, ren[v]) for k, v in ev),
-           tuple(s for _, s in sorted((ren[c], s) for c, s in g.chords)))
-    ws = DECOR_TABLE.get(key)
-    if ws is None:
-        return None
-    out = []
-    for i, p in enumerate(ev):
-        out += _dias(ws[i])
-        out.append(p)
-    out += _dias(ws[-1])
-    return XCGaussDiagram(g.n, g.top, g.chords, [tuple(out)])
-
-
-def _first_ranks(g):
-    """Chords ranked by first appearance along the traversal, making the
-    direct decoration invariant under chord renaming."""
-    rank: dict[int, int] = {}
-    for e in g.events:
-        for k, v in e:
-            if k != DIAMOND and v not in rank:
-                rank[v] = len(rank)
-    return rank
-
-
-def _base_lift(g, passes_prot):
-    """Direct decoration of an irreducible code: backward-arc windings with
-    per-strand end corrections.  Arcs whose later pass ranks no higher than
-    the earlier one receive half the winding difference of their passes;
-    arcs touching protected passes or matching a triangle relic stay bare so
-    later transports remain certified."""
-    if not passes_prot:
-        hit = _table_lookup(g)
-        if hit is not None:
-            return hit
-    sign = g.chord_sign
-    rank = _first_ranks(g)
-    relic = _relic_arcs(g)
-    seen: set[int] = set()
-    target = [0] * g.n
-    for s, e in enumerate(g.events):
-        for k, v in e:
-            if k == DIAMOND:
-                continue
-            if v in seen:
-                target[s] += _pi(sign, k, v)
-            else:
-                seen.add(v)
-    out_events = []
-    for s, e in enumerate(g.events):
-        out = []
-        tot = 0
-        prev = None
-        for (k, v) in e:
-            if prev is not None:
-                pk, pv = prev
-                if rank[v] <= rank[pv] and (k, v) not in passes_prot and \
-                        (pk, pv) not in passes_prot and \
-                        ((pk, pv), (k, v)) not in relic:
-                    w = (_pi(sign, k, v) - _pi(sign, pk, pv)) // 2
-                    out += _dias(w)
-                    tot += w
-            out.append((k, v))
-            prev = (k, v)
-        out += _dias(target[s] - tot)
-        out_events.append(tuple(out))
-    return XCGaussDiagram(g.n, g.top, g.chords, out_events)
-
-
-def _passpos(g, s, p):
-    return sum(1 for e in g.events[s][:p] if e[0] != DIAMOND)
-
-
-def _insert_block(events, s, passidx, block, at_slot_start=False):
-    """Insert a block into the slot ending just before the ``passidx``-th
-    pass of strand ``s``.  The slot may hold diamonds; the block goes after
-    them by default, or before them when ``at_slot_start`` is set.  Either
-    placement realizes the same certified insertion."""
-    ev = list(events[s])
-    cnt = 0
-    at = len(ev)
-    start = 0
-    for i, (k, _) in enumerate(ev):
-        if k != DIAMOND:
-            if cnt == passidx:
-                at = i
-                break
-            cnt += 1
-            start = i + 1
-    pos = start if at_slot_start else at
-    ev[pos:pos] = block
-    events[s] = ev
-
-
-def _placement(g, s, p, block, pairs):
-    """Whether a reinserted block should sit at the start of its slot.
-
-    Start placement keeps a fragment pair adjacent: either the block head
-    directly follows the previous pass, or the head is the second pass of
-    some fragment pair, so the slot before it must stay clear for a block
-    reinserted later."""
-    ev = g.events[s]
-    prev = ev[p - 1] if p > 0 else None
-    head = block[0]
-    if prev is not None and (prev, head) in pairs:
-        return True
-    if any(snd == head for _, snd in pairs):
-        return True
-    return False
-
-
-def _lift(g, depth=0, hints=frozenset()):
-    if depth > 400:
-        return _base_lift(g, frozenset())
-    members, pairs, passes = _orbit(g)
-    pairs = frozenset(pairs) | hints
-    site_member = None
-    for m in sorted(members, key=lambda d: d.events):
-        if _find_kink(m) is not None or _find_r2(m) is not None:
-            site_member = m
-            break
-    if site_member is not None and site_member.events != g.events:
-        lifted = _lift(site_member, depth + 1, pairs)
-        carried = _transport(g, lifted)
-        if carried is not None:
-            return carried
-        return _base_lift(g, frozenset(passes))
-    if site_member is not None:
-        kink = _find_kink(g)
-        if kink is not None:
-            s, p, c, k1 = kink
-            sg = g.chord_sign[c]
-            red = _strip_chords(g, _remove_events(g, {(s, p), (s, p + 1)}), {c})
-            lifted = _lift(red, depth + 1, pairs)
-            block = ([(OVER, c)] + _dias(-sg) + [(UNDER, c)]) if k1 == OVER \
-                else ([(UNDER, c)] + _dias(sg) + [(OVER, c)])
-            ev = [list(e) for e in lifted.events]
-            _insert_block(ev, s, _passpos(g, s, p), block,
-                          _placement(g, s, p, block, pairs))
-            return XCGaussDiagram(g.n, g.top, g.chords, [tuple(e) for e in ev])
-        a, b, (s1, p1), (s2, p2) = _find_r2(g)
-        marks = {(s1, p1), (s1, p1 + 1), (s2, p2), (s2, p2 + 1)}
-        red = _strip_chords(g, _remove_events(g, marks), {a, b})
-        lifted = _lift(red, depth + 1, pairs)
-        q1 = _passpos(g, s1, p1)
-        q2 = _passpos(g, s2, p2)
-        if s1 == s2:
-            if p1 < p2:
-                q2 -= 2
-            else:
-                q1 -= 2
-        ins = [(s1, q1, p1, [(OVER, a), (OVER, b)]),
-               (s2, q2, p2, [(UNDER, a), (UNDER, b)])]
-        ins.sort(key=lambda t: (t[0], -t[1], -t[2]))
-        ev = [list(e) for e in lifted.events]
-        for s, q, p, blk in ins:
-            _insert_block(ev, s, q, blk, _placement(g, s, p, blk, pairs))
-        return XCGaussDiagram(g.n, g.top, g.chords, [tuple(e) for e in ev])
-    best = min(members, key=lambda d: d.events)
-    if best.events != g.events:
-        lifted = _lift(best, depth + 1, pairs)
-        carried = _transport(g, lifted)
-        if carried is not None:
-            return carried
-        return _base_lift(g, frozenset(passes))
-    return _base_lift(g, frozenset(passes))
-
-
 def lift(g: SignedGaussCode) -> XCGaussDiagram:
-    """Decorate a signed code with rotation diamonds (see module docstring).
+    """Decorate a signed code with rotation diamonds by the sweep rule of
+    the module docstring.
 
     Guarantees: ``forget(lift(g)) == g``; for one-strand codes
     ``rotation_total(lift(g)) + writhe(g) == 2 * underfirst_writhe(g)``;
-    and the evaluated invariant of the lift is unchanged when ``g`` is
-    altered by a classical framed move.
+    on one-strand classical codes the lift is the rotational diagram of the
+    upright planar realization, so its evaluated invariant is unchanged
+    when ``g`` is altered by a classical framed move.
     """
     validate_code(g)
-    return _lift(g)
+    sign = g.chord_sign
+    strand_at = [s for s, ev in enumerate(g.events) for _ in ev]
+    first: dict[int, int] = {}
+    second: dict[int, int] = {}
+    eps: dict[int, int] = {}
+    t = 0
+    for ev in g.events:
+        for k, v in ev:
+            if v in first:
+                second[v] = t
+            else:
+                first[v] = t
+                eps[v] = sign[v] if k == OVER else -sign[v]
+            t += 1
+
+    def rho(x):
+        p, q = first[x], second[x]
+        nested = sum(eps[y] for y in eps if p < first[y] and second[y] < q)
+        entering = sum(eps[y] for y in eps
+                       if first[y] < p < second[y] < q)
+        return -eps[x] - nested - 2 * entering
+
+    events = []
+    written = 0
+    at_first: dict[int, int] = {}
+    t = 0
+    for s, ev in enumerate(g.events):
+        out = []
+        on_strand = 0
+        loops = 0
+        for k, v in ev:
+            if t == second.get(v):
+                p = first[v]
+                w = rho(v) + s - strand_at[p] - (written - at_first[v])
+                out += _dias(w)
+                written += w
+                on_strand += w
+                if strand_at[p] == s:
+                    loops += eps[v]
+            else:
+                at_first[v] = written
+            out.append((k, v))
+            t += 1
+        w = -loops - on_strand
+        out += _dias(w)
+        written += w
+        events.append(tuple(out))
+    return XCGaussDiagram(g.n, g.top, g.chords, events)
 
 
 # -- Kauffman bracket state sum ---------------------------------------
@@ -601,6 +257,88 @@ def bracket_oracle(g: SignedGaussCode) -> Coefficient:
 
 
 # -- random classical framed moves ------------------------------------
+
+
+def _remove_events(g, marks):
+    ev = []
+    for s, e in enumerate(g.events):
+        ev.append(tuple(x for p, x in enumerate(e) if (s, p) not in marks))
+    return ev
+
+
+def _strip_chords(g, ev, gone):
+    chords = [(c, s) for c, s in g.chords if c not in gone]
+    return XCGaussDiagram(g.n, g.top, chords, ev)
+
+
+def _adj_blocks(g):
+    """Adjacent distinct-chord event pairs, keyed by endpoint kinds."""
+    oo, uu, ou, uo = {}, {}, {}, {}
+    for s, e in enumerate(g.events):
+        for p in range(len(e) - 1):
+            (k1, v1), (k2, v2) = e[p], e[p + 1]
+            if k1 == DIAMOND or k2 == DIAMOND or v1 == v2:
+                continue
+            d = {"OO": oo, "UU": uu, "OU": ou, "UO": uo}[k1 + k2]
+            d[(v1, v2)] = (s, p)
+    return oo, uu, ou, uo
+
+
+def _find_r2(g):
+    """First parallel opposite-sign pair: blocks [Oa Ob] and [Ua Ub]."""
+    sign = g.chord_sign
+    oo, uu, _, _ = _adj_blocks(g)
+    for (a, b), op in sorted(oo.items()):
+        if sign[a] == -sign[b] and (a, b) in uu:
+            return a, b, op, uu[(a, b)]
+    return None
+
+
+def _triangles(g):
+    """All triangle configurations on three positive chords, either side.
+    Left side: blocks [Ob Oa] [Oc Ua] [Uc Ub]; right side: [Oa Ob] [Ua Oc]
+    [Ub Uc]."""
+    sign = g.chord_sign
+    oo, uu, ou, uo = _adj_blocks(g)
+    out = []
+    for (b, a), p1 in sorted(oo.items()):
+        if sign.get(a) != 1 or sign.get(b) != 1:
+            continue
+        for (c, a2), p2 in sorted(ou.items()):
+            if a2 != a or sign.get(c) != 1 or c in (a, b):
+                continue
+            p3 = uu.get((c, b))
+            if p3 is not None:
+                out.append(("L", (a, b, c), p1, p2, p3))
+    for (a, b), p1 in sorted(oo.items()):
+        if sign.get(a) != 1 or sign.get(b) != 1:
+            continue
+        for (a2, c), p2 in sorted(uo.items()):
+            if a2 != a or sign.get(c) != 1 or c in (a, b):
+                continue
+            p3 = uu.get((b, c))
+            if p3 is not None:
+                out.append(("R", (a, b, c), p1, p2, p3))
+    return out
+
+
+def _tri_frags(side, abc):
+    a, b, c = abc
+    if side == "L":
+        return (((OVER, b), (OVER, a)), ((OVER, c), (UNDER, a)),
+                ((UNDER, c), (UNDER, b)))
+    return (((OVER, a), (OVER, b)), ((UNDER, a), (OVER, c)),
+            ((UNDER, b), (UNDER, c)))
+
+
+def _apply_triangle(g, tri):
+    side, abc, (s1, p1), (s2, p2), (s3, p3) = tri
+    other = "R" if side == "L" else "L"
+    frs = _tri_frags(other, abc)
+    ev = [list(e) for e in g.events]
+    for (s, p), (x, y) in zip(((s1, p1), (s2, p2), (s3, p3)), frs):
+        ev[s][p], ev[s][p + 1] = x, y
+    return XCGaussDiagram(g.n, g.top, g.chords, [tuple(e) for e in ev])
 
 
 def _fresh_ids(g, m):

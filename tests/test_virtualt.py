@@ -5,9 +5,10 @@ import random
 
 import pytest
 
+from xctangle.acceptance import golden_codes
 from xctangle.algebra import builtin_uqsl2
 from xctangle.errors import NoSiteError, ValidationError
-from xctangle.gauss import DIAMOND, XCGaussDiagram, identity
+from xctangle.gauss import DIAMOND, XCGaussDiagram, identity, print_diagram
 from xctangle.invariant import iota_realize, long_knot_scalar, zeval
 from xctangle.randomgen import random_code
 from xctangle.ring import Coefficient
@@ -120,14 +121,83 @@ def test_bracket_oracle_rejects_multistrand():
         bracket_oracle(identity(2))
 
 
+def _braid_closure(word):
+    """The one-strand code of the closure of a braid word (``i`` for
+    sigma_i, ``-i`` for its inverse, read bottom to top), cut at the bottom
+    of position 1, or None when the closure is not a knot.  Chord ``j`` is
+    the ``j``-th letter; at sigma_i^(+1) the strand moving from position i
+    to i+1 passes over."""
+    events, pos = [], 1
+    while True:
+        for cid, letter in enumerate(word, start=1):
+            i = abs(letter)
+            if pos in (i, i + 1):
+                events.append(("O" if (letter > 0) == (pos == i) else "U", cid))
+                pos = 2 * i + 1 - pos
+        if pos == 1:
+            break
+    if len(events) != 2 * len(word):
+        return None
+    chords = [(cid, 1 if x > 0 else -1) for cid, x in enumerate(word, start=1)]
+    return XCGaussDiagram(1, (1,), chords, [tuple(events)])
+
+
+def _random_braid_closures(rng, per_count=8):
+    """Freely reduced braid closures, ``per_count`` per crossing count 3-6:
+    3-braids for even counts, 4-braids for odd ones."""
+    out = []
+    for crossings in (3, 4, 5, 6):
+        width = 3 if crossings % 2 == 0 else 4
+        while len(out) < per_count * (crossings - 2):
+            word = []
+            while len(word) < crossings:
+                x = rng.choice((1, -1)) * rng.randint(1, width - 1)
+                if not word or word[-1] != -x:
+                    word.append(x)
+            g = _braid_closure(word)
+            if g is not None:
+                out.append(g)
+    return out
+
+
+def _one_strand(line):
+    return parse_code(f"strands: 1\nstrand 1: {line}\n")
+
+
+# sigma_1 sigma_2^-1 sigma_1 sigma_2, and an R2 pair of codes
+SIGMA_WORD = _one_strand("O1+ U2- U4+ U1+ O3+ O4+ O2- U3+")
+R2_PAIR = (_one_strand("O3+ O1+ U1+ U2+ O2+ U3+"),
+           _one_strand("O3+ O1+ O4- O5+ U1+ U2+ O2+ U4- U5+ U3+"))
+
+
 def test_bracket_matches_lifted_scalar():
     # documented comparison: bracket = scalar|_{q -> 1/q} * q^(2 writhe)
-    for g in (identity(1), TREFOIL):
+    codes = [identity(1), TREFOIL, SIGMA_WORD, *R2_PAIR]
+    codes += _random_braid_closures(random.Random(89))
+    for g in codes:
         scal = long_knot_scalar(zeval(lift(g), ALG))
         mirrored = Coefficient.laurent(
             {-e: c for e, c in scal.terms.items()})
         assert bracket_oracle(g) == \
-            mirrored * Coefficient.q_power(2 * writhe(g))
+            mirrored * Coefficient.q_power(2 * writhe(g)), print_code(g)
+
+
+LIFT_GOLDEN = {
+    "unknot": "strands: 1\ntop: 1\nchords:\nstrand 1:\n",
+    "trefoil-right": "strands: 1\ntop: 1\nchords: 1:+ 2:+ 3:+\n"
+                     "strand 1: O1 U2 O3 D- U1 O2 U3\n",
+    "trefoil-left": "strands: 1\ntop: 1\nchords: 1:- 2:- 3:-\n"
+                    "strand 1: O1 U2 O3 D+ U1 O2 U3\n",
+    "figure-eight": "strands: 1\ntop: 1\nchords: 1:- 2:+ 3:+ 4:-\n"
+                    "strand 1: O1 U2 O3 D+ U1 O4 U3 D+ O2 U4\n",
+    "sigma-word": "strands: 1\ntop: 1\nchords: 1:+ 2:- 3:+ 4:+\n"
+                  "strand 1: O1 U2 U4 D- U1 O3 O4 D- O2 U3\n",
+}
+
+
+def test_lift_text_golden():
+    for name, g in golden_codes() + [("sigma-word", SIGMA_WORD)]:
+        assert print_diagram(lift(g)) == LIFT_GOLDEN[name], name
 
 
 def test_code_text_round_trip():
