@@ -42,6 +42,13 @@ rotation--writhe identity.  Rotation numbers on upright diagrams follow
 Bar-Natan and van der Veen, "A polynomial time knot polynomial" (2019).
 The rule is exact on one-strand classical codes; on virtual codes and on
 several strands it is a decoration, not a planar realization.
+
+An R3 move keeps the lifted value where the triangle is untwisted: the
+diamonds inside its three blocks, counted +, -, + by block, sum to zero.
+That sum is unchanged by the G0 gauge, and G3 applies only where it is
+zero.  Every triangle of a one-strand classical code is untwisted.  A
+virtual code can have a twisted triangle, e.g. ``U1+ U2+ U3+ O2+ O3+ O1+``,
+and there the R3 move changes the lifted value.
 """
 
 from __future__ import annotations
@@ -113,7 +120,8 @@ def lift(g: SignedGaussCode) -> XCGaussDiagram:
     ``rotation_total(lift(g)) + writhe(g) == 2 * underfirst_writhe(g)``;
     on one-strand classical codes the lift is the rotational diagram of the
     upright planar realization, so its evaluated invariant is unchanged
-    when ``g`` is altered by a classical framed move.
+    when ``g`` is altered by a classical framed move.  On virtual codes an
+    R3 move at a twisted triangle (module docstring) changes it.
     """
     validate_code(g)
     sign = g.chord_sign

@@ -13,6 +13,8 @@ from xctangle.invariant import iota_realize, long_knot_scalar, zeval
 from xctangle.randomgen import random_code
 from xctangle.ring import Coefficient
 from xctangle.virtualt import (
+    _apply_triangle,
+    _triangles,
     bracket_oracle,
     forget,
     lift,
@@ -180,6 +182,58 @@ def test_bracket_matches_lifted_scalar():
             {-e: c for e, c in scal.terms.items()})
         assert bracket_oracle(g) == \
             mirrored * Coefficient.q_power(2 * writhe(g)), print_code(g)
+
+
+def _triangle_twist(lifted, g, site):
+    """Diamonds of ``lifted`` inside the three blocks of a triangle site of
+    ``g``, counted +, -, + by block.  No G0 gauge changes it, and G3
+    applies only where it is zero."""
+    total = 0
+    for sgn, (s, p) in zip((1, -1, 1), site[2:]):
+        ev = lifted.events[s]
+        i, j = ev.index(g.events[s][p]), ev.index(g.events[s][p + 1])
+        total += sgn * sum(v for k, v in ev[i + 1:j] if k == DIAMOND)
+    return total
+
+
+def _triangle_codes(rng, count):
+    """Codes on one or two strands around the triangle blocks [O1 O2]
+    [U1 O3] [U2 U3], with up to three more random chords."""
+    out = []
+    for _ in range(count):
+        extra = rng.randint(0, 3)
+        items = [[("O", 1), ("O", 2)], [("U", 1), ("O", 3)],
+                 [("U", 2), ("U", 3)]]
+        items += [[(kind, c)] for c in range(4, 4 + extra) for kind in "OU"]
+        rng.shuffle(items)
+        n = rng.randrange(1, 3)
+        cut = rng.randint(0, len(items)) if n == 2 else len(items)
+        strands = [sum(items[:cut], []), sum(items[cut:], [])][:n]
+        chords = [(c, 1) for c in (1, 2, 3)]
+        chords += [(c, rng.choice((1, -1))) for c in range(4, 4 + extra)]
+        top = tuple(rng.sample(range(1, n + 1), n))
+        out.append(XCGaussDiagram(n, top, chords, strands))
+    return out
+
+
+def test_r3_keeps_lifted_value_at_untwisted_triangles():
+    classical = [SIGMA_WORD] + _random_braid_closures(random.Random(89))
+    classical += [_braid_closure(w) for w in
+                  ([1, 2, 1, 2], [2, 2, 2, 1, 2, 1], [3, 2, 3, 2, -1],
+                   [3, 2, 3, 1, 2], [3, 2, 3, 2, 2, 1, 2],
+                   [3, 2, 3, 2, 1, 2, 1])]
+    untwisted = 0
+    for g in classical + _triangle_codes(random.Random(97), 60):
+        lifted = lift(g)
+        for site in _triangles(g):
+            if _triangle_twist(lifted, g, site):
+                assert g not in classical, print_code(g)
+                continue
+            untwisted += 1
+            moved = lift(_apply_triangle(g, site))
+            assert iota_realize(zeval(lifted, ALG)) == \
+                iota_realize(zeval(moved, ALG)), print_code(g)
+    assert untwisted >= 40
 
 
 LIFT_GOLDEN = {
