@@ -21,7 +21,6 @@ from .acceptance import DEFAULT_SEED, run_all, run_criterion
 from .algebra import builtin_uqsl2, check_axioms, parse_algebra
 from .errors import DomainError, ParseError
 from .gauss import (
-    canonical_key,
     compose,
     parse_diagram,
     print_diagram,
@@ -231,7 +230,7 @@ def cmd_moves_apply(args) -> int:
 def cmd_moves_orbit(args) -> int:
     d = parse_diagram(_read(args.file))
     res = M.orbit(d, max_depth=args.max_depth, max_size=args.max_size)
-    keys = sorted(res.keys)
+    keys = sorted(print_diagram(k) for k in res.keys)
     if args.format == "json-lines":
         for k in keys:
             print(json.dumps({"diagram": k}, sort_keys=True))

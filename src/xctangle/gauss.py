@@ -20,7 +20,7 @@ strand (possibly empty); unknown tokens are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
@@ -182,9 +182,10 @@ def renumber_canonically(d: XCGaussDiagram) -> XCGaussDiagram:
     return XCGaussDiagram(d.n, d.top, chords, events)
 
 
-def canonical_key(d: XCGaussDiagram) -> str:
-    """A total serialization invariant under chord renumbering."""
-    return print_diagram(renumber_canonically(d))
+def canonical_key(d: XCGaussDiagram) -> XCGaussDiagram:
+    """The renumbered diagram: a hashable key invariant under chord
+    renumbering, and itself a representative of its class."""
+    return renumber_canonically(d)
 
 
 # -- text format ------------------------------------------------------

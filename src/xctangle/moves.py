@@ -360,6 +360,9 @@ def random_site(d: XCGaussDiagram, kind: str, rng) -> MoveSite:
 
 @dataclass(frozen=True)
 class OrbitResult:
+    """The orbit's members as canonical diagrams (:func:`canonical_key`),
+    and whether a budget cut the search short."""
+
     keys: frozenset
     truncated: bool
 
@@ -371,8 +374,8 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     if max_depth <= 0 or max_size <= 0:
         raise ValidationError("orbit budgets must be positive")
     validate(d)
-    seen = {canonical_key(d): d}
-    frontier = [d]
+    frontier = [canonical_key(d)]
+    seen = set(frontier)
     truncated = False
     for _ in range(max_depth):
         nxt = []
@@ -385,8 +388,8 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
                         continue
                     key = canonical_key(h)
                     if key not in seen:
-                        seen[key] = h
-                        nxt.append(h)
+                        seen.add(key)
+                        nxt.append(key)
         frontier = nxt
         if not frontier:
             break

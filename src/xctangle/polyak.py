@@ -81,10 +81,10 @@ def subdiagrams(d: XCGaussDiagram):
 @dataclass
 class FormalDiagramSum:
     """Finitely supported integer combination of diagrams, keyed by
-    canonical form; zero coefficients are never stored."""
+    :func:`canonical_key` (the renumbered diagram, which is also the
+    term's representative); zero coefficients are never stored."""
 
-    terms: dict[str, int] = field(default_factory=dict)
-    reps: dict[str, XCGaussDiagram] = field(default_factory=dict)
+    terms: dict[XCGaussDiagram, int] = field(default_factory=dict)
 
     @staticmethod
     def of(d: XCGaussDiagram, coeff: int = 1) -> "FormalDiagramSum":
@@ -99,18 +99,16 @@ class FormalDiagramSum:
         new = self.terms.get(key, 0) + coeff
         if new:
             self.terms[key] = new
-            self.reps.setdefault(key, d)
         else:
             self.terms.pop(key, None)
-            self.reps.pop(key, None)
 
     def add_sum(self, other: "FormalDiagramSum", coeff: int = 1) -> None:
         for key, c in other.terms.items():
-            self.add(other.reps[key], c * coeff)
+            self.add(key, c * coeff)
 
     def items(self):
-        for key in sorted(self.terms):
-            yield self.reps[key], self.terms[key]
+        """``(canonical diagram, coefficient)`` pairs in insertion order."""
+        return self.terms.items()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FormalDiagramSum) and self.terms == other.terms
@@ -127,23 +125,15 @@ def map_I(d: XCGaussDiagram) -> FormalDiagramSum:
     return out
 
 
-def _alternating(d: XCGaussDiagram) -> FormalDiagramSum:
-    decs = decorations(d)
-    k = len(decs)
-    out = FormalDiagramSum()
-    for mask in range(1 << k):
-        size = bin(mask).count("1")
-        sub = subdiagram(d, [dec for i, dec in enumerate(decs)
-                             if mask >> i & 1])
-        out.add(sub, (-1) ** (k - size))
-    return out
-
-
 def map_I_inverse(s: FormalDiagramSum) -> FormalDiagramSum:
-    """Inclusion-exclusion inverse of :func:`map_I`, extended linearly."""
+    """Inclusion-exclusion inverse of :func:`map_I`, extended linearly:
+    a diagram with k decorations goes to the sum of its subdiagrams, each
+    signed (-1)^(k - its decoration count)."""
     out = FormalDiagramSum()
     for d, coeff in s.items():
-        out.add_sum(_alternating(d), coeff)
+        k = d.decoration_count()
+        for sub in subdiagrams(d):
+            out.add(sub, coeff * (-1) ** (k - sub.decoration_count()))
     return out
 
 

@@ -277,6 +277,22 @@ def test_moves_orbit_json(files, capsys):
     assert last["truncated"] is True and last["size"] >= 1
 
 
+KINK = "strands: 1\nchords: 1:+\nstrand 1: O1 D- U1\n"
+
+
+@pytest.mark.parametrize("fmt, golden", [
+    ("text", "moves_orbit_kink.txt"),
+    ("json-lines", "moves_orbit_kink.jsonl"),
+])
+def test_moves_orbit_golden(tmp_path, capsys, fmt, golden):
+    path = tmp_path / "kink.txt"
+    path.write_text(KINK)
+    code, out, _ = run(capsys, "moves", "orbit", str(path), "--max-depth", "2",
+                       "--max-size", "5", "--format", fmt)
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / golden).read_text()
+
+
 def test_pair_formula(files, capsys, tmp_path):
     _, _, tre = files
     code, out, _ = run(capsys, "lift", str(tre))

@@ -6,7 +6,14 @@ import random
 import pytest
 
 from xctangle.errors import ValidationError
-from xctangle.gauss import XCGaussDiagram, identity
+from xctangle.gauss import (
+    XCGaussDiagram,
+    canonical_key,
+    identity,
+    print_diagram,
+    renumber_canonically,
+)
+from xctangle.moves import orbit
 from xctangle.polyak import (
     FormalDiagramSum,
     FormulaTerm,
@@ -41,7 +48,21 @@ def test_map_I_contains_empty_and_self():
     s = map_I(ONE_EACH)
     keys = {d.decoration_count(): c for d, c in s.items()}
     assert keys[0] == 1  # the empty diagram appears once
-    assert s.terms[max(s.terms, key=lambda k: len(k))]  # full diagram kept
+    assert s.terms[canonical_key(ONE_EACH)] == 1  # full diagram kept
+
+
+def test_keys_are_canonical_diagrams():
+    rng = random.Random(41)
+    for i in range(6):
+        d = random_diagram(rng, n=1 + i % 2, max_chords=2, max_diamonds=1)
+        s = map_I(d)
+        members = orbit(d, 2, 6).keys
+        for k in list(s.terms) + list(members):
+            assert isinstance(k, XCGaussDiagram) and canonical_key(k) == k
+        # the printed text of the renumbered diagram is the reference key
+        texts = {print_diagram(renumber_canonically(x))
+                 for x in subdiagrams(d)}
+        assert len(s) == len(texts)
 
 
 def test_map_I_of_empty():
