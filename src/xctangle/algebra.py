@@ -13,7 +13,8 @@ on V (x) V (basis ``e_i (x) e_j``, first factor major) and ``kappa`` /
 * invertibility of R [G2] and kappa [G0r].
 
 Each axiom is checked as the ``zeval`` of two diagrams: the two sides of
-its move from ``data/patterns.cfg``, with fragment i opened on strand i.
+its move from ``data/patterns.cfg``, opened by ``moves.open_sides``
+(fragment i on strand i), as ``validate_pattern`` certifies every move.
 
 Algebra file format::
 
@@ -36,7 +37,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionError, ParseError
-from .gauss import XCGaussDiagram, parse_diagram
+from .gauss import XCGaussDiagram
+from .moves import builtin_patterns, open_sides
 from .ring import LAURENT, RATIONAL, Coefficient, parse_laurent
 
 
@@ -62,11 +64,6 @@ class RingMatrix:
         return RingMatrix(
             [[one if i == j else zero for j in range(n)] for i in range(n)]
         )
-
-    @staticmethod
-    def zeros(rows: int, cols: int, variant: str = LAURENT) -> "RingMatrix":
-        zero = Coefficient.zero(variant)
-        return RingMatrix([[zero] * cols for _ in range(rows)])
 
     def __getitem__(self, rc: tuple[int, int]) -> Coefficient:
         return self.entries[rc[0]][rc[1]]
@@ -164,39 +161,30 @@ class MatrixXCAlgebra:
             raise DimensionError("kappainv must be d x d")
 
 
-# Each axiom is one shipped move (data/patterns.cfg) opened with fragment i
-# on strand i: name, chord signs, then the two sides with "|" between
-# strands.
-_AXIOM_MOVES = (
-    ("invertibility-R", "1:+ 2:-", "O2 O1 | U2 U1", "|"),  # G2, e = -
-    ("invertibility-R'", "1:- 2:+", "O2 O1 | U2 U1", "|"),  # G2, e = +
-    ("invertibility-kappa", "", "D+ D-", ""),  # G0r v1
-    ("XC0", "1:+", "O1 | U1", "D+ O1 D- | D+ U1 D-"),  # G0, e = +
-    ("XC0'", "1:-", "O1 | U1", "D+ O1 D- | D+ U1 D-"),  # G0, e = -
-    ("XC1f", "1:+", "O1 D- U1", "U1 D+ O1"),  # G1f v1
-    ("XC2c", "1:+ 2:-", "| D+", "O2 O1 | U1 D+ U2"),  # G2p v2
-    ("XC2d", "1:- 2:+", "D- |", "O2 D- O1 | U1 U2"),  # G2p v3
-    ("XC3", "1:+ 2:+ 3:+",  # G3
-     "O2 O1 | O3 U1 | U3 U2", "O1 O2 | U1 O3 | U2 U3"),
-)
-
-
-def _axiom_side(signs: str, strands: str) -> XCGaussDiagram:
-    """Read one side of an axiom, keeping the signs of the chords it has."""
-    runs = strands.split("|")
-    ids = {tok[1:] for tok in strands.split() if tok[0] in "OU"}
-    chords = " ".join(c for c in signs.split() if c.partition(":")[0] in ids)
-    lines = [f"strands: {len(runs)}", f"chords: {chords}"]
-    lines += [f"strand {i}: {run}" for i, run in enumerate(runs, start=1)]
-    return parse_diagram("\n".join(lines))
+# Each axiom is one shipped move (data/patterns.cfg) opened by
+# moves.open_sides, in report order: kind, variant, sign choice e, and
+# whether the axiom's lhs is the move's right side.
+_AXIOM_MOVES = {
+    "invertibility-R": ("G2", 1, -1, False),
+    "invertibility-R'": ("G2", 1, 1, False),
+    "invertibility-kappa": ("G0r", 1, 1, False),
+    "XC0": ("G0", 1, 1, True),
+    "XC0'": ("G0", 1, -1, True),
+    "XC1f": ("G1f", 1, 1, False),
+    "XC2c": ("G2p", 2, 1, True),
+    "XC2d": ("G2p", 3, 1, True),
+    "XC3": ("G3", 1, 1, False),
+}
 
 
 def _axiom_diagrams() -> list[tuple[str, XCGaussDiagram, XCGaussDiagram]]:
     """The XC axioms as (name, lhs, rhs) diagram pairs, in report order."""
-    return [
-        (name, _axiom_side(signs, lhs), _axiom_side(signs, rhs))
-        for name, signs, lhs, rhs in _AXIOM_MOVES
-    ]
+    patterns = {(p.kind, p.variant): p for p in builtin_patterns()}
+    out = []
+    for name, (kind, variant, eps, flipped) in _AXIOM_MOVES.items():
+        lhs, rhs = open_sides(patterns[(kind, variant)], eps)
+        out.append((name, rhs, lhs) if flipped else (name, lhs, rhs))
+    return out
 
 
 def check_axioms(a: MatrixXCAlgebra) -> dict:

@@ -68,9 +68,6 @@ class XCGaussDiagram:
         dia = sum(1 for ev in self.events for e in ev if e[0] == DIAMOND)
         return len(self.chords) + dia
 
-    def with_events(self, events: Sequence[Sequence[Event]], chords=None) -> "XCGaussDiagram":
-        return XCGaussDiagram(self.n, self.top, self.chords if chords is None else chords, events)
-
 
 def identity(n: int) -> XCGaussDiagram:
     return XCGaussDiagram(n, tuple(range(1, n + 1)), (), tuple(() for _ in range(n)))

@@ -28,7 +28,7 @@ from .ring import Coefficient
 DEFAULT_GUARDRAIL = 4096
 
 
-# -- permutations (1-based tuples) ------------------------------------
+# -- permutation tuples (1-based) -------------------------------------
 
 
 def perm_compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -103,7 +103,7 @@ class FormalDiagramSum:
             self.terms.pop(key, None)
 
     def add_sum(self, other: "FormalDiagramSum", coeff: int = 1) -> None:
-        for key, c in other.terms.items():
+        for key, c in list(other.terms.items()):
             self.add(key, c * coeff)
 
     def items(self):

@@ -13,24 +13,33 @@ from xctangle.algebra import (
     print_algebra,
 )
 from xctangle.errors import DimensionError, ParseError
-from xctangle.gauss import canonical_key
-from xctangle.moves import _closure_diagram, builtin_patterns
+from xctangle.gauss import canonical_key, parse_diagram
 from xctangle.ring import Coefficient
 
-# The shipped move instance behind each axiom, in report order: kind,
-# variant, sign choice e, and whether the axiom's lhs is the move's right
-# side.
-AXIOM_MOVES = {
-    "invertibility-R": ("G2", 1, -1, False),
-    "invertibility-R'": ("G2", 1, 1, False),
-    "invertibility-kappa": ("G0r", 1, 1, False),
-    "XC0": ("G0", 1, 1, True),
-    "XC0'": ("G0", 1, -1, True),
-    "XC1f": ("G1f", 1, 1, False),
-    "XC2c": ("G2p", 2, 1, True),
-    "XC2d": ("G2p", 3, 1, True),
-    "XC3": ("G3", 1, 1, False),
-}
+# The reference axiom diagrams, written out by hand in report order: name,
+# chord signs, then the two sides with "|" between strands.
+AXIOM_TEXT = (
+    ("invertibility-R", "1:+ 2:-", "O2 O1 | U2 U1", "|"),
+    ("invertibility-R'", "1:- 2:+", "O2 O1 | U2 U1", "|"),
+    ("invertibility-kappa", "", "D+ D-", ""),
+    ("XC0", "1:+", "O1 | U1", "D+ O1 D- | D+ U1 D-"),
+    ("XC0'", "1:-", "O1 | U1", "D+ O1 D- | D+ U1 D-"),
+    ("XC1f", "1:+", "O1 D- U1", "U1 D+ O1"),
+    ("XC2c", "1:+ 2:-", "| D+", "O2 O1 | U1 D+ U2"),
+    ("XC2d", "1:- 2:+", "D- |", "O2 D- O1 | U1 U2"),
+    ("XC3", "1:+ 2:+ 3:+",
+     "O2 O1 | O3 U1 | U3 U2", "O1 O2 | U1 O3 | U2 U3"),
+)
+
+
+def _text_side(signs, strands):
+    """Read one side of a reference row, keeping the signs of its chords."""
+    runs = strands.split("|")
+    ids = {tok[1:] for tok in strands.split() if tok[0] in "OU"}
+    chords = " ".join(c for c in signs.split() if c.partition(":")[0] in ids)
+    lines = [f"strands: {len(runs)}", f"chords: {chords}"]
+    lines += [f"strand {i}: {run}" for i, run in enumerate(runs, start=1)]
+    return parse_diagram("\n".join(lines))
 
 
 def test_builtin_passes_all_axioms():
@@ -52,21 +61,11 @@ def test_axiom_failure_reports_entry():
 
 
 def test_axioms_are_the_shipped_moves():
-    patterns = {(p.kind, p.variant): p for p in builtin_patterns()}
     axioms = _axiom_diagrams()
-    assert [name for name, _, _ in axioms] == list(AXIOM_MOVES)
-    for name, lhs, rhs in axioms:
-        kind, variant, eps, flipped = AXIOM_MOVES[name]
-        p = patterns[(kind, variant)]
-        assign = {letter: i + 1 for i, (letter, _) in enumerate(p.vars)}
-        opened = tuple((i,) for i in range(len(p.left)))
-        sides = [
-            canonical_key(_closure_diagram(frags, opened, {}, assign, eps, p, ()))
-            for frags in (p.left, p.right)
-        ]
-        if flipped:
-            sides.reverse()
-        assert [canonical_key(lhs), canonical_key(rhs)] == sides, name
+    assert [name for name, _, _ in axioms] == [row[0] for row in AXIOM_TEXT]
+    for (name, lhs, rhs), (_, signs, ltext, rtext) in zip(axioms, AXIOM_TEXT):
+        assert canonical_key(lhs) == canonical_key(_text_side(signs, ltext)), name
+        assert canonical_key(rhs) == canonical_key(_text_side(signs, rtext)), name
 
 
 def test_matrix_dimension_errors():

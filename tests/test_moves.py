@@ -1,7 +1,8 @@
 """Move engine: pattern table, site search, application, stale sites,
-orbit search, and the closure validator."""
+orbit search, and the open-fragment validator."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -36,12 +37,9 @@ def test_builtin_table_shape():
 
 
 def test_every_builtin_pattern_is_sound():
-    # the full certification runs in the acceptance suite; here we spot
-    # check the quick patterns and that the validator produces witnesses
     for p in M.builtin_patterns():
-        if p.kind in ("G0r", "G1f"):
-            ok, ce = M.validate_pattern(p, ALG)
-            assert ok and ce is None
+        ok, ce = M.validate_pattern(p, ALG)
+        assert ok and ce is None, (p.kind, p.variant)
 
 
 def test_validator_rejects_wrong_pattern():
@@ -53,6 +51,36 @@ def test_validator_rejects_wrong_pattern():
     ok, counterexample = M.validate_pattern(wrong, ALG)
     assert not ok
     assert counterexample is not None
+
+
+def _flip_diamond(side, i, j):
+    frags = [list(f) for f in side]
+    frags[i][j] = ("D", -frags[i][j][1])
+    return tuple(tuple(f) for f in frags)
+
+
+def test_validator_rejects_every_diamond_flip():
+    # the counterexample is the open pair of the mutant
+    mutants = [
+        replace(p, **{which: _flip_diamond(getattr(p, which), i, j)})
+        for p in M.builtin_patterns()
+        for which in ("left", "right")
+        for i, frag in enumerate(getattr(p, which))
+        for j, (kind, _) in enumerate(frag)
+        if kind == "D"
+    ]
+    assert len(mutants) == 20
+    for m in mutants:
+        ok, counterexample = M.validate_pattern(m, ALG)
+        assert not ok, m
+        assert counterexample in [M.open_sides(m, e) for e in (1, -1)], m
+
+
+def test_validator_rejects_dangling_chord():
+    (dangling,) = M.parse_patterns(
+        "pattern G1f\nvar a: +\nfrag 1: Oa\nto 1: Ua\nend\n")
+    with pytest.raises(ValidationError):
+        M.validate_pattern(dangling, ALG)
 
 
 def test_find_sites_deterministic():

@@ -93,6 +93,14 @@ def test_linearity_of_inverse():
     assert direct == via
 
 
+def test_sum_minus_itself_is_empty():
+    kink = XCGaussDiagram(1, (1,), [(1, 1)],
+                          [(("O", 1), ("D", -1), ("U", 1))])
+    s = map_I(kink)
+    s.add_sum(s, -1)
+    assert s == FormalDiagramSum()
+
+
 def test_truncate_degree():
     s = map_I(ONE_EACH)
     assert truncate_degree(s, 0) == FormalDiagramSum()
