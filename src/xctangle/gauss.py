@@ -163,20 +163,38 @@ def is_pure(d: XCGaussDiagram) -> bool:
     return all(d.top[i] == i + 1 for i in range(d.n))
 
 
+def renumbered(n: int, top: tuple[int, ...], sign: dict[int, int],
+               events) -> XCGaussDiagram:
+    """The diagram on ``n`` strands with this ``top``, these event lists
+    and the signs ``sign`` of their chords, its chord ids renumbered by
+    first occurrence in strand-major reading order.
+
+    The renumbering and the construction are one pass.  Every value is
+    taken as an int already, as in the fields of a built diagram, so
+    nothing is converted or re-sorted: the chords come out in renumbered
+    order.
+    """
+    mapping: dict[int, int] = {}
+    rows = []
+    for ev in events:
+        row = []
+        for e in ev:
+            if e[0] == OVER or e[0] == UNDER:
+                e = (e[0], mapping.setdefault(e[1], len(mapping) + 1))
+            row.append(e)
+        rows.append(tuple(row))
+    d = object.__new__(XCGaussDiagram)
+    object.__setattr__(d, "n", n)
+    object.__setattr__(d, "top", top)
+    object.__setattr__(
+        d, "chords", tuple((new, sign[old]) for old, new in mapping.items()))
+    object.__setattr__(d, "events", tuple(rows))
+    return d
+
+
 def renumber_canonically(d: XCGaussDiagram) -> XCGaussDiagram:
     """Renumber chord ids by first occurrence in strand-major reading order."""
-    mapping: dict[int, int] = {}
-    for ev in d.events:
-        for kind, val in ev:
-            if kind in (OVER, UNDER) and val not in mapping:
-                mapping[val] = len(mapping) + 1
-    sign = d.chord_sign
-    events = [
-        tuple((k, mapping[v] if k in (OVER, UNDER) else v) for k, v in ev)
-        for ev in d.events
-    ]
-    chords = [(mapping[c], sign[c]) for c in mapping]
-    return XCGaussDiagram(d.n, d.top, chords, events)
+    return renumbered(d.n, d.top, d.chord_sign, d.events)
 
 
 def canonical_key(d: XCGaussDiagram) -> XCGaussDiagram:

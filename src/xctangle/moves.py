@@ -31,6 +31,7 @@ where tokens are ``O<letter>``, ``U<letter>``, ``D+``, ``D-``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from importlib import resources
 from itertools import product
@@ -42,6 +43,7 @@ from .gauss import (
     UNDER,
     XCGaussDiagram,
     canonical_key,
+    renumbered,
     validate,
 )
 
@@ -85,12 +87,12 @@ class MoveSite:
     eps: int
 
 
-def _parse_token(tok: str, lineno: int) -> Token:
+def _parse_token(tok: str, lineno: int, col: int) -> Token:
     if tok in ("D+", "D-"):
         return (DIAMOND, 1 if tok == "D+" else -1)
     if len(tok) == 2 and tok[0] in (OVER, UNDER) and tok[1].isalpha():
         return (tok[0], tok[1])
-    raise ParseError(f"unknown pattern token {tok!r}", lineno, 1)
+    raise ParseError(f"unknown pattern token {tok!r}", lineno, col)
 
 
 def parse_patterns(text: str) -> list[MovePattern]:
@@ -107,13 +109,20 @@ def parse_patterns(text: str) -> list[MovePattern]:
             kind = line[len("pattern "):].strip()
             if kind not in KINDS:
                 raise ParseError(f"unknown move kind {kind!r}", lineno, 1)
-            cur = {"kind": kind, "vars": [], "left": {}, "right": {}}
+            cur = {"kind": kind, "vars": [], "left": {}, "right": {},
+                   "uses": []}
         elif line == "end":
             if cur is None:
                 raise ParseError("'end' outside a pattern block", lineno, 1)
             ids = sorted(cur["left"])
             if ids != sorted(cur["right"]) or ids != list(range(1, len(ids) + 1)):
                 raise ParseError("fragment ids must be 1..k on both sides", lineno, 1)
+            declared = {letter for letter, _ in cur["vars"]}
+            for letter, at_line, col in cur["uses"]:
+                if letter not in declared:
+                    raise ParseError(
+                        f"chord letter {letter!r} has no 'var' line",
+                        at_line, col)
             counts[cur["kind"]] = counts.get(cur["kind"], 0) + 1
             patterns.append(
                 MovePattern(
@@ -141,7 +150,13 @@ def parse_patterns(text: str) -> list[MovePattern]:
             idx_s, _, rest = body.partition(":")
             if not idx_s.strip().isdigit():
                 raise ParseError(f"bad fragment index in {line!r}", lineno, 1)
-            toks = [_parse_token(t, lineno) for t in rest.split()]
+            toks = []
+            after_colon = raw.index(":") + 2  # 1-based column
+            for m in re.finditer(r"\S+", rest):
+                col = after_colon + m.start()
+                toks.append(_parse_token(m.group(), lineno, col))
+                if toks[-1][0] != DIAMOND:
+                    cur["uses"].append((toks[-1][1], lineno, col))
             cur[side][int(idx_s)] = toks
         else:
             raise ParseError(f"unexpected line {line!r}", lineno, 1)
@@ -279,6 +294,11 @@ def _find_insertions(d, pattern, side):
     return out
 
 
+def _side_sites(d, pattern, side):
+    """The sites of one side of a pattern in a diagram known valid."""
+    return _find_matches(d, pattern, side) + _find_insertions(d, pattern, side)
+
+
 def find_sites(d: XCGaussDiagram, kind: str) -> list[MoveSite]:
     """Every applicable site of the given move kind, either direction, in
     deterministic order."""
@@ -290,9 +310,37 @@ def find_sites(d: XCGaussDiagram, kind: str) -> list[MoveSite]:
         if pattern.kind != kind:
             continue
         for side in ("L", "R"):
-            out.extend(_find_matches(d, pattern, side))
-            out.extend(_find_insertions(d, pattern, side))
+            out.extend(_side_sites(d, pattern, side))
     return out
+
+
+def _rewrite(d, site, assign):
+    """The event lists of ``d`` with the matched side of ``site`` rewritten
+    to the other side, and the chord signs of ``d`` with those of the
+    chords the rewrite brings in.  ``assign`` binds the chord variables
+    already matched; each other variable gets a fresh chord id."""
+    pattern = site.pattern
+    src = pattern.left if site.side == "L" else pattern.right
+    dst = pattern.right if site.side == "L" else pattern.left
+    nxt = 1 + max((c for c, _ in d.chords), default=0)
+    for letter, _ in pattern.vars:
+        if letter not in assign:
+            assign[letter] = nxt
+            nxt += 1
+    sign = d.chord_sign
+    for letter, cid in assign.items():
+        if cid not in sign:
+            sign[cid] = pattern.sign_of(letter, site.eps)
+    ev = [list(e) for e in d.events]
+    # higher positions first; at equal positions replace the nonempty run
+    # before inserting at its left boundary slot
+    jobs = sorted(
+        zip(site.locs, src, dst),
+        key=lambda j: (j[0][0], -j[0][1], 0 if len(j[1]) else 1),
+    )
+    for (s, p), frag, rep in jobs:
+        ev[s][p:p + len(frag)] = _instantiate(rep, assign, site.eps)
+    return ev, sign
 
 
 def apply(d: XCGaussDiagram, site: MoveSite) -> XCGaussDiagram:
@@ -301,15 +349,14 @@ def apply(d: XCGaussDiagram, site: MoveSite) -> XCGaussDiagram:
     validate(d)
     pattern = site.pattern
     src = pattern.left if site.side == "L" else pattern.right
-    dst = pattern.right if site.side == "L" else pattern.left
     assign = dict(site.assign)
-    sign = d.chord_sign
     inserting = all(len(f) == 0 for f in src)
     if inserting:
         for s, p in site.locs:
             if s >= d.n or p > len(d.events[s]):
                 raise StaleSiteError("insertion slot out of range")
     else:
+        sign = d.chord_sign
         runs = []
         rebind = {}
         for (s, p), frag in zip(site.locs, src):
@@ -322,30 +369,10 @@ def apply(d: XCGaussDiagram, site: MoveSite) -> XCGaussDiagram:
         if any(rebind.get(k, v) != v for k, v in assign.items()):
             raise StaleSiteError("site variables no longer match the diagram")
         assign.update(rebind)
-    # variables absent from the matched side get fresh chord ids
-    nxt = 1 + max((c for c, _ in d.chords), default=0)
-    for letter, _ in pattern.vars:
-        if letter not in assign:
-            assign[letter] = nxt
-            nxt += 1
-    # rewrite: per strand, apply replacements right-to-left
-    ev = [list(e) for e in d.events]
-    # higher positions first; at equal positions replace the nonempty run
-    # before inserting at its left boundary slot
-    jobs = sorted(
-        zip(site.locs, src, dst),
-        key=lambda j: (j[0][0], -j[0][1], 0 if len(j[1]) else 1),
-    )
-    for (s, p), frag, rep in jobs:
-        ev[s][p:p + len(frag)] = _instantiate(rep, assign, site.eps)
-    # chord list: drop vanished ids, add appearing ones
+    ev, sign = _rewrite(d, site, assign)
     present = {v for e in ev for k, v in e if k != DIAMOND}
-    chords = [(c, sg) for c, sg in d.chords if c in present]
-    have = {c for c, _ in chords}
-    for letter, cid in assign.items():
-        if cid in present and cid not in have:
-            chords.append((cid, pattern.sign_of(letter, site.eps)))
-    out = XCGaussDiagram(d.n, d.top, chords, [tuple(e) for e in ev])
+    out = XCGaussDiagram(d.n, d.top, [(c, sign[c]) for c in present],
+                         [tuple(e) for e in ev])
     validate(out)
     return out
 
@@ -369,26 +396,54 @@ class OrbitResult:
     truncated: bool
 
 
+def _size_change(pattern, side):
+    """How many decorations a rewrite from ``side`` adds: chord letters
+    plus diamonds of the target side, minus those of the source side."""
+    def count(frags):
+        letters = {val for f in frags for kind, val in f if kind != DIAMOND}
+        return len(letters) + sum(kind == DIAMOND for f in frags
+                                  for kind, _ in f)
+
+    src, dst = ((pattern.left, pattern.right) if side == "L"
+                else (pattern.right, pattern.left))
+    return count(dst) - count(src)
+
+
 def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     """Bounded breadth-first closure of ``d`` under all moves: explores to
     ``max_depth`` rewrites, skipping diagrams with more than ``max_size``
-    decorations; flags truncation instead of erroring."""
+    decorations; flags truncation instead of erroring.
+
+    A rewrite from one side of a shipped pattern changes the decoration
+    count by the same amount at every site (:func:`_size_change`), so a
+    member of size s skips a whole (pattern, side) when s plus that change
+    exceeds ``max_size``; the search is then truncated if the side has a
+    site, and no diagram is built.  Every other site is rewritten straight
+    to its canonical diagram (:func:`gauss.renumbered`), which is validated
+    once.  Members are valid canonical diagrams, so they are searched for
+    sites without being validated again.
+    """
     if max_depth <= 0 or max_size <= 0:
         raise ValidationError("orbit budgets must be positive")
     validate(d)
+    steps = [(p, side, _size_change(p, side))
+             for p in builtin_patterns() for side in ("L", "R")]
     frontier = [canonical_key(d)]
     seen = set(frontier)
     truncated = False
     for _ in range(max_depth):
         nxt = []
         for cur in frontier:
-            for kind in KINDS:
-                for site in find_sites(cur, kind):
-                    h = apply(cur, site)
-                    if h.decoration_count() > max_size:
-                        truncated = True
-                        continue
-                    key = canonical_key(h)
+            size = cur.decoration_count()
+            for pattern, side, change in steps:
+                if size + change > max_size:
+                    truncated = truncated or bool(
+                        _side_sites(cur, pattern, side))
+                    continue
+                for site in _side_sites(cur, pattern, side):
+                    ev, sign = _rewrite(cur, site, dict(site.assign))
+                    key = renumbered(cur.n, cur.top, sign, ev)
+                    validate(key)
                     if key not in seen:
                         seen.add(key)
                         nxt.append(key)

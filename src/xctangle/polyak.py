@@ -33,6 +33,7 @@ from .gauss import (
     canonical_key,
     parse_diagram,
     print_diagram,
+    renumbered,
     validate,
 )
 
@@ -50,32 +51,56 @@ def decorations(d: XCGaussDiagram) -> list[Decoration]:
     return out
 
 
+def _event_bits(d: XCGaussDiagram):
+    """Each strand's events paired with the bit of their decoration: bit i
+    stands for the i-th entry of :func:`decorations`."""
+    bit = {cid: 1 << i for i, (cid, _) in enumerate(d.chords)}
+    j = len(d.chords)
+    rows = []
+    for ev in d.events:
+        row = []
+        for e in ev:
+            if e[0] == DIAMOND:
+                row.append((e, 1 << j))
+                j += 1
+            else:
+                row.append((e, bit[e[1]]))
+        rows.append(row)
+    return rows
+
+
+def _induced(rows, mask: int):
+    """The event lists of the subset ``mask`` (a bitmask over
+    :func:`decorations`), given the rows of :func:`_event_bits`."""
+    return [[e for e, w in row if mask & w] for row in rows]
+
+
+def _subsets(d: XCGaussDiagram):
+    """Every decoration subset of ``d`` as ``(mask, event lists)``, in
+    ascending mask order, with the event bits computed once."""
+    validate(d)
+    rows = _event_bits(d)
+    for mask in range(1 << d.decoration_count()):
+        yield mask, _induced(rows, mask)
+
+
+def _chords_in(d: XCGaussDiagram, mask: int):
+    return [c for i, c in enumerate(d.chords) if mask >> i & 1]
+
+
 def subdiagram(d: XCGaussDiagram, subset) -> XCGaussDiagram:
     """The induced diagram keeping exactly the given decorations."""
-    keep_chords = {dec[1] for dec in subset if dec[0] == "c"}
-    keep_dias = {(dec[1], dec[2]) for dec in subset if dec[0] == "d"}
-    events = []
-    for s, ev in enumerate(d.events):
-        kept = []
-        for i, (kind, val) in enumerate(ev):
-            if kind == DIAMOND:
-                if (s, i) in keep_dias:
-                    kept.append((kind, val))
-            elif val in keep_chords:
-                kept.append((kind, val))
-        events.append(tuple(kept))
-    chords = [(c, sg) for c, sg in d.chords if c in keep_chords]
-    return XCGaussDiagram(d.n, d.top, chords, events)
+    mask = sum(1 << i for i, dec in enumerate(decorations(d))
+               if dec in subset)
+    return XCGaussDiagram(d.n, d.top, _chords_in(d, mask),
+                          _induced(_event_bits(d), mask))
 
 
 def subdiagrams(d: XCGaussDiagram):
     """All 2^k induced subdiagrams, in deterministic order (subsets as
     ascending bitmasks over the decoration list)."""
-    validate(d)
-    decs = decorations(d)
-    for mask in range(1 << len(decs)):
-        yield subdiagram(d, [dec for i, dec in enumerate(decs)
-                             if mask >> i & 1])
+    for mask, events in _subsets(d):
+        yield XCGaussDiagram(d.n, d.top, _chords_in(d, mask), events)
 
 
 @dataclass
@@ -93,9 +118,11 @@ class FormalDiagramSum:
         return s
 
     def add(self, d: XCGaussDiagram, coeff: int = 1) -> None:
-        if coeff == 0:
-            return
-        key = canonical_key(d)
+        if coeff:
+            self._add_key(canonical_key(d), coeff)
+
+    def _add_key(self, key: XCGaussDiagram, coeff: int) -> None:
+        """Add ``coeff`` to the term of ``key``, a canonical diagram."""
         new = self.terms.get(key, 0) + coeff
         if new:
             self.terms[key] = new
@@ -104,7 +131,7 @@ class FormalDiagramSum:
 
     def add_sum(self, other: "FormalDiagramSum", coeff: int = 1) -> None:
         for key, c in list(other.terms.items()):
-            self.add(key, c * coeff)
+            self._add_key(key, c * coeff)
 
     def items(self):
         """``(canonical diagram, coefficient)`` pairs in insertion order."""
@@ -117,23 +144,38 @@ class FormalDiagramSum:
         return len(self.terms)
 
 
+def _canonical_subsets(d: XCGaussDiagram):
+    """Every subset of ``d`` as ``(decoration count, canonical diagram)``,
+    in the order of :func:`subdiagrams`."""
+    sign = d.chord_sign
+    for mask, events in _subsets(d):
+        yield mask.bit_count(), renumbered(d.n, d.top, sign, events)
+
+
 def map_I(d: XCGaussDiagram) -> FormalDiagramSum:
-    """The sum of all subdiagrams of ``d``."""
+    """The sum of all subdiagrams of ``d``.
+
+    The subsets are walked once, as ascending bitmasks over the event bits
+    of :func:`_event_bits`, computed once per diagram; each subset is
+    renumbered into its canonical diagram (:func:`gauss.renumbered`) as it
+    is built, and stored without calling :func:`canonical_key` again.
+    """
     out = FormalDiagramSum()
-    for sub in subdiagrams(d):
-        out.add(sub)
+    for _, key in _canonical_subsets(d):
+        out._add_key(key, 1)
     return out
 
 
 def map_I_inverse(s: FormalDiagramSum) -> FormalDiagramSum:
     """Inclusion-exclusion inverse of :func:`map_I`, extended linearly:
     a diagram with k decorations goes to the sum of its subdiagrams, each
-    signed (-1)^(k - its decoration count)."""
+    signed (-1)^(k - its decoration count).  Each term's subsets are
+    walked once and built as canonical diagrams, as in :func:`map_I`."""
     out = FormalDiagramSum()
     for d, coeff in s.items():
         k = d.decoration_count()
-        for sub in subdiagrams(d):
-            out.add(sub, coeff * (-1) ** (k - sub.decoration_count()))
+        for size, key in _canonical_subsets(d):
+            out._add_key(key, coeff * (-1) ** (k - size))
     return out
 
 
@@ -199,15 +241,15 @@ def pairing(formula, d: XCGaussDiagram) -> int:
     validate(d)
     if d.n != 1:
         raise ValidationError("pairing requires a one-strand diagram")
-    decs = decorations(d)
+    (row,) = _event_bits(d)
+    bits = [1 << i for i in range(d.decoration_count())]
     sign = d.chord_sign
     total = 0
     for term in formula:
         shape, req = _term_profile(term)
         size = len(decorations(term.template))
-        for subset in combinations(decs, size):
-            sub = subdiagram(d, subset)
-            ev = sub.events[0]
+        for subset in combinations(bits, size):
+            ev = _induced([row], sum(subset))[0]
             if len(ev) != len(shape):
                 continue
             ren: dict[int, int] = {}

@@ -293,6 +293,35 @@ def test_moves_orbit_golden(tmp_path, capsys, fmt, golden):
     assert out == (Path(__file__).parent / "golden" / golden).read_text()
 
 
+TWO_STRANDS = ("strands: 2\ntop: 2 1\nchords: 1:+ 2:+ 3:+ 4:+\n"
+               "strand 1: O2 O1 U3 U2 O4 D- U4\nstrand 2: O3 U1 D+ D-\n")
+# site indices applied per kind: first, last and a few between
+APPLY_AT = {"G0r": (0, 13, 26), "G0": (0, 1, 2, 3), "G1f": (0,),
+            "G2": (0, 100, 200, 337), "G2p": (0, 40, 77), "G3": (0,)}
+
+
+@pytest.mark.parametrize("fmt, golden", [
+    ("text", "moves_two_strands.txt"),
+    ("json-lines", "moves_two_strands.jsonl"),
+])
+def test_moves_list_and_apply_golden(tmp_path, capsys, fmt, golden):
+    path = tmp_path / "two.txt"
+    path.write_text(TWO_STRANDS)
+    parts = []
+    for kind, indices in APPLY_AT.items():
+        code, out, _ = run(capsys, "moves", "list", str(path), "--kind", kind,
+                           "--format", fmt)
+        assert code == 0
+        parts.append(f"$ moves list --kind {kind}\n{out}")
+        for i in indices:
+            code, out, _ = run(capsys, "moves", "apply", str(path), "--kind",
+                               kind, "--index", str(i), "--format", fmt)
+            assert code == 0
+            parts.append(f"$ moves apply --kind {kind} --index {i}\n{out}")
+    want = (Path(__file__).parent / "golden" / golden).read_text()
+    assert "".join(parts) == want
+
+
 def test_pair_formula(files, capsys, tmp_path):
     _, _, tre = files
     code, out, _ = run(capsys, "lift", str(tre))

@@ -157,6 +157,63 @@ def test_orbit_contains_seed_and_flags_truncation():
         M.orbit(identity(1), max_depth=0, max_size=2)
 
 
+def reference_orbit(d, max_depth, max_size):
+    """The orbit search as a plain loop: find_sites, apply, then check the
+    size of the built diagram and take its canonical_key."""
+    frontier = [canonical_key(d)]
+    seen = set(frontier)
+    truncated = False
+    for _ in range(max_depth):
+        nxt = []
+        for cur in frontier:
+            for kind in M.KINDS:
+                for site in M.find_sites(cur, kind):
+                    h = M.apply(cur, site)
+                    if h.decoration_count() > max_size:
+                        truncated = True
+                        continue
+                    key = canonical_key(h)
+                    if key not in seen:
+                        seen.add(key)
+                        nxt.append(key)
+        frontier = nxt
+        if not frontier:
+            break
+    else:
+        if frontier:
+            truncated = True
+    return M.OrbitResult(frozenset(seen), truncated)
+
+
+# (max_depth, largest max_size): deeper searches get smaller budgets
+ORBIT_BUDGETS = ((1, 7), (2, 5), (3, 3))
+
+
+def test_orbit_equals_reference_loop():
+    rng = random.Random(7)
+    for depth, top in ORBIT_BUDGETS:
+        for size in range(2, top + 1):
+            for n in (1, 2):
+                d = random_diagram(rng, n=n, max_chords=2, max_diamonds=2)
+                want = reference_orbit(d, depth, size)
+                assert M.orbit(d, depth, size) == want, (n, depth, size)
+
+
+def test_size_change_is_exact_at_every_site():
+    rng = random.Random(11)
+    checked = 0
+    for i in range(12):
+        d = random_diagram(rng, n=1 + i % 2, max_chords=3, max_diamonds=3)
+        for pattern in M.builtin_patterns():
+            for side in ("L", "R"):
+                change = M._size_change(pattern, side)
+                for site in M._side_sites(d, pattern, side):
+                    got = M.apply(d, site).decoration_count()
+                    assert got == d.decoration_count() + change, site
+                    checked += 1
+    assert checked > 1000
+
+
 def test_orbit_closes_small_family():
     # a single diamond pair cancels to the identity strand within depth 1
     d = XCGaussDiagram(1, (1,), [], [(("D", 1), ("D", -1))])
@@ -171,3 +228,9 @@ def test_pattern_parse_errors():
         M.parse_patterns("pattern G2\nfrag 1: Oa\nend\n")
     with pytest.raises(ParseError):
         M.parse_patterns("pattern G2\nfrag 1: Qa\nto 1:\nend\n")
+
+
+def test_undeclared_chord_letter_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        M.parse_patterns("pattern G1f\nfrag 1: Ox D- Ux\nto 1: Ux D+ Ox\nend\n")
+    assert (err.value.line, err.value.column) == (2, 9)

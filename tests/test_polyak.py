@@ -18,6 +18,7 @@ from xctangle.polyak import (
     FormalDiagramSum,
     FormulaTerm,
     check_formula_invariance,
+    decorations,
     framing_formula,
     framing_terms,
     map_I,
@@ -63,6 +64,64 @@ def test_keys_are_canonical_diagrams():
         texts = {print_diagram(renumber_canonically(x))
                  for x in subdiagrams(d)}
         assert len(s) == len(texts)
+
+
+def reference_subdiagram(d, subset):
+    """The induced diagram of a set of decorations, built directly."""
+    keep_chords = {dec[1] for dec in subset if dec[0] == "c"}
+    keep_dias = {(dec[1], dec[2]) for dec in subset if dec[0] == "d"}
+    events = [
+        tuple(e for i, e in enumerate(ev)
+              if (e[0] == "D" and (s, i) in keep_dias)
+              or (e[0] != "D" and e[1] in keep_chords))
+        for s, ev in enumerate(d.events)
+    ]
+    chords = [(c, sg) for c, sg in d.chords if c in keep_chords]
+    return XCGaussDiagram(d.n, d.top, chords, events)
+
+
+def reference_map_I(d):
+    out = FormalDiagramSum()
+    for sub in subdiagrams(d):
+        out.add(sub)
+    return out
+
+
+def reference_map_I_inverse(s):
+    out = FormalDiagramSum()
+    for d, coeff in s.items():
+        k = d.decoration_count()
+        for sub in subdiagrams(d):
+            out.add(sub, coeff * (-1) ** (k - sub.decoration_count()))
+    return out
+
+
+def test_subset_walk_equals_reference():
+    rng = random.Random(43)
+    sizes = set()
+    for i in range(18):
+        d = random_diagram(rng, n=1 + i % 2, max_chords=1 + i % 6,
+                           max_diamonds=4)
+        k = d.decoration_count()
+        if k > 9:
+            continue
+        sizes.add(k)
+        decs = decorations(d)
+        assert list(subdiagrams(d)) == [
+            reference_subdiagram(d, [x for j, x in enumerate(decs)
+                                     if mask >> j & 1])
+            for mask in range(1 << k)]
+        s = map_I(d)
+        want = reference_map_I(d)
+        assert s == want and list(s.items()) == list(want.items())
+        # varied coefficients, so that terms cancel and come back
+        mixed = FormalDiagramSum()
+        for j, (key, _) in enumerate(s.items()):
+            mixed.add(key, (-1) ** j * (1 + j % 3))
+        mixed.add(d, -1)
+        got, want = map_I_inverse(mixed), reference_map_I_inverse(mixed)
+        assert got == want and list(got.items()) == list(want.items())
+    assert max(sizes) == 9 and min(sizes) <= 3
 
 
 def test_map_I_of_empty():
