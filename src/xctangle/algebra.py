@@ -45,7 +45,7 @@ from .ring import LAURENT, RATIONAL, Coefficient, parse_laurent
 class RingMatrix:
     """Immutable dense matrix of :class:`Coefficient` entries."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_hash")
 
     def __init__(self, entries: Sequence[Sequence[Coefficient]]):
         rows = tuple(tuple(row) for row in entries)
@@ -77,7 +77,11 @@ class RingMatrix:
         )
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        try:
+            return self._hash
+        except AttributeError:  # first call: hash the entries once
+            object.__setattr__(self, "_hash", hash(self.entries))
+            return self._hash
 
     def __repr__(self) -> str:
         return f"RingMatrix({self.rows}x{self.cols})"

@@ -8,6 +8,13 @@ under endpoint; a positive diamond deposits kappa^-1, a negative diamond
 deposits kappa.  Beads encountered later along a strand multiply on the
 LEFT.  The value is realized as a single d^n x d^n matrix on V^{(x)n}.
 
+Writing R^s = sum E_ac (x) Q_ac makes the value a state sum over one term
+per chord.  ``zeval`` walks it depth first, strand by strand, so states
+that share a prefix of beads share its product, and it drops a branch as
+soon as its partial product is zero, since every later bead multiplies on
+the left.  The walk is still exponential in the chord count: about 2x per
+crossing on T(2,k) lifts, against 3x for the plain sum.
+
 Values compose by the twisted law of the virtual category of elements:
 ``(u, sigma) o (v, tau) = (tau^-1-permuted u . v, sigma o tau)``, and the
 realization map sends ``(u, sigma)`` to ``perm_matrix(sigma) . u``.
@@ -22,7 +29,7 @@ from itertools import product
 from . import gauss
 from .algebra import MatrixXCAlgebra, RingMatrix, mat_mul, mat_tensor
 from .errors import DimensionError, GuardrailError, NonScalarError, ValidationError
-from .gauss import DIAMOND, OVER, UNDER, XCGaussDiagram
+from .gauss import DIAMOND, OVER, XCGaussDiagram
 from .ring import Coefficient
 
 DEFAULT_GUARDRAIL = 4096
@@ -111,17 +118,28 @@ def _decompose_two_leg(m: RingMatrix, d: int) -> tuple:
     return tuple(terms)
 
 
-def _unit_left_mul(a: int, c: int, acc: list[list[Coefficient]], d: int, zero) -> list:
-    """E_ac . acc for d x d acc kept as lists."""
-    out = [[zero] * d for _ in range(d)]
-    out[a] = list(acc[c])
-    return out
+def _left_mul(k, acc: list[list[Coefficient]], zero) -> list[list[Coefficient]]:
+    """k . acc for d x d matrices kept as row lists."""
+    cols = list(zip(*acc))
+    return [[_dotrow(row, col, zero) for col in cols] for row in k]
 
 
 def zeval(
     d_: XCGaussDiagram, a: MatrixXCAlgebra, guardrail: int = DEFAULT_GUARDRAIL
 ) -> InvariantValue:
-    """Evaluate the universal invariant of a diagram in algebra ``a``."""
+    """Evaluate the universal invariant of a diagram in algebra ``a``.
+
+    The value is a state sum: every chord picks one term E_ac (x) Q_ac of
+    R^s, and each strand multiplies its beads.  The sum is walked depth
+    first over the events in strand-major order (strand 1 bottom to top,
+    then strand 2, ...).  The walk carries the current strand's partial
+    bead product and the finished strands' words; it branches over a
+    chord's terms where it first meets the chord and reuses the chosen term
+    at the other endpoint, so states with a common prefix share its
+    product.  A branch stops as soon as its partial product is zero: later
+    beads multiply on the left, and a left multiple of zero is zero.  Each
+    completed state adds the tensor product of its words into the value.
+    """
     gauss.validate(d_)
     n = d_.n
     dim = a.d
@@ -133,85 +151,52 @@ def zeval(
     zero = Coefficient.zero(variant)
     one = Coefficient.one(variant)
     sign = d_.chord_sign
-    chord_ids = sorted(sign)
-    chord_pos = {c: k for k, c in enumerate(chord_ids)}
     decomp = {
         s: _decompose_two_leg(a.R if s > 0 else a.Rinv, dim) for s in set(sign.values())
     }
-    terms_for = {c: decomp[sign[c]] for c in chord_ids}
     kappa = a.kappa.entries
     kappainv = a.kappainv.entries
-
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for i, ev in enumerate(d_.events):
-        for kind, val in ev:
-            if kind in (OVER, UNDER) and chord_pos[val] not in incident[i]:
-                incident[i].append(chord_pos[val])
-    for lst in incident:
-        lst.sort()
-
-    def word(strand: int, assignment: tuple[int, ...]) -> RingMatrix | None:
-        """Bead product along a strand; assignment indexes terms of ALL
-        chords (by chord_pos).  Returns None when the product vanishes."""
-        acc = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
-        for kind, val in d_.events[strand]:
-            if kind == DIAMOND:
-                k = kappainv if val > 0 else kappa
-                acc = [
-                    [
-                        _dotrow(k[r], [acc[x][cc] for x in range(dim)], zero)
-                        for cc in range(dim)
-                    ]
-                    for r in range(dim)
-                ]
-            else:
-                aa, cc, q = terms_for[val][assignment[chord_pos[val]]]
-                if kind == OVER:
-                    acc = _unit_left_mul(aa, cc, acc, dim, zero)
-                else:
-                    acc = [
-                        [
-                            _dotrow(q.entries[r], [acc[x][c2] for x in range(dim)], zero)
-                            for c2 in range(dim)
-                        ]
-                        for r in range(dim)
-                    ]
-            if all(x.is_zero() for row in acc for x in row):
-                return None
-        return RingMatrix(acc)
-
-    word_cache: list[dict] = [{} for _ in range(n)]
+    unit = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
+    # strand-major events, None closing each strand
+    steps = [ev for strand in d_.events for ev in (*strand, None)]
     size = dim**n
     total = [[zero] * size for _ in range(size)]
-    ranges = [range(len(terms_for[c])) for c in chord_ids]
-    for assignment in product(*ranges):
-        fs = []
-        dead = False
-        for s in range(n):
-            key = tuple(assignment[k] for k in incident[s])
-            w = word_cache[s].get(key, False)
-            if w is False:
-                w = word(s, assignment)
-                word_cache[s][key] = w
-            if w is None:
-                dead = True
-                break
-            fs.append(w)
-        if dead:
-            continue
-        if not fs:
-            m = RingMatrix([[one]])
-        else:
-            m = fs[0]
-            for f in fs[1:]:
-                m = mat_tensor(m, f)
-        for r in range(size):
-            mrow = m.entries[r]
-            trow = total[r]
-            for c in range(size):
-                e = mrow[c]
+    chosen: dict[int, tuple] = {}  # chord -> its term in the current state
+
+    def walk(i: int, acc: list, words: tuple) -> None:
+        while i < len(steps):
+            step = steps[i]
+            i += 1
+            if step is None:
+                words += (RingMatrix(acc),)
+                acc = unit
+                continue
+            kind, val = step
+            if kind == DIAMOND:
+                acc = _left_mul(kappainv if val > 0 else kappa, acc, zero)
+            elif val not in chosen:
+                for term in decomp[sign[val]]:
+                    chosen[val] = term
+                    walk(i - 1, acc, words)
+                chosen.pop(val, None)
+                return
+            else:
+                aa, cc, q = chosen[val]
+                if kind == OVER:  # E_ac . acc
+                    acc = [acc[cc] if r == aa else [zero] * dim for r in range(dim)]
+                else:
+                    acc = _left_mul(q.entries, acc, zero)
+            if all(x.is_zero() for row in acc for x in row):
+                return
+        m = words[0] if words else RingMatrix([[one]])
+        for w in words[1:]:
+            m = mat_tensor(m, w)
+        for trow, mrow in zip(total, m.entries):
+            for c, e in enumerate(mrow):
                 if not e.is_zero():
                     trow[c] = trow[c] + e
+
+    walk(0, unit, ())
     return InvariantValue(n, RingMatrix(total), d_.top, dim, variant)
 
 

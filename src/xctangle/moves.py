@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from itertools import product
 
@@ -60,9 +61,14 @@ class MovePattern:
     left: tuple[tuple[Token, ...], ...]
     right: tuple[tuple[Token, ...], ...]
 
+    @cached_property
+    def _signs(self) -> dict[tuple[str, int], int]:
+        """(letter, eps) -> sign, built once per pattern."""
+        return {(letter, eps): {"+": 1, "-": -1, "e": eps, "-e": -eps}[expr]
+                for letter, expr in self.vars for eps in (1, -1)}
+
     def sign_of(self, letter: str, eps: int) -> int:
-        expr = dict(self.vars)[letter]
-        return {"+": 1, "-": -1, "e": eps, "-e": -eps}[expr]
+        return self._signs[letter, eps]
 
     def uses_eps(self) -> bool:
         return any(expr in ("e", "-e") for _, expr in self.vars)

@@ -1,13 +1,23 @@
 """Universal evaluation: functoriality, monoidality, permutation
-realization, scalar extraction, and the size guardrail."""
+realization, scalar extraction, the size guardrail, and agreement of the
+depth-first walk with a plain loop over all assignments."""
 
 import random
+from itertools import product
 
 import pytest
 
-from xctangle.algebra import MatrixXCAlgebra, builtin_uqsl2
+from xctangle.algebra import (
+    MatrixXCAlgebra,
+    RingMatrix,
+    builtin_uqsl2,
+    mat_mul,
+    mat_tensor,
+)
 from xctangle.errors import GuardrailError, NonScalarError
 from xctangle.gauss import (
+    DIAMOND,
+    OVER,
     XCGaussDiagram,
     braiding,
     compose,
@@ -16,6 +26,8 @@ from xctangle.gauss import (
     tensor,
 )
 from xctangle.invariant import (
+    InvariantValue,
+    _decompose_two_leg,
     identity_value,
     iota_realize,
     long_knot_scalar,
@@ -111,3 +123,61 @@ def test_decomposition_cache_follows_matrix_content():
 
     for k in range(1, 300):
         assert evaluate(k) == ALG.R.scale(Coefficient.q_power(k)), k
+
+
+def _assignment_reference(d_, a):
+    """The state sum as a plain loop over all assignments of R-terms to
+    chords: each strand multiplies its beads on the left, and the strands'
+    words are tensored and summed."""
+    assert len(d_.chords) <= 6, "reference is exponential in chords"
+    zero, one = Coefficient.zero(a.variant), Coefficient.one(a.variant)
+    chords = sorted(d_.chord_sign)
+    terms = [_decompose_two_leg(a.R if d_.chord_sign[c] > 0 else a.Rinv, a.d)
+             for c in chords]
+    size = a.d ** d_.n
+    total = RingMatrix([[zero] * size for _ in range(size)])
+    for assignment in product(*(range(len(t)) for t in terms)):
+        term = {c: terms[k][i] for k, (c, i) in enumerate(zip(chords, assignment))}
+        value = RingMatrix([[one]])
+        for events in d_.events:
+            word = RingMatrix.identity(a.d, a.variant)
+            for kind, val in events:
+                if kind == DIAMOND:
+                    bead = a.kappainv if val > 0 else a.kappa
+                elif kind == OVER:
+                    aa, cc, _ = term[val]
+                    bead = RingMatrix([[one if (r, c) == (aa, cc) else zero
+                                        for c in range(a.d)] for r in range(a.d)])
+                else:
+                    bead = term[val][2]
+                word = mat_mul(bead, word)
+            value = mat_tensor(value, word)
+        total = total + value
+    return InvariantValue(d_.n, total, d_.top, a.d, a.variant)
+
+
+def _random_rational_algebra(rng, d):
+    """An algebra with seeded rational entries, many of them zero, so that
+    decompositions drop terms and bead products vanish.  It need not
+    satisfy the axioms: the state sum is defined for any matrices."""
+    def matrix(k):
+        return RingMatrix([[Coefficient.rational(rng.choice((0, 0, 0, 1, -1, 2)),
+                                                 rng.randint(1, 3))
+                            for _ in range(k)] for _ in range(k)])
+    return MatrixXCAlgebra(d, matrix(d * d), matrix(d * d), matrix(d), matrix(d),
+                           "rational")
+
+
+def test_zeval_equals_assignment_reference():
+    rng = random.Random(71)
+    # (algebra, most chords): a random d = 3 R has up to 9 terms
+    algebras = [(ALG, 5)] + [(_random_rational_algebra(rng, d), chords)
+                             for d, chords in ((2, 4), (2, 4), (3, 2), (3, 2))]
+    cases = [(identity(0), a) for a, _ in algebras]
+    for k in range(100):
+        a, chords = algebras[k % len(algebras)]
+        n = rng.randrange(1, 3 if a.d == 3 else 4)
+        cases.append((random_diagram(rng, n=n, max_chords=chords, max_diamonds=3), a))
+    for d_, a in cases:
+        got, want = zeval(d_, a), _assignment_reference(d_, a)
+        assert (got.value, got.sigma) == (want.value, want.sigma), d_

@@ -176,6 +176,7 @@ def test_bracket_matches_lifted_scalar():
     # documented comparison: bracket = scalar|_{q -> 1/q} * q^(2 writhe)
     codes = [identity(1), TREFOIL, SIGMA_WORD, *R2_PAIR]
     codes += _random_braid_closures(random.Random(89))
+    codes += [_braid_closure([1] * 11), _braid_closure([-1] * 11)]  # T(2,±11)
     for g in codes:
         scal = long_knot_scalar(zeval(lift(g), ALG))
         mirrored = Coefficient.laurent(
