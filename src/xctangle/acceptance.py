@@ -52,6 +52,9 @@ from .virtualt import (
 
 DEFAULT_SEED = 20240901
 
+# time budgets in seconds; a budgeted criterion fails when it runs over
+BUDGETS = {1: 5, 2: 60, 3: 120, 8: 30}
+
 
 @dataclass
 class CriterionResult:
@@ -60,6 +63,15 @@ class CriterionResult:
     passed: bool
     detail: str
     seconds: float
+
+    @property
+    def budget_s(self) -> float | None:
+        return BUDGETS.get(self.number)
+
+    @property
+    def headroom_s(self) -> float | None:
+        """Budget minus seconds taken, or None without a budget."""
+        return None if self.budget_s is None else self.budget_s - self.seconds
 
 
 def _q_mirror(c: Coefficient) -> Coefficient:
@@ -87,32 +99,32 @@ def golden_codes():
 
 
 def criterion_1(seed: int) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = check_axioms(builtin_uqsl2())
     bad = [k for k, v in report.items() if k != "ok" and not v["ok"]]
-    dt = time.time() - t0
-    ok = report["ok"] and not bad and dt < 5
+    dt = time.perf_counter() - t0
+    ok = report["ok"] and not bad and dt < BUDGETS[1]
     detail = "all axioms hold" if not bad else f"failed: {bad}"
     return CriterionResult(1, "algebra axioms", ok, f"{detail}", dt)
 
 
 def criterion_2(seed: int) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     alg = builtin_uqsl2()
     bad = []
     for p in M.builtin_patterns():
         ok, _ = M.validate_pattern(p, alg)
         if not ok:
             bad.append(f"{p.kind} v{p.variant}")
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     detail = (f"{len(M.builtin_patterns())} patterns certified"
               if not bad else f"failed: {bad}")
     return CriterionResult(2, "move pattern soundness",
-                           not bad and dt < 60, detail, dt)
+                           not bad and dt < BUDGETS[2], detail, dt)
 
 
 def criterion_3(seed: int) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     alg = builtin_uqsl2()
     rng = random.Random(seed)
     checked = fails = 0
@@ -129,14 +141,14 @@ def criterion_3(seed: int) -> CriterionResult:
         checked += 1
         if iota_realize(zeval(d, alg)) != iota_realize(zeval(d2, alg)):
             fails += 1
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     return CriterionResult(3, "move invariance of the evaluation",
-                           fails == 0 and dt < 120,
+                           fails == 0 and dt < BUDGETS[3],
                            f"{checked} applications, {fails} mismatches", dt)
 
 
 def criterion_4(seed: int) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     alg = builtin_uqsl2()
     rng = random.Random(seed + 4)
     fails = 0
@@ -156,14 +168,14 @@ def criterion_4(seed: int) -> CriterionResult:
             rhs = ve_tensor(zeval(d1, alg), zeval(d2, alg))
         if lhs != rhs:
             fails += 1
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     return CriterionResult(4, "functoriality and monoidality",
                            fails == 0, f"{trials} pairs, {fails} mismatches",
                            dt)
 
 
 def criterion_5(seed: int) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed + 5)
     fails = 0
     trials = 1000
@@ -171,14 +183,14 @@ def criterion_5(seed: int) -> CriterionResult:
         g = random_code(rng, n=rng.randrange(1, 4), max_chords=8)
         if forget(lift(g)) != g:
             fails += 1
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     return CriterionResult(5, "lift is a section of forget",
                            fails == 0, f"{trials} codes, {fails} mismatches",
                            dt)
 
 
 def criterion_6(seed: int) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed + 6)
     fails = 0
     trials = 1000
@@ -187,14 +199,14 @@ def criterion_6(seed: int) -> CriterionResult:
         L = lift(g)
         if rotation_total(L) + writhe(g) != 2 * underfirst_writhe(g):
             fails += 1
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     return CriterionResult(6, "rotation-writhe identity on lifts",
                            fails == 0, f"{trials} codes, {fails} mismatches",
                            dt)
 
 
 def criterion_7(seed: int) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed + 6)  # same corpus as criterion 6
     fails = 0
     trials = 1000
@@ -219,7 +231,7 @@ def criterion_7(seed: int) -> CriterionResult:
         checked += 1
         if framing_formula(d) != framing_formula(d2):
             move_fails += 1
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     return CriterionResult(
         7, "framing formula equals writhe and is move-invariant",
         fails == 0 and move_fails == 0,
@@ -243,7 +255,7 @@ def load_golden() -> dict[str, tuple[str, str]]:
 
 
 def criterion_8(seed: int) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     alg = builtin_uqsl2()
     golden = load_golden()
     problems = []
@@ -259,14 +271,14 @@ def criterion_8(seed: int) -> CriterionResult:
             problems.append(f"{name}: bracket != golden")
         if str(scalar) != want_scalar:
             problems.append(f"{name}: scalar != golden")
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     return CriterionResult(8, "Jones comparison against the state sum",
-                           not problems and dt < 30,
+                           not problems and dt < BUDGETS[8],
                            "; ".join(problems) or "4 knots match", dt)
 
 
 def criterion_9(seed: int) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     alg = builtin_uqsl2()
     rng = random.Random(seed + 9)
     checked = fails = 0
@@ -284,14 +296,14 @@ def criterion_9(seed: int) -> CriterionResult:
         v2 = iota_realize(zeval(lift(g2), alg))
         if v1 != v2:
             fails += 1
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     return CriterionResult(9, "virtual-move invariance of the lifted value",
                            fails == 0, f"{checked} pairs, {fails} mismatches",
                            dt)
 
 
 def criterion_10(seed: int) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed + 10)
     fails = small = large = 0
     for _ in range(1000):
@@ -310,7 +322,7 @@ def criterion_10(seed: int) -> CriterionResult:
         large += 1
         if map_I_inverse(map_I(d)) != FormalDiagramSum.of(d):
             fails += 1
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     return CriterionResult(
         10, "subdiagram map and its inverse compose to the identity",
         fails == 0, f"{small} small + {large} large diagrams, {fails} off",
@@ -318,7 +330,7 @@ def criterion_10(seed: int) -> CriterionResult:
 
 
 def criterion_11(seed: int) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed + 11)
     fails = 0
     trials = 1000
@@ -340,7 +352,7 @@ def criterion_11(seed: int) -> CriterionResult:
         g = forget(d)
         if parse_code(print_code(g)) != g:
             fails += 1
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     return CriterionResult(11, "conversion and parser round-trips",
                            fails == 0, f"{trials} instances, {fails} off", dt)
 

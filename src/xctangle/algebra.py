@@ -58,6 +58,9 @@ class RingMatrix:
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("RingMatrix is immutable")
 
+    def __reduce__(self):
+        return (RingMatrix, (self.entries,))
+
     @staticmethod
     def identity(n: int, variant: str = LAURENT) -> "RingMatrix":
         one, zero = Coefficient.one(variant), Coefficient.zero(variant)

@@ -250,10 +250,12 @@ def cmd_selftest(args) -> int:
     for r in results:
         ok &= r.passed
         if args.format == "json-lines":
+            headroom = r.headroom_s
             print(json.dumps({
                 "criterion": r.number, "name": r.name,
                 "passed": r.passed, "detail": r.detail,
-                "seconds": round(r.seconds, 1),
+                "seconds": round(r.seconds, 1), "budget_s": r.budget_s,
+                "headroom_s": None if headroom is None else round(headroom, 1),
             }, sort_keys=True))
         else:
             mark = "PASS" if r.passed else "FAIL"

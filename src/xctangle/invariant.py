@@ -15,6 +15,12 @@ soon as its partial product is zero, since every later bead multiplies on
 the left.  The walk is still exponential in the chord count: about 2x per
 crossing on T(2,k) lifts, against 3x for the plain sum.
 
+Each bead (kappa, kappa^-1 and every Q_ac) is split once per call into
+sparse rows of its nonzero ``(column, entry)`` pairs, and a bead product
+multiplies only those pairs.  The product reports a zero result as
+``None``, and an E_ac bead ends its branch when row c of the partial
+product is zero, so no product is scanned for zeros afterwards.
+
 Values compose by the twisted law of the virtual category of elements:
 ``(u, sigma) o (v, tau) = (tau^-1-permuted u . v, sigma o tau)``, and the
 realization map sends ``(u, sigma)`` to ``perm_matrix(sigma) . u``.
@@ -118,10 +124,28 @@ def _decompose_two_leg(m: RingMatrix, d: int) -> tuple:
     return tuple(terms)
 
 
-def _left_mul(k, acc: list[list[Coefficient]], zero) -> list[list[Coefficient]]:
-    """k . acc for d x d matrices kept as row lists."""
-    cols = list(zip(*acc))
-    return [[_dotrow(row, col, zero) for col in cols] for row in k]
+def _sparse_rows(m: RingMatrix) -> tuple:
+    """Each row of a bead as its nonzero (column, entry) pairs."""
+    return tuple([tuple([(j, x) for j, x in enumerate(row) if not x.is_zero()])
+                  for row in m.entries])
+
+
+def _left_mul(k: tuple, acc: list, zero: Coefficient) -> list | None:
+    """k . acc for a bead ``k`` in sparse rows and ``acc`` as d row lists,
+    multiplying only nonzero pairs; ``None`` when the product is zero."""
+    out, nonzero = [], False
+    for pairs in k:
+        row = []
+        for c in range(len(acc)):
+            s = zero
+            for j, x in pairs:
+                y = acc[j][c]
+                if not y.is_zero():
+                    s = x * y if s is zero else s + x * y
+            nonzero = nonzero or not s.is_zero()
+            row.append(s)
+        out.append(row)
+    return out if nonzero else None
 
 
 def zeval(
@@ -152,10 +176,12 @@ def zeval(
     one = Coefficient.one(variant)
     sign = d_.chord_sign
     decomp = {
-        s: _decompose_two_leg(a.R if s > 0 else a.Rinv, dim) for s in set(sign.values())
+        s: [(aa, cc, _sparse_rows(q))
+            for aa, cc, q in _decompose_two_leg(a.R if s > 0 else a.Rinv, dim)]
+        for s in set(sign.values())
     }
-    kappa = a.kappa.entries
-    kappainv = a.kappainv.entries
+    kappa = _sparse_rows(a.kappa)
+    kappainv = _sparse_rows(a.kappainv)
     unit = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
     # strand-major events, None closing each strand
     steps = [ev for strand in d_.events for ev in (*strand, None)]
@@ -182,11 +208,13 @@ def zeval(
                 return
             else:
                 aa, cc, q = chosen[val]
-                if kind == OVER:  # E_ac . acc
+                if kind == OVER:  # E_ac . acc moves row c to row a
+                    if all(x.is_zero() for x in acc[cc]):
+                        return
                     acc = [acc[cc] if r == aa else [zero] * dim for r in range(dim)]
                 else:
-                    acc = _left_mul(q.entries, acc, zero)
-            if all(x.is_zero() for row in acc for x in row):
+                    acc = _left_mul(q, acc, zero)
+            if acc is None:
                 return
         m = words[0] if words else RingMatrix([[one]])
         for w in words[1:]:
@@ -198,14 +226,6 @@ def zeval(
 
     walk(0, unit, ())
     return InvariantValue(n, RingMatrix(total), d_.top, dim, variant)
-
-
-def _dotrow(row, col, zero):
-    acc = zero
-    for x, y in zip(row, col):
-        if not (x.is_zero() or y.is_zero()):
-            acc = acc + x * y
-    return acc
 
 
 def ve_compose(u: InvariantValue, v: InvariantValue) -> InvariantValue:

@@ -2,9 +2,19 @@
 
 A :class:`Coefficient` is an arbitrary-precision integer, a rational in lowest
 terms, or a single-variable Laurent polynomial in ``q`` with integer
-coefficients.  All values are immutable and normalized on construction:
-Laurent payloads store no zero coefficients, rationals keep a positive
-denominator.  No floating point is used anywhere.
+coefficients.  All values are immutable and kept in one normal form: an
+``int``; a ``Fraction`` (lowest terms, positive denominator); or a tuple of
+``(exponent, coefficient)`` int pairs sorted by exponent, with no zero
+coefficient.  Equality and hashing compare that form.  No floating point is
+used anywhere.
+
+The public constructor accepts only exact values: ints, Fractions for the
+rational variant, and for Laurent terms int pairs, where repeated exponents
+add up.  Anything else, a float above all, raises :class:`DomainError`.
+Arithmetic results are in normal form by construction, so ``+``, ``-`` and
+``*`` build them with the private trusted constructor
+``Coefficient._normal``, which neither validates nor re-sorts.  A product
+with a one-term factor shifts and scales the other factor's terms.
 
 Laurent text syntax (also used by algebra files and CLI output): terms joined
 by ``+``/``-``; a term is an optional integer coefficient, optionally followed
@@ -18,6 +28,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable
 
 from .errors import DomainError, ParseError, VariantMismatchError
@@ -29,6 +40,12 @@ LAURENT = "laurent"
 _VARIANTS = (INTEGER, RATIONAL, LAURENT)
 
 
+def _exact_int(x, what: str) -> int:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise DomainError(f"{what} must be an int, got {x!r}")
+    return int(x)
+
+
 class Coefficient:
     """An immutable exact scalar tagged with its ring variant."""
 
@@ -38,17 +55,41 @@ class Coefficient:
         if variant not in _VARIANTS:
             raise DomainError(f"unknown coefficient variant {variant!r}")
         if variant == INTEGER:
-            payload = int(payload)
+            payload = _exact_int(payload, "integer value")
         elif variant == RATIONAL:
+            if not isinstance(payload, Rational) or isinstance(payload, bool):
+                raise DomainError(
+                    f"rational value must be an int or a Fraction, got {payload!r}"
+                )
             payload = Fraction(payload)
         else:
-            payload = tuple(sorted((int(e), int(c)) for e, c in dict(payload).items() if c))
+            items = payload.items() if isinstance(payload, dict) else payload
+            acc: dict[int, int] = {}
+            for e, c in items:
+                e = _exact_int(e, "laurent exponent")
+                acc[e] = acc.get(e, 0) + _exact_int(c, "laurent coefficient")
+            payload = tuple(sorted((e, c) for e, c in acc.items() if c))
+        self._set(variant, payload)
+
+    @staticmethod
+    def _normal(variant: str, payload) -> "Coefficient":
+        """Trusted constructor: ``payload`` is already in normal form (an
+        ``int``; a ``Fraction``; or a tuple of ``(exponent, coefficient)``
+        int pairs sorted by exponent, with no zero coefficient)."""
+        self = object.__new__(Coefficient)
+        self._set(variant, payload)
+        return self
+
+    def _set(self, variant: str, payload) -> None:
         object.__setattr__(self, "variant", variant)
         object.__setattr__(self, "_payload", payload)
         object.__setattr__(self, "_hash", hash((variant, payload)))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Coefficient is immutable")
+
+    def __reduce__(self):
+        return (Coefficient._normal, (self.variant, self._payload))
 
     # -- constructors -------------------------------------------------
 
@@ -58,17 +99,20 @@ class Coefficient:
 
     @staticmethod
     def rational(p, q: int = 1) -> "Coefficient":
+        if not (isinstance(p, Rational) and isinstance(q, Rational)):
+            raise DomainError(f"rational value must be exact, got {p!r}/{q!r}")
+        if q == 0:
+            raise DomainError("rational value with zero denominator")
         return Coefficient(RATIONAL, Fraction(p, q))
 
     @staticmethod
     def laurent(terms: dict[int, int] | Iterable[tuple[int, int]]) -> "Coefficient":
-        if not isinstance(terms, dict):
-            terms = dict(terms)
+        """Sum of ``c q^e`` over the ``(e, c)`` terms; repeated exponents add."""
         return Coefficient(LAURENT, terms)
 
     @staticmethod
     def q_power(e: int, coeff: int = 1) -> "Coefficient":
-        return Coefficient(LAURENT, {e: coeff})
+        return Coefficient(LAURENT, ((e, coeff),))
 
     @staticmethod
     def zero(variant: str = LAURENT) -> "Coefficient":
@@ -102,9 +146,7 @@ class Coefficient:
         raise DomainError("laurent coefficient has no rational value")
 
     def is_zero(self) -> bool:
-        if self.variant == LAURENT:
-            return not self._payload
-        return self._payload == 0
+        return not self._payload
 
     def is_one(self) -> bool:
         if self.variant == LAURENT:
@@ -114,6 +156,8 @@ class Coefficient:
     # -- arithmetic ---------------------------------------------------
 
     def _check(self, other: "Coefficient") -> None:
+        if other.__class__ is Coefficient and other.variant == self.variant:
+            return
         if not isinstance(other, Coefficient):
             raise VariantMismatchError(f"expected Coefficient, got {type(other).__name__}")
         if self.variant != other.variant:
@@ -124,7 +168,7 @@ class Coefficient:
     def __add__(self, other: "Coefficient") -> "Coefficient":
         self._check(other)
         if self.variant != LAURENT:
-            return Coefficient(self.variant, self._payload + other._payload)
+            return Coefficient._normal(self.variant, self._payload + other._payload)
         acc = dict(self._payload)
         for e, c in other._payload:
             v = acc.get(e, 0) + c
@@ -132,12 +176,12 @@ class Coefficient:
                 acc[e] = v
             else:
                 acc.pop(e, None)
-        return Coefficient(LAURENT, acc)
+        return Coefficient._normal(LAURENT, tuple(sorted(acc.items())))
 
     def __neg__(self) -> "Coefficient":
         if self.variant != LAURENT:
-            return Coefficient(self.variant, -self._payload)
-        return Coefficient(LAURENT, {e: -c for e, c in self._payload})
+            return Coefficient._normal(self.variant, -self._payload)
+        return Coefficient._normal(LAURENT, tuple([(e, -c) for e, c in self._payload]))
 
     def __sub__(self, other: "Coefficient") -> "Coefficient":
         return self + (-other)
@@ -145,17 +189,25 @@ class Coefficient:
     def __mul__(self, other: "Coefficient") -> "Coefficient":
         self._check(other)
         if self.variant != LAURENT:
-            return Coefficient(self.variant, self._payload * other._payload)
+            return Coefficient._normal(self.variant, self._payload * other._payload)
+        p1, p2 = self._payload, other._payload
+        if len(p1) == 1:
+            p1, p2 = p2, p1
+        if len(p2) == 1:  # a monomial shifts and scales the other factor
+            (e2, c2), = p2
+            # tuple() of a list, not of a generator, which over-allocates
+            # and resizes: that left pages of freed memory resident
+            return Coefficient._normal(LAURENT, tuple([(e + e2, c * c2) for e, c in p1]))
         acc: dict[int, int] = {}
-        for e1, c1 in self._payload:
-            for e2, c2 in other._payload:
+        for e1, c1 in p1:
+            for e2, c2 in p2:
                 e = e1 + e2
                 v = acc.get(e, 0) + c1 * c2
                 if v:
                     acc[e] = v
                 else:
                     del acc[e]
-        return Coefficient(LAURENT, acc)
+        return Coefficient._normal(LAURENT, tuple(sorted(acc.items())))
 
     def __pow__(self, n: int) -> "Coefficient":
         if not isinstance(n, int):
@@ -178,14 +230,14 @@ class Coefficient:
         if self.is_zero():
             raise DomainError("zero has no inverse")
         if self.variant == RATIONAL:
-            return Coefficient(RATIONAL, 1 / self._payload)
+            return Coefficient._normal(RATIONAL, 1 / self._payload)
         if self.variant == INTEGER:
             if self._payload in (1, -1):
                 return self
             raise DomainError(f"integer {self._payload} is not invertible")
         if len(self._payload) == 1 and self._payload[0][1] in (1, -1):
             e, c = self._payload[0]
-            return Coefficient(LAURENT, {-e: c})
+            return Coefficient._normal(LAURENT, ((-e, c),))
         raise DomainError("laurent coefficient is not an invertible monomial")
 
     # -- comparison / hashing -----------------------------------------

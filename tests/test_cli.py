@@ -352,3 +352,11 @@ def test_selftest_single_json(capsys):
     assert code == 0
     rec = json.loads(out.splitlines()[0])
     assert rec["criterion"] == 1 and rec["passed"] is True
+    assert list(rec) == sorted(rec)
+    # both are rounded to 0.1 s from the same unrounded seconds
+    assert rec["budget_s"] == 5
+    assert abs(rec["headroom_s"] - (5 - rec["seconds"])) < 0.11
+    code, out, _ = run(capsys, "selftest", "--only", "5",
+                       "--format", "json-lines")
+    rec = json.loads(out.splitlines()[0])
+    assert code == 0 and rec["budget_s"] is None and rec["headroom_s"] is None

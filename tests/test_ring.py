@@ -1,5 +1,7 @@
 """Exact coefficient arithmetic."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xctangle.errors import DomainError, ParseError, VariantMismatchError
-from xctangle.ring import Coefficient, format_laurent, parse_laurent
+from xctangle.ring import (
+    INTEGER,
+    LAURENT,
+    RATIONAL,
+    Coefficient,
+    format_laurent,
+    parse_laurent,
+)
 
 laurents = st.dictionaries(
     st.integers(-6, 6), st.integers(-9, 9), max_size=5
@@ -93,3 +102,67 @@ def test_parse_errors_carry_position():
         parse_laurent("q^")
     with pytest.raises(ParseError):
         parse_laurent("3 +")
+
+
+def test_copy_and_pickle_round_trips():
+    from xctangle.algebra import RingMatrix, builtin_uqsl2
+
+    values = [Coefficient.q_power(2), Coefficient.laurent({3: -2, -1: 5}),
+              Coefficient.zero(), Coefficient.integer(-7),
+              Coefficient.rational(2, 3), builtin_uqsl2().R,
+              RingMatrix([[Coefficient.rational(1, 2)]])]
+    for v in values:
+        for back in (copy.copy(v), copy.deepcopy(v),
+                     pickle.loads(pickle.dumps(v))):
+            assert type(back) is type(v)
+            assert back == v and hash(back) == hash(v)
+
+
+def test_laurent_sums_repeated_exponents():
+    assert Coefficient.laurent([(1, 2), (1, 3)]) == Coefficient.q_power(1, 5)
+    assert Coefficient.laurent([(1, 2), (1, -2), (0, 1)]) == Coefficient.one()
+    assert Coefficient(LAURENT, iter([(-2, 1), (-2, 1)])).terms == {-2: 2}
+
+
+@pytest.mark.parametrize("variant, payload", [
+    (LAURENT, {1.5: 2}),
+    (LAURENT, {1: 2.0}),
+    (LAURENT, [(1, Fraction(1, 2))]),
+    (LAURENT, {True: 1}),
+    (INTEGER, 2.7),
+    (INTEGER, Fraction(4, 2)),
+    (INTEGER, "3"),
+    (RATIONAL, 0.5),
+    (RATIONAL, "1/3"),
+    ("real", 1),
+])
+def test_constructor_refuses_inexact_payloads(variant, payload):
+    with pytest.raises(DomainError):
+        Coefficient(variant, payload)
+
+
+def test_constructor_helpers_refuse_floats():
+    for bad in (lambda: Coefficient.integer(2.0),
+                lambda: Coefficient.rational(0.5),
+                lambda: Coefficient.rational(1, 2.0),
+                lambda: Coefficient.q_power(1.0),
+                lambda: Coefficient.q_power(1, 0.5)):
+        with pytest.raises(DomainError):
+            bad()
+
+
+payloads = st.lists(st.tuples(st.integers(-20, 20), st.integers(-5, 5)),
+                    max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads, payloads)
+def test_trusted_results_are_normal(p1, p2):
+    a, b = Coefficient.laurent(p1), Coefficient.laurent(p2)
+    for x in (a + b, a - b, -a, a * b):
+        rebuilt = Coefficient.laurent(x.terms)
+        assert x == rebuilt and hash(x) == hash(rebuilt)
+        exps = [e for e, _ in x._payload]
+        assert exps == sorted(set(exps))
+        assert all(type(e) is int and type(c) is int and c
+                   for e, c in x._payload)
