@@ -2,7 +2,9 @@
 
 Shared by ``tests/test_acceptance.py`` and the CLI ``selftest`` command.
 Every check uses exact arithmetic; "passes" always means exact equality.
-All randomness is seeded, so runs are reproducible.
+All randomness is seeded, so runs are reproducible.  Each criterion
+returns ``(name, passed, detail)``; :func:`run_criterion` times it and
+applies its budget from ``BUDGETS``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from .invariant import (
 )
 from .polyak import (
     FormalDiagramSum,
+    check_formula_invariance,
     framing_formula,
+    framing_terms,
     map_I,
     map_I_inverse,
 )
@@ -98,33 +102,26 @@ def golden_codes():
     ]
 
 
-def criterion_1(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_1(seed: int) -> tuple[str, bool, str]:
     report = check_axioms(builtin_uqsl2())
     bad = [k for k, v in report.items() if k != "ok" and not v["ok"]]
-    dt = time.perf_counter() - t0
-    ok = report["ok"] and not bad and dt < BUDGETS[1]
     detail = "all axioms hold" if not bad else f"failed: {bad}"
-    return CriterionResult(1, "algebra axioms", ok, f"{detail}", dt)
+    return "algebra axioms", report["ok"] and not bad, detail
 
 
-def criterion_2(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_2(seed: int) -> tuple[str, bool, str]:
     alg = builtin_uqsl2()
     bad = []
     for p in M.builtin_patterns():
         ok, _ = M.validate_pattern(p, alg)
         if not ok:
             bad.append(f"{p.kind} v{p.variant}")
-    dt = time.perf_counter() - t0
     detail = (f"{len(M.builtin_patterns())} patterns certified"
               if not bad else f"failed: {bad}")
-    return CriterionResult(2, "move pattern soundness",
-                           not bad and dt < BUDGETS[2], detail, dt)
+    return "move pattern soundness", not bad, detail
 
 
-def criterion_3(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_3(seed: int) -> tuple[str, bool, str]:
     alg = builtin_uqsl2()
     rng = random.Random(seed)
     checked = fails = 0
@@ -141,14 +138,11 @@ def criterion_3(seed: int) -> CriterionResult:
         checked += 1
         if iota_realize(zeval(d, alg)) != iota_realize(zeval(d2, alg)):
             fails += 1
-    dt = time.perf_counter() - t0
-    return CriterionResult(3, "move invariance of the evaluation",
-                           fails == 0 and dt < BUDGETS[3],
-                           f"{checked} applications, {fails} mismatches", dt)
+    return ("move invariance of the evaluation", fails == 0,
+            f"{checked} applications, {fails} mismatches")
 
 
-def criterion_4(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_4(seed: int) -> tuple[str, bool, str]:
     alg = builtin_uqsl2()
     rng = random.Random(seed + 4)
     fails = 0
@@ -168,14 +162,11 @@ def criterion_4(seed: int) -> CriterionResult:
             rhs = ve_tensor(zeval(d1, alg), zeval(d2, alg))
         if lhs != rhs:
             fails += 1
-    dt = time.perf_counter() - t0
-    return CriterionResult(4, "functoriality and monoidality",
-                           fails == 0, f"{trials} pairs, {fails} mismatches",
-                           dt)
+    return ("functoriality and monoidality", fails == 0,
+            f"{trials} pairs, {fails} mismatches")
 
 
-def criterion_5(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_5(seed: int) -> tuple[str, bool, str]:
     rng = random.Random(seed + 5)
     fails = 0
     trials = 1000
@@ -183,14 +174,11 @@ def criterion_5(seed: int) -> CriterionResult:
         g = random_code(rng, n=rng.randrange(1, 4), max_chords=8)
         if forget(lift(g)) != g:
             fails += 1
-    dt = time.perf_counter() - t0
-    return CriterionResult(5, "lift is a section of forget",
-                           fails == 0, f"{trials} codes, {fails} mismatches",
-                           dt)
+    return ("lift is a section of forget", fails == 0,
+            f"{trials} codes, {fails} mismatches")
 
 
-def criterion_6(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_6(seed: int) -> tuple[str, bool, str]:
     rng = random.Random(seed + 6)
     fails = 0
     trials = 1000
@@ -199,14 +187,11 @@ def criterion_6(seed: int) -> CriterionResult:
         L = lift(g)
         if rotation_total(L) + writhe(g) != 2 * underfirst_writhe(g):
             fails += 1
-    dt = time.perf_counter() - t0
-    return CriterionResult(6, "rotation-writhe identity on lifts",
-                           fails == 0, f"{trials} codes, {fails} mismatches",
-                           dt)
+    return ("rotation-writhe identity on lifts", fails == 0,
+            f"{trials} codes, {fails} mismatches")
 
 
-def criterion_7(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_7(seed: int) -> tuple[str, bool, str]:
     rng = random.Random(seed + 6)  # same corpus as criterion 6
     fails = 0
     trials = 1000
@@ -215,28 +200,12 @@ def criterion_7(seed: int) -> CriterionResult:
         L = lift(g)
         if framing_formula(L) != writhe(g):
             fails += 1
-    # move invariance of the formula value
-    move_fails = 0
-    rng2 = random.Random(seed + 7)
-    checked = 0
-    while checked < 100:
-        d = random_diagram(rng2, n=1, max_chords=3, max_diamonds=3)
-        kind = rng2.choice(M.KINDS)
-        sites = M.find_sites(d, kind)
-        if not sites:
-            continue
-        d2 = M.apply(d, sites[rng2.randrange(len(sites))])
-        if d2.decoration_count() > 9:
-            continue
-        checked += 1
-        if framing_formula(d) != framing_formula(d2):
-            move_fails += 1
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        7, "framing formula equals writhe and is move-invariant",
-        fails == 0 and move_fails == 0,
-        f"{trials} lifts ({fails} off), {checked} moves ({move_fails} off)",
-        dt)
+    moved = check_formula_invariance(framing_terms(), 100, seed + 7)
+    move_fails = len(moved["failures"])
+    return ("framing formula equals writhe and is move-invariant",
+            fails == 0 and move_fails == 0,
+            f"{trials} lifts ({fails} off), {moved['samples']} moves "
+            f"({move_fails} off)")
 
 
 def load_golden() -> dict[str, tuple[str, str]]:
@@ -254,8 +223,7 @@ def load_golden() -> dict[str, tuple[str, str]]:
     return out
 
 
-def criterion_8(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_8(seed: int) -> tuple[str, bool, str]:
     alg = builtin_uqsl2()
     golden = load_golden()
     problems = []
@@ -271,14 +239,11 @@ def criterion_8(seed: int) -> CriterionResult:
             problems.append(f"{name}: bracket != golden")
         if str(scalar) != want_scalar:
             problems.append(f"{name}: scalar != golden")
-    dt = time.perf_counter() - t0
-    return CriterionResult(8, "Jones comparison against the state sum",
-                           not problems and dt < BUDGETS[8],
-                           "; ".join(problems) or "4 knots match", dt)
+    return ("Jones comparison against the state sum", not problems,
+            "; ".join(problems) or "4 knots match")
 
 
-def criterion_9(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_9(seed: int) -> tuple[str, bool, str]:
     alg = builtin_uqsl2()
     rng = random.Random(seed + 9)
     checked = fails = 0
@@ -296,14 +261,11 @@ def criterion_9(seed: int) -> CriterionResult:
         v2 = iota_realize(zeval(lift(g2), alg))
         if v1 != v2:
             fails += 1
-    dt = time.perf_counter() - t0
-    return CriterionResult(9, "virtual-move invariance of the lifted value",
-                           fails == 0, f"{checked} pairs, {fails} mismatches",
-                           dt)
+    return ("virtual-move invariance of the lifted value", fails == 0,
+            f"{checked} pairs, {fails} mismatches")
 
 
-def criterion_10(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_10(seed: int) -> tuple[str, bool, str]:
     rng = random.Random(seed + 10)
     fails = small = large = 0
     for _ in range(1000):
@@ -322,15 +284,11 @@ def criterion_10(seed: int) -> CriterionResult:
         large += 1
         if map_I_inverse(map_I(d)) != FormalDiagramSum.of(d):
             fails += 1
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        10, "subdiagram map and its inverse compose to the identity",
-        fails == 0, f"{small} small + {large} large diagrams, {fails} off",
-        dt)
+    return ("subdiagram map and its inverse compose to the identity",
+            fails == 0, f"{small} small + {large} large diagrams, {fails} off")
 
 
-def criterion_11(seed: int) -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_11(seed: int) -> tuple[str, bool, str]:
     rng = random.Random(seed + 11)
     fails = 0
     trials = 1000
@@ -352,9 +310,8 @@ def criterion_11(seed: int) -> CriterionResult:
         g = forget(d)
         if parse_code(print_code(g)) != g:
             fails += 1
-    dt = time.perf_counter() - t0
-    return CriterionResult(11, "conversion and parser round-trips",
-                           fails == 0, f"{trials} instances, {fails} off", dt)
+    return ("conversion and parser round-trips", fails == 0,
+            f"{trials} instances, {fails} off")
 
 
 CRITERIA = [
@@ -365,8 +322,15 @@ CRITERIA = [
 
 
 def run_criterion(number: int, seed: int = DEFAULT_SEED) -> CriterionResult:
-    return CRITERIA[number - 1](seed)
+    """Run and time one criterion; a budgeted criterion fails when it runs
+    over its budget."""
+    t0 = time.perf_counter()
+    name, passed, detail = CRITERIA[number - 1](seed)
+    dt = time.perf_counter() - t0
+    budget = BUDGETS.get(number)
+    passed = passed and (budget is None or dt < budget)
+    return CriterionResult(number, name, passed, detail, dt)
 
 
 def run_all(seed: int = DEFAULT_SEED):
-    return [fn(seed) for fn in CRITERIA]
+    return [run_criterion(number, seed) for number in range(1, len(CRITERIA) + 1)]

@@ -15,7 +15,11 @@ Canonical text format (one diagram per stanza)::
     strand <i>: O<id> U<id> D+ D- ...
 
 Lines may appear in any order; a ``strand i`` line is required for every
-strand (possibly empty); unknown tokens are rejected.
+strand (possibly empty); unknown tokens are rejected.  Signed codes
+(:mod:`~xctangle.virtualt`) and formula templates (:mod:`~xctangle.polyak`)
+use the same stanza through :func:`read_stanza` and :func:`print_stanza`,
+each with its own chord and event tokens.  Every :class:`ParseError`
+carries a line and a column.
 """
 
 from __future__ import annotations
@@ -206,59 +210,68 @@ def canonical_key(d: XCGaussDiagram) -> XCGaussDiagram:
 # -- text format ------------------------------------------------------
 
 
-def print_diagram(d: XCGaussDiagram) -> str:
-    lines = [f"strands: {d.n}"]
-    lines.append("top: " + " ".join(str(t) for t in d.top))
-    chord_toks = " ".join(f"{c}:{'+' if s > 0 else '-'}" for c, s in d.chords)
-    lines.append(("chords: " + chord_toks).rstrip())
+def chord_text(cid: int, sign: int) -> str:
+    return f"{cid}:{'+' if sign > 0 else '-'}"
+
+
+def event_text(e: Event) -> str:
+    if e[0] == DIAMOND:
+        return "D+" if e[1] > 0 else "D-"
+    return f"{e[0]}{e[1]}"
+
+
+def print_stanza(d: XCGaussDiagram, chord_tokens, event_token) -> str:
+    """Print the stanza of ``d``: the ``chords:`` line holds
+    ``chord_tokens``, or is left out when they are None, and
+    ``event_token(event)`` prints each event of the ``strand i:`` lines."""
+    lines = [f"strands: {d.n}", "top: " + " ".join(str(t) for t in d.top)]
+    if chord_tokens is not None:
+        lines.append(" ".join(["chords:", *chord_tokens]))
     for i, ev in enumerate(d.events, start=1):
-        toks = []
-        for kind, val in ev:
-            if kind == DIAMOND:
-                toks.append("D+" if val > 0 else "D-")
-            else:
-                toks.append(f"{kind}{val}")
-        lines.append((f"strand {i}: " + " ".join(toks)).rstrip())
+        lines.append(" ".join([f"strand {i}:", *map(event_token, ev)]))
     return "\n".join(lines) + "\n"
 
 
-def _parse_event_token(tok: str, lineno: int, col: int, allow_unsigned: bool = False):
+def print_diagram(d: XCGaussDiagram) -> str:
+    return print_stanza(d, [chord_text(c, s) for c, s in d.chords], event_text)
+
+
+def parse_chord_token(tok: str, lineno: int) -> tuple[int, int]:
+    """One ``<id>:<+|->`` token of a ``chords:`` line."""
+    cid, _, sgn = tok.partition(":")
+    if not cid.isdigit() or sgn not in ("+", "-", "?"):
+        raise ParseError(f"bad chord token {tok!r}", lineno, 1)
+    if sgn == "?":
+        raise ParseError(f"unsigned chord {tok!r} not allowed here", lineno, 1)
+    return int(cid), 1 if sgn == "+" else -1
+
+
+def parse_event_token(tok: str, lineno: int, col: int) -> Event:
+    """One ``O<id>``, ``U<id>``, ``D+`` or ``D-`` token of a strand line."""
     if tok in ("D+", "D-"):
         return (DIAMOND, 1 if tok == "D+" else -1)
-    if allow_unsigned and tok == "D?":
-        return (DIAMOND, 0)
-    if tok and tok[0] in (OVER, UNDER):
-        body = tok[1:]
-        if allow_unsigned and body.endswith("?"):
-            body = body[:-1]
-        if body.isdigit():
-            return (tok[0], int(body))
+    if tok[0] in (OVER, UNDER) and tok[1:].isdigit():
+        return (tok[0], int(tok[1:]))
     raise ParseError(f"unknown event token {tok!r}", lineno, col)
 
 
-def parse_diagram(text: str, allow_unsigned: bool = False, start_line: int = 1):
-    """Parse the canonical text format.
-
-    With ``allow_unsigned`` set, returns ``(diagram, unsigned_chords)``
-    (formula templates: ``<id>:?`` in the chords line and ``D?`` events);
-    unsigned diamonds are recorded as sign 0 in the event list and the
-    diagram is not validated.  Otherwise returns the validated diagram.
-    """
-    n = None
-    top = None
+def read_stanza(text: str, chord_token, event_token, first_line: int = 1):
+    """Read one stanza, starting at line ``first_line``, into ``(n, top,
+    chords, events)``, unvalidated.  ``chord_token(tok, line)`` reads each
+    token of the ``chords:`` line into ``(id, sign)``; a format without
+    that line passes None.  ``event_token(tok, line, column)`` reads each
+    token of a ``strand i:`` line."""
+    n = top = None
     chords: list[tuple[int, int]] = []
-    unsigned_chords: set[int] = set()
     strands: dict[int, list] = {}
-    for off, raw in enumerate(text.splitlines()):
-        lineno = start_line + off
+    for lineno, raw in enumerate(text.splitlines(), start=first_line):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if ":" not in line:
             raise ParseError("expected '<keyword>: ...'", lineno, 1)
         head, _, rest = line.partition(":")
-        head = head.strip()
-        rest = rest.strip()
+        head, rest = head.strip(), rest.strip()
         if head == "strands":
             if not rest.isdigit():
                 raise ParseError(f"bad strand count {rest!r}", lineno, len(head) + 2)
@@ -268,18 +281,8 @@ def parse_diagram(text: str, allow_unsigned: bool = False, start_line: int = 1):
                 top = tuple(int(t) for t in rest.split())
             except ValueError:
                 raise ParseError(f"bad top permutation {rest!r}", lineno, len(head) + 2)
-        elif head == "chords":
-            for tok in rest.split():
-                cid, _, sgn = tok.partition(":")
-                if not cid.isdigit() or sgn not in ("+", "-", "?"):
-                    raise ParseError(f"bad chord token {tok!r}", lineno, 1)
-                if sgn == "?":
-                    if not allow_unsigned:
-                        raise ParseError(f"unsigned chord {tok!r} not allowed here", lineno, 1)
-                    unsigned_chords.add(int(cid))
-                    chords.append((int(cid), 1))
-                else:
-                    chords.append((int(cid), 1 if sgn == "+" else -1))
+        elif head == "chords" and chord_token is not None:
+            chords += [chord_token(tok, lineno) for tok in rest.split()]
         elif head.startswith("strand "):
             idx_s = head[len("strand "):].strip()
             if not idx_s.isdigit():
@@ -287,26 +290,28 @@ def parse_diagram(text: str, allow_unsigned: bool = False, start_line: int = 1):
             idx = int(idx_s)
             if idx in strands:
                 raise ParseError(f"duplicate strand {idx} line", lineno, 1)
-            evs = []
+            strands[idx] = evs = []
             col = len(head) + 2
             for tok in rest.split():
-                evs.append(_parse_event_token(tok, lineno, col, allow_unsigned))
+                evs.append(event_token(tok, lineno, col))
                 col += len(tok) + 1
-            strands[idx] = evs
         else:
             raise ParseError(f"unknown keyword {head!r}", lineno, 1)
     if n is None:
-        raise ParseError("missing 'strands:' line", start_line, 1)
+        raise ParseError("missing 'strands:' line", first_line, 1)
     if top is None:
         top = tuple(range(1, n + 1))
     missing = [i for i in range(1, n + 1) if i not in strands]
     if missing:
-        raise ParseError(f"missing 'strand {missing[0]}:' line", start_line, 1)
+        raise ParseError(f"missing 'strand {missing[0]}:' line", first_line, 1)
     extra = [i for i in strands if i < 1 or i > n]
     if extra:
-        raise ParseError(f"strand index {extra[0]} out of range", start_line, 1)
-    d = XCGaussDiagram(n, top, chords, [strands[i] for i in range(1, n + 1)])
-    if allow_unsigned:
-        return d, unsigned_chords
+        raise ParseError(f"strand index {extra[0]} out of range", first_line, 1)
+    return n, top, chords, [strands[i] for i in range(1, n + 1)]
+
+
+def parse_diagram(text: str) -> XCGaussDiagram:
+    """Parse and validate one diagram in the canonical text format."""
+    d = XCGaussDiagram(*read_stanza(text, parse_chord_token, parse_event_token))
     validate(d)
     return d

@@ -224,7 +224,10 @@ def zeval(
                 if not e.is_zero():
                     trow[c] = trow[c] + e
 
-    walk(0, unit, ())
+    try:
+        walk(0, unit, ())
+    finally:
+        del walk  # it refers to itself; free it without the cyclic collector
     return InvariantValue(n, RingMatrix(total), d_.top, dim, variant)
 
 

@@ -16,6 +16,10 @@
   planar lift and is unchanged by all certified moves.
 * :func:`check_formula_invariance` falsifies candidate formulas against
   randomized move-related diagram pairs.
+* :func:`print_formula` and :func:`parse_formula` write and read a formula
+  as ``term <coefficient>`` lines, each followed by its template in the
+  diagram stanza of :mod:`~xctangle.gauss`; ``<id>:?`` in the ``chords:``
+  line and ``D?`` events mark unsigned slots.
 """
 
 from __future__ import annotations
@@ -31,8 +35,13 @@ from .gauss import (
     UNDER,
     XCGaussDiagram,
     canonical_key,
-    parse_diagram,
+    chord_text,
+    event_text,
+    parse_chord_token,
+    parse_event_token,
     print_diagram,
+    print_stanza,
+    read_stanza,
     renumbered,
     validate,
 )
@@ -319,7 +328,7 @@ def check_formula_invariance(formula, samples: int, seed: int = 0) -> dict:
             continue
         site = sites[rng.randrange(len(sites))]
         d2 = M.apply(d, site)
-        if d2.decoration_count() > 8:
+        if d2.decoration_count() > 9:
             continue
         checked += 1
         v1, v2 = pairing(formula, d), pairing(formula, d2)
@@ -334,62 +343,48 @@ def check_formula_invariance(formula, samples: int, seed: int = 0) -> dict:
 # -- formula text format ----------------------------------------------
 
 
+def _print_template(term: FormulaTerm) -> str:
+    chords = [f"{c}:?" if c in term.unsigned_chords else chord_text(c, s)
+              for c, s in term.template.chords]
+    return print_stanza(term.template, chords,
+                        lambda e: "D?" if e == (DIAMOND, 0) else event_text(e))
+
+
 def print_formula(formula) -> str:
-    chunks = []
-    for term in formula:
-        d = term.template
-        text = print_diagram(d)
-        # re-mark unsigned slots in the serialized diagram
-        lines = text.splitlines()
-        for i, line in enumerate(lines):
-            if line.startswith("chords:"):
-                toks = line.split()
-                for j, tok in enumerate(toks[1:], start=1):
-                    cid = int(tok.split(":")[0])
-                    if cid in term.unsigned_chords:
-                        toks[j] = f"{cid}:?"
-                lines[i] = " ".join(toks)
-            if line.startswith("strand 1:"):
-                toks = line.split()
-                evs = d.events[0]
-                for j, (kind, val) in enumerate(evs, start=2):
-                    if kind == DIAMOND and val == 0:
-                        toks[j] = "D?"
-                lines[i] = " ".join(toks)
-        chunks.append(f"term {term.coefficient}\n" + "\n".join(lines))
-    return "\n\n".join(chunks) + "\n"
+    """Write a formula in the text format of the module docstring, with a
+    blank line between terms."""
+    return "\n\n".join(f"term {t.coefficient}\n" + _print_template(t)[:-1]
+                       for t in formula) + "\n"
 
 
 def parse_formula(text: str) -> list[FormulaTerm]:
+    """Read the terms of :func:`print_formula`; templates are not
+    validated."""
+    unsigned: set[int] = set()
+
+    def chord(tok, lineno):
+        if tok.endswith(":?") and tok[:-2].isdigit():
+            unsigned.add(int(tok[:-2]))
+            return int(tok[:-2]), 1
+        return parse_chord_token(tok, lineno)
+
+    def event(tok, lineno, col):
+        return (DIAMOND, 0) if tok == "D?" else parse_event_token(tok, lineno, col)
+
+    lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
+    heads = [i for i, line in enumerate(lines) if line.startswith("term ")]
+    first = heads[0] if heads else len(lines)
+    if any(lines[:first]):
+        raise ParseError("diagram lines before any 'term'", first + 1, 1)
     out = []
-    block: list[str] = []
-    coeff = None
-    start = 1
-
-    def flush(lineno):
-        nonlocal block, coeff
-        if coeff is None:
-            if any(l.split("#", 1)[0].strip() for l in block):
-                raise ParseError("diagram lines before any 'term'", lineno, 1)
-            block = []
-            return
-        d, unsigned_chords = parse_diagram(
-            "\n".join(block), allow_unsigned=True, start_line=start
-        )
-        out.append(FormulaTerm(coeff, d, frozenset(unsigned_chords)))
-        block, coeff = [], None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line.startswith("term "):
-            flush(lineno)
-            body = line[len("term "):].strip()
-            try:
-                coeff = int(body)
-            except ValueError:
-                raise ParseError(f"bad coefficient {body!r}", lineno, 1)
-            start = lineno + 1
-        else:
-            block.append(raw)
-    flush(len(text.splitlines()) + 1)
+    for h, end in zip(heads, heads[1:] + [len(lines)]):
+        body = lines[h][len("term "):].strip()
+        try:
+            coeff = int(body)
+        except ValueError:
+            raise ParseError(f"bad coefficient {body!r}", h + 1, 1)
+        unsigned.clear()
+        stanza = "\n".join(lines[h + 1:end])
+        d = XCGaussDiagram(*read_stanza(stanza, chord, event, h + 2))
+        out.append(FormulaTerm(coeff, d, frozenset(unsigned)))
     return out

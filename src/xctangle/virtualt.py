@@ -11,8 +11,9 @@ nothing records rotation.  This module provides
 * classical oracles: ``writhe``, ``rotation_total`` and the Kauffman-bracket
   state sum ``bracket_oracle``;
 * ``random_move_on_code`` -- apply one random classical framed move;
-* a text format for signed codes (``O<id><+|->`` / ``U<id><+|->`` tokens
-  with the sign attached at both endpoints).
+* a text format for signed codes: the diagram stanza of :mod:`~xctangle.gauss`
+  with no ``chords:`` line, and ``O<id><+|->`` / ``U<id><+|->`` tokens
+  carrying the sign at both endpoints.
 
 Lift rule
 ---------
@@ -55,8 +56,9 @@ from __future__ import annotations
 
 import random
 
-from .errors import NoSiteError, NonScalarError, ValidationError
-from .gauss import DIAMOND, OVER, UNDER, XCGaussDiagram, validate
+from .errors import NoSiteError, NonScalarError, ParseError, ValidationError
+from .gauss import (DIAMOND, OVER, UNDER, XCGaussDiagram, print_stanza,
+                    read_stanza, validate)
 from .ring import Coefficient
 
 #: Structural alias: a signed Gauss code is a diamond-free diagram.
@@ -443,68 +445,24 @@ def random_move_on_code(g: SignedGaussCode, kind: str,
 def print_code(g: SignedGaussCode) -> str:
     """Render a signed code with the sign attached at both endpoints."""
     sign = g.chord_sign
-    lines = [f"strands: {g.n}", "top: " + " ".join(str(t) for t in g.top)]
-    for i, ev in enumerate(g.events, start=1):
-        toks = [f"{k}{v}{'+' if sign[v] > 0 else '-'}" for k, v in ev]
-        lines.append((f"strand {i}: " + " ".join(toks)).rstrip())
-    return "\n".join(lines) + "\n"
+    return print_stanza(
+        g, None, lambda e: f"{e[0]}{e[1]}{'+' if sign[e[1]] > 0 else '-'}")
 
 
 def parse_code(text: str) -> SignedGaussCode:
     """Parse the signed-code format; endpoint signs must agree per chord."""
-    from .errors import ParseError
-
-    n = None
-    top = None
-    strands: dict[int, list] = {}
     signs: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise ParseError("expected '<keyword>: ...'", lineno, 1)
-        head, _, rest = line.partition(":")
-        head = head.strip()
-        rest = rest.strip()
-        if head == "strands":
-            if not rest.isdigit():
-                raise ParseError(f"bad strand count {rest!r}", lineno, 1)
-            n = int(rest)
-        elif head == "top":
-            try:
-                top = tuple(int(t) for t in rest.split())
-            except ValueError:
-                raise ParseError(f"bad top permutation {rest!r}", lineno, 1)
-        elif head.startswith("strand "):
-            idx_s = head[len("strand "):].strip()
-            if not idx_s.isdigit():
-                raise ParseError(f"bad strand index {idx_s!r}", lineno, 1)
-            idx = int(idx_s)
-            if idx in strands:
-                raise ParseError(f"duplicate strand {idx} line", lineno, 1)
-            evs = []
-            for tok in rest.split():
-                if len(tok) < 3 or tok[0] not in (OVER, UNDER) or \
-                        tok[-1] not in "+-" or not tok[1:-1].isdigit():
-                    raise ParseError(f"unknown code token {tok!r}", lineno, 1)
-                cid = int(tok[1:-1])
-                s = 1 if tok[-1] == "+" else -1
-                if signs.setdefault(cid, s) != s:
-                    raise ParseError(
-                        f"inconsistent signs for chord {cid}", lineno, 1)
-                evs.append((tok[0], cid))
-            strands[idx] = evs
-        else:
-            raise ParseError(f"unknown keyword {head!r}", lineno, 1)
-    if n is None:
-        raise ParseError("missing 'strands:' line", 1, 1)
-    if top is None:
-        top = tuple(range(1, n + 1))
-    missing = [i for i in range(1, n + 1) if i not in strands]
-    if missing:
-        raise ParseError(f"missing 'strand {missing[0]}:' line", 1, 1)
-    g = XCGaussDiagram(n, top, sorted(signs.items()),
-                       [strands[i] for i in range(1, n + 1)])
+
+    def event(tok, lineno, col):
+        if tok[0] not in (OVER, UNDER) or tok[-1] not in "+-" \
+                or not tok[1:-1].isdigit():
+            raise ParseError(f"unknown code token {tok!r}", lineno, col)
+        cid, s = int(tok[1:-1]), 1 if tok[-1] == "+" else -1
+        if signs.setdefault(cid, s) != s:
+            raise ParseError(f"inconsistent signs for chord {cid}", lineno, col)
+        return tok[0], cid
+
+    n, top, _, events = read_stanza(text, None, event)
+    g = XCGaussDiagram(n, top, sorted(signs.items()), events)
     validate_code(g)
     return g

@@ -48,6 +48,16 @@ def test_parse_error_exit_2(files, capsys):
     assert code == 2 and "line 1" in err
 
 
+@pytest.mark.parametrize("extra", ["strand 0:", "strand 2: O2+ U2+"])
+def test_code_strand_out_of_range_exit_2(files, capsys, extra):
+    tmp, _, _ = files
+    bad = tmp / "bad.txt"
+    bad.write_text(TREFOIL_CODE + extra + "\n")
+    for argv in (("validate", "--type", "code", str(bad)), ("lift", str(bad))):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "out of range" in err
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "canon", "/nonexistent/x.txt")
     assert code == 2 and "cannot read" in err

@@ -7,6 +7,8 @@ import pytest
 
 from xctangle.errors import ParseError, ValidationError
 from xctangle.gauss import (
+    OVER,
+    UNDER,
     XCGaussDiagram,
     braiding,
     canonical_key,
@@ -19,6 +21,7 @@ from xctangle.gauss import (
     tensor,
     validate,
 )
+from xctangle.polyak import parse_formula
 from xctangle.randomgen import random_diagram
 
 
@@ -114,8 +117,11 @@ def test_parse_reports_position():
 
 
 def test_parse_unsigned_requires_flag():
+    # an unsigned chord is a formula-template token, not a diagram token
     text = "strands: 1\nchords: 1:?\nstrand 1: O1 U1\n"
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse_diagram(text)
-    d, unsigned = parse_diagram(text, allow_unsigned=True)
-    assert unsigned == {1}
+    assert (exc.value.line, exc.value.column) == (2, 1)
+    (term,) = parse_formula("term 1\n" + text)
+    assert term.unsigned_chords == {1}
+    assert term.template.events == (((OVER, 1), (UNDER, 1)),)

@@ -2,11 +2,13 @@
 realization, scalar extraction, the size guardrail, and agreement of the
 depth-first walk with a plain loop over all assignments."""
 
+import gc
 import random
 from itertools import product
 
 import pytest
 
+from xctangle.acceptance import golden_codes
 from xctangle.algebra import (
     MatrixXCAlgebra,
     RingMatrix,
@@ -37,6 +39,7 @@ from xctangle.invariant import (
 )
 from xctangle.randomgen import random_diagram
 from xctangle.ring import Coefficient
+from xctangle.virtualt import lift
 
 ALG = builtin_uqsl2()
 
@@ -181,3 +184,20 @@ def test_zeval_equals_assignment_reference():
     for d_, a in cases:
         got, want = zeval(d_, a), _assignment_reference(d_, a)
         assert (got.value, got.sigma) == (want.value, want.sigma), d_
+
+
+def test_zeval_leaves_no_reference_cycles():
+    diagrams = [lift(g) for _, g in golden_codes()]
+    diagrams.append(parse_diagram(
+        "strands: 2\ntop: 2 1\nchords: 1:+ 2:-\n"
+        "strand 1: O1 D+ U2\nstrand 2: U1 O2 D-\n"))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for d in diagrams:
+            zeval(d, ALG)
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -230,6 +230,46 @@ def test_formula_text_round_trip():
     assert back[0].unsigned_chords == frozenset({1})
 
 
+def test_formula_text_round_trip_random():
+    rng = random.Random(107)
+    for _ in range(300):
+        d = random_diagram(rng, n=1, max_chords=3, max_diamonds=3)
+        events = [(k, 0) if k == "D" and rng.random() < 0.5 else (k, v)
+                  for k, v in d.events[0]]
+        unsigned = frozenset(c for c, _ in d.chords if rng.random() < 0.5)
+        # an unsigned chord reads back with sign +1
+        chords = [(c, 1 if c in unsigned else s) for c, s in d.chords]
+        template = XCGaussDiagram(1, (1,), chords, [events])
+        formula = [FormulaTerm(rng.randint(-3, 3), template, unsigned),
+                   FormulaTerm(1, identity(1))]
+        text = print_formula(formula)
+        assert parse_formula(text) == formula
+        assert print_formula(parse_formula(text)) == text
+
+
+FORMULA_GOLDEN = (
+    "term 2\nstrands: 1\ntop: 1\nchords: 1:?\nstrand 1: U1 O1\n\n"
+    "term -1\nstrands: 1\ntop: 1\nchords:\nstrand 1: D?\n\n"
+    "term 1\nstrands: 1\ntop: 1\nchords: 1:? 2:?\nstrand 1: O1 U2 U1 O2\n\n"
+    "term -3\nstrands: 1\ntop: 1\nchords: 3:? 7:-\n"
+    "strand 1: U3 D? O7 D+ O3 U7 D-\n\n"
+    "term 0\nstrands: 1\ntop: 1\nchords:\nstrand 1:\n")
+
+
+def test_print_formula_golden():
+    crossed = [(("O", 1), ("U", 2), ("U", 1), ("O", 2))]
+    mixed = [(("U", 3), ("D", 0), ("O", 7), ("D", 1), ("O", 3), ("U", 7),
+              ("D", -1))]
+    formula = framing_terms() + [
+        FormulaTerm(1, XCGaussDiagram(1, (1,), [(1, 1), (2, 1)], crossed),
+                    frozenset({1, 2})),
+        FormulaTerm(-3, XCGaussDiagram(1, (1,), [(7, -1), (3, 1)], mixed),
+                    frozenset({3})),
+        FormulaTerm(0, identity(1)),
+    ]
+    assert print_formula(formula) == FORMULA_GOLDEN
+
+
 def test_formula_terms_must_be_one_strand():
     with pytest.raises(ValidationError):
         FormulaTerm(1, identity(2))

@@ -2,12 +2,13 @@
 moves on codes, the bracket oracle, and the code text format."""
 
 import random
+import re
 
 import pytest
 
 from xctangle.acceptance import golden_codes
 from xctangle.algebra import builtin_uqsl2
-from xctangle.errors import NoSiteError, ValidationError
+from xctangle.errors import NoSiteError, ParseError, ValidationError
 from xctangle.gauss import DIAMOND, XCGaussDiagram, identity, print_diagram
 from xctangle.invariant import iota_realize, long_knot_scalar, zeval
 from xctangle.randomgen import random_code
@@ -265,3 +266,21 @@ def test_code_text_round_trip():
 def test_parse_code_rejects_sign_conflict():
     with pytest.raises(Exception):
         parse_code("strands: 1\nstrand 1: O1+ U1-\n")
+
+
+@pytest.mark.parametrize("extra", ["strand 2:", "strand 0:", "strand 2: O2+ U2+"])
+def test_parse_code_rejects_out_of_range_strand(extra):
+    with pytest.raises(ParseError, match="out of range"):
+        parse_code(f"strands: 1\nstrand 1: O1+ U1+\n{extra}\n")
+
+
+@pytest.mark.parametrize("line, message, column", [
+    ("strand 1: O1+ U1- O2+ U2+", "inconsistent signs for chord 1", 14),
+    ("strand 1: O1+ U1 O2+ U2+", "unknown code token 'U1'", 14),
+    ("strand 1: O1+ U1+ D+", "unknown code token 'D+'", 18),
+    ("chords: 1:+", "unknown keyword 'chords'", 1),
+])
+def test_parse_code_error_columns(line, message, column):
+    with pytest.raises(ParseError, match=re.escape(message)) as exc:
+        parse_code(f"strands: 1\n{line}\n")
+    assert (exc.value.line, exc.value.column) == (2, column)
