@@ -286,7 +286,7 @@ def parse_algebra(text: str) -> MatrixXCAlgebra:
             continue
         if line.startswith("dim:"):
             rest = line[4:].strip()
-            if not rest.isdigit() or int(rest) < 1:
+            if not rest.isdecimal() or int(rest) < 1:
                 raise ParseError(f"bad dimension {rest!r}", lineno, 5)
             d = int(rest)
             current = None

@@ -24,6 +24,7 @@ carries a line and a column.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -236,13 +237,13 @@ def print_diagram(d: XCGaussDiagram) -> str:
     return print_stanza(d, [chord_text(c, s) for c, s in d.chords], event_text)
 
 
-def parse_chord_token(tok: str, lineno: int) -> tuple[int, int]:
+def parse_chord_token(tok: str, lineno: int, col: int) -> tuple[int, int]:
     """One ``<id>:<+|->`` token of a ``chords:`` line."""
     cid, _, sgn = tok.partition(":")
-    if not cid.isdigit() or sgn not in ("+", "-", "?"):
-        raise ParseError(f"bad chord token {tok!r}", lineno, 1)
+    if not cid.isdecimal() or sgn not in ("+", "-", "?"):
+        raise ParseError(f"bad chord token {tok!r}", lineno, col)
     if sgn == "?":
-        raise ParseError(f"unsigned chord {tok!r} not allowed here", lineno, 1)
+        raise ParseError(f"unsigned chord {tok!r} not allowed here", lineno, col)
     return int(cid), 1 if sgn == "+" else -1
 
 
@@ -250,51 +251,51 @@ def parse_event_token(tok: str, lineno: int, col: int) -> Event:
     """One ``O<id>``, ``U<id>``, ``D+`` or ``D-`` token of a strand line."""
     if tok in ("D+", "D-"):
         return (DIAMOND, 1 if tok == "D+" else -1)
-    if tok[0] in (OVER, UNDER) and tok[1:].isdigit():
+    if tok[0] in (OVER, UNDER) and tok[1:].isdecimal():
         return (tok[0], int(tok[1:]))
     raise ParseError(f"unknown event token {tok!r}", lineno, col)
 
 
 def read_stanza(text: str, chord_token, event_token, first_line: int = 1):
     """Read one stanza, starting at line ``first_line``, into ``(n, top,
-    chords, events)``, unvalidated.  ``chord_token(tok, line)`` reads each
-    token of the ``chords:`` line into ``(id, sign)``; a format without
-    that line passes None.  ``event_token(tok, line, column)`` reads each
-    token of a ``strand i:`` line."""
+    chords, events)``, unvalidated.  ``chord_token(tok, line, column)``
+    reads each token of the ``chords:`` line into ``(id, sign)``; a format
+    without that line passes None.  ``event_token(tok, line, column)`` reads
+    each token of a ``strand i:`` line.  Columns are 1-based on the raw
+    line."""
     n = top = None
     chords: list[tuple[int, int]] = []
     strands: dict[int, list] = {}
     for lineno, raw in enumerate(text.splitlines(), start=first_line):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        if not line.strip():
             continue
         if ":" not in line:
             raise ParseError("expected '<keyword>: ...'", lineno, 1)
         head, _, rest = line.partition(":")
+        at = len(head) + 2  # the column just after the colon
+        toks = [(m.group(), at + m.start()) for m in re.finditer(r"\S+", rest)]
         head, rest = head.strip(), rest.strip()
         if head == "strands":
-            if not rest.isdigit():
-                raise ParseError(f"bad strand count {rest!r}", lineno, len(head) + 2)
+            if not rest.isdecimal():
+                raise ParseError(f"bad strand count {rest!r}", lineno, at)
             n = int(rest)
         elif head == "top":
             try:
                 top = tuple(int(t) for t in rest.split())
             except ValueError:
-                raise ParseError(f"bad top permutation {rest!r}", lineno, len(head) + 2)
+                raise ParseError(f"bad top permutation {rest!r}", lineno, at)
         elif head == "chords" and chord_token is not None:
-            chords += [chord_token(tok, lineno) for tok in rest.split()]
+            chords += [chord_token(tok, lineno, col) for tok, col in toks]
         elif head.startswith("strand "):
             idx_s = head[len("strand "):].strip()
-            if not idx_s.isdigit():
-                raise ParseError(f"bad strand index {idx_s!r}", lineno, 1)
+            if not idx_s.isdecimal():
+                col = line.index(idx_s, line.index("strand ") + 7) + 1
+                raise ParseError(f"bad strand index {idx_s!r}", lineno, col)
             idx = int(idx_s)
             if idx in strands:
                 raise ParseError(f"duplicate strand {idx} line", lineno, 1)
-            strands[idx] = evs = []
-            col = len(head) + 2
-            for tok in rest.split():
-                evs.append(event_token(tok, lineno, col))
-                col += len(tok) + 1
+            strands[idx] = [event_token(tok, lineno, col) for tok, col in toks]
         else:
             raise ParseError(f"unknown keyword {head!r}", lineno, 1)
     if n is None:

@@ -154,7 +154,7 @@ def parse_patterns(text: str) -> list[MovePattern]:
             side = "left" if line.startswith("frag ") else "right"
             body = line.split(" ", 1)[1]
             idx_s, _, rest = body.partition(":")
-            if not idx_s.strip().isdigit():
+            if not idx_s.strip().isdecimal():
                 raise ParseError(f"bad fragment index in {line!r}", lineno, 1)
             toks = []
             after_colon = raw.index(":") + 2  # 1-based column

@@ -362,16 +362,17 @@ def parse_formula(text: str) -> list[FormulaTerm]:
     validated."""
     unsigned: set[int] = set()
 
-    def chord(tok, lineno):
-        if tok.endswith(":?") and tok[:-2].isdigit():
+    def chord(tok, lineno, col):
+        if tok.endswith(":?") and tok[:-2].isdecimal():
             unsigned.add(int(tok[:-2]))
             return int(tok[:-2]), 1
-        return parse_chord_token(tok, lineno)
+        return parse_chord_token(tok, lineno, col)
 
     def event(tok, lineno, col):
         return (DIAMOND, 0) if tok == "D?" else parse_event_token(tok, lineno, col)
 
-    lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
+    raws = text.splitlines()
+    lines = [raw.split("#", 1)[0].strip() for raw in raws]
     heads = [i for i, line in enumerate(lines) if line.startswith("term ")]
     first = heads[0] if heads else len(lines)
     if any(lines[:first]):
@@ -384,7 +385,7 @@ def parse_formula(text: str) -> list[FormulaTerm]:
         except ValueError:
             raise ParseError(f"bad coefficient {body!r}", h + 1, 1)
         unsigned.clear()
-        stanza = "\n".join(lines[h + 1:end])
+        stanza = "\n".join(raws[h + 1:end])
         d = XCGaussDiagram(*read_stanza(stanza, chord, event, h + 2))
         out.append(FormulaTerm(coeff, d, frozenset(unsigned)))
     return out

@@ -86,6 +86,24 @@ class XCTangleGraph:
         return dict(self.vertices)
 
 
+def _strand(kind, by_source, start):
+    """Walk the strand that starts at the ``out`` vertex ``start``, going
+    straight through crossings: yield ``(vid, port, rot)`` for the target
+    and rotation of each of its edges, in order, ending at an ``in``
+    vertex.  ``by_source`` maps each source half-edge to ``(target,
+    rot)``."""
+    half = (start, 0)
+    for _ in range(len(by_source) + 1):
+        if half not in by_source:
+            raise ValidationError(f"dangling strand at {half}")
+        (vid, port), rot = by_source[half]
+        yield vid, port, rot
+        if kind[vid] == IN:
+            return
+        half = (vid, 1) if kind[vid] == BI else (vid, _THROUGH[port])
+    raise ValidationError("strand tracing does not terminate")
+
+
 def validate_tangle(t: XCTangleGraph) -> None:
     """Check structural invariants; raise ValidationError on the first
     violation.  In particular every strand (maximal directed path going
@@ -98,8 +116,8 @@ def validate_tangle(t: XCTangleGraph) -> None:
         if k not in _KINDS:
             raise ValidationError(f"vertex {vid} has unknown kind {k!r}")
         kind[vid] = k
-    by_source: dict[Half, tuple] = {}
-    by_target: dict[Half, tuple] = {}
+    by_source: dict[Half, tuple[Half, int]] = {}
+    by_target: dict[Half, int] = {}
     eids = set()
     for eid, src, dst, rot in t.edges:
         if eid in eids:
@@ -121,7 +139,7 @@ def validate_tangle(t: XCTangleGraph) -> None:
             raise ValidationError(f"two edges leave port {src}")
         if dst in by_target:
             raise ValidationError(f"two edges enter port {dst}")
-        by_source[src] = (eid, dst, rot)
+        by_source[src] = (dst, rot)
         by_target[dst] = eid
     # every port of every vertex must be used
     for vid, k in t.vertices:
@@ -144,25 +162,7 @@ def validate_tangle(t: XCTangleGraph) -> None:
             f"{len(outs)} strand starts but {len(ins)} strand ends"
         )
     # trace strands; count visited edges to detect closed components
-    visited = 0
-    for start in outs:
-        half = (start, 0)
-        guard = 0
-        while True:
-            if half not in by_source:
-                raise ValidationError(f"dangling strand at {half}")
-            _, (vid, port), _ = by_source[half]
-            visited += 1
-            k = kind[vid]
-            if k == IN:
-                break
-            if k == BI:
-                half = (vid, 1)
-            else:
-                half = (vid, _THROUGH[port])
-            guard += 1
-            if guard > 2 * len(t.edges) + 2:
-                raise ValidationError("strand tracing does not terminate")
+    visited = sum(1 for start in outs for _ in _strand(kind, by_source, start))
     if visited != len(t.edges):
         raise ValidationError("closed component: some edges lie on no strand")
 
@@ -180,24 +180,18 @@ def to_gauss(t: XCTangleGraph) -> XCGaussDiagram:
     ends = []
     for start in t.out_order:
         ev = []
-        half = (start, 0)
-        while True:
-            (vid, port), rot = by_source[half]
+        for vid, port, rot in _strand(kind, by_source, start):
             if rot:
                 ev.append((DIAMOND, rot))
             k = kind[vid]
             if k == IN:
                 ends.append(vid)
-                break
-            if k == BI:
-                half = (vid, 1)
-                continue
-            if vid not in chord_of:
-                chord_of[vid] = len(chord_of) + 1
-                chords.append((chord_of[vid], 1 if k == XPOS else -1))
-            is_over = (k == XPOS and port == 0) or (k == XNEG and port == 1)
-            ev.append((OVER if is_over else UNDER, chord_of[vid]))
-            half = (vid, _THROUGH[port])
+            elif k != BI:
+                if vid not in chord_of:
+                    chord_of[vid] = len(chord_of) + 1
+                    chords.append((chord_of[vid], 1 if k == XPOS else -1))
+                is_over = (k == XPOS and port == 0) or (k == XNEG and port == 1)
+                ev.append((OVER if is_over else UNDER, chord_of[vid]))
         events.append(tuple(ev))
     in_pos = {vid: i + 1 for i, vid in enumerate(t.in_order)}
     top = [in_pos[v] for v in ends]
@@ -298,17 +292,9 @@ def action_merge(t: XCTangleGraph, parts: Sequence[int]) -> XCTangleGraph:
     next_eid = 1 + max((e for e, _, _, _ in edges), default=0)
     # end vertex of each strand in bottom order, found by tracing
     kind = t.kind
-    by_source = {src: dst for _, src, dst, _ in t.edges}
-    ends = []
-    for start in t.out_order:
-        half = (start, 0)
-        while True:
-            vid, port = by_source[half]
-            k = kind[vid]
-            if k == IN:
-                ends.append(vid)
-                break
-            half = (vid, 1) if k == BI else (vid, _THROUGH[port])
+    by_source = {src: (dst, rot) for _, src, dst, rot in t.edges}
+    ends = [list(_strand(kind, by_source, start))[-1][0]
+            for start in t.out_order]
     replace: dict[Half, Half] = {}
     drop: set[int] = set()
     new_out = []
@@ -387,7 +373,7 @@ def parse_tangle(text: str) -> XCTangleGraph:
         rest = rest.strip()
         if head.startswith("vertex "):
             vid_s = head[len("vertex "):].strip()
-            if not vid_s.isdigit() or rest not in _KINDS:
+            if not vid_s.isdecimal() or rest not in _KINDS:
                 raise ParseError(f"bad vertex line {line!r}", lineno, 1)
             vertices.append((int(vid_s), rest))
         elif head.startswith("edge "):

@@ -10,7 +10,11 @@ nothing records rotation.  This module provides
   rotational diagram of the upright planar realization of the code;
 * classical oracles: ``writhe``, ``rotation_total`` and the Kauffman-bracket
   state sum ``bracket_oracle``;
-* ``random_move_on_code`` -- apply one random classical framed move;
+* ``random_move_on_code`` -- apply one random classical framed move; its
+  R2 and R3 are the diamond-free ``G2`` and ``G3`` sites of
+  :mod:`~xctangle.moves` (Goussarov, Polyak and Viro, "Finite type
+  invariants of classical and virtual knots", 2000), so codes and
+  diagrams share one move engine;
 * a text format for signed codes: the diagram stanza of :mod:`~xctangle.gauss`
   with no ``chords:`` line, and ``O<id><+|->`` / ``U<id><+|->`` tokens
   carrying the sign at both endpoints.
@@ -59,6 +63,7 @@ import random
 from .errors import NoSiteError, NonScalarError, ParseError, ValidationError
 from .gauss import (DIAMOND, OVER, UNDER, XCGaussDiagram, print_stanza,
                     read_stanza, validate)
+from .moves import MoveSite, apply, builtin_patterns, find_sites, random_site
 from .ring import Coefficient
 
 #: Structural alias: a signed Gauss code is a diamond-free diagram.
@@ -269,159 +274,59 @@ def bracket_oracle(g: SignedGaussCode) -> Coefficient:
 # -- random classical framed moves ------------------------------------
 
 
-def _remove_events(g, marks):
-    ev = []
-    for s, e in enumerate(g.events):
-        ev.append(tuple(x for p, x in enumerate(e) if (s, p) not in marks))
-    return ev
-
-
-def _strip_chords(g, ev, gone):
-    chords = [(c, s) for c, s in g.chords if c not in gone]
-    return XCGaussDiagram(g.n, g.top, chords, ev)
-
-
-def _adj_blocks(g):
-    """Adjacent distinct-chord event pairs, keyed by endpoint kinds."""
-    oo, uu, ou, uo = {}, {}, {}, {}
-    for s, e in enumerate(g.events):
-        for p in range(len(e) - 1):
-            (k1, v1), (k2, v2) = e[p], e[p + 1]
-            if k1 == DIAMOND or k2 == DIAMOND or v1 == v2:
-                continue
-            d = {"OO": oo, "UU": uu, "OU": ou, "UO": uo}[k1 + k2]
-            d[(v1, v2)] = (s, p)
-    return oo, uu, ou, uo
-
-
-def _find_r2(g):
-    """First parallel opposite-sign pair: blocks [Oa Ob] and [Ua Ub]."""
-    sign = g.chord_sign
-    oo, uu, _, _ = _adj_blocks(g)
-    for (a, b), op in sorted(oo.items()):
-        if sign[a] == -sign[b] and (a, b) in uu:
-            return a, b, op, uu[(a, b)]
-    return None
-
-
-def _triangles(g):
-    """All triangle configurations on three positive chords, either side.
-    Left side: blocks [Ob Oa] [Oc Ua] [Uc Ub]; right side: [Oa Ob] [Ua Oc]
-    [Ub Uc]."""
-    sign = g.chord_sign
-    oo, uu, ou, uo = _adj_blocks(g)
-    out = []
-    for (b, a), p1 in sorted(oo.items()):
-        if sign.get(a) != 1 or sign.get(b) != 1:
-            continue
-        for (c, a2), p2 in sorted(ou.items()):
-            if a2 != a or sign.get(c) != 1 or c in (a, b):
-                continue
-            p3 = uu.get((c, b))
-            if p3 is not None:
-                out.append(("L", (a, b, c), p1, p2, p3))
-    for (a, b), p1 in sorted(oo.items()):
-        if sign.get(a) != 1 or sign.get(b) != 1:
-            continue
-        for (a2, c), p2 in sorted(uo.items()):
-            if a2 != a or sign.get(c) != 1 or c in (a, b):
-                continue
-            p3 = uu.get((b, c))
-            if p3 is not None:
-                out.append(("R", (a, b, c), p1, p2, p3))
-    return out
-
-
-def _tri_frags(side, abc):
-    a, b, c = abc
-    if side == "L":
-        return (((OVER, b), (OVER, a)), ((OVER, c), (UNDER, a)),
-                ((UNDER, c), (UNDER, b)))
-    return (((OVER, a), (OVER, b)), ((UNDER, a), (OVER, c)),
-            ((UNDER, b), (UNDER, c)))
-
-
-def _apply_triangle(g, tri):
-    side, abc, (s1, p1), (s2, p2), (s3, p3) = tri
-    other = "R" if side == "L" else "L"
-    frs = _tri_frags(other, abc)
-    ev = [list(e) for e in g.events]
-    for (s, p), (x, y) in zip(((s1, p1), (s2, p2), (s3, p3)), frs):
-        ev[s][p], ev[s][p + 1] = x, y
-    return XCGaussDiagram(g.n, g.top, g.chords, [tuple(e) for e in ev])
-
-
-def _fresh_ids(g, m):
-    mx = max((c for c, _ in g.chords), default=0)
-    return list(range(mx + 1, mx + 1 + m))
-
-
-def _insert_frag(g, strand, p, frag, extra_chords=()):
-    ev = [list(e) for e in g.events]
-    ev[strand][p:p] = frag
-    return XCGaussDiagram(g.n, g.top, list(g.chords) + list(extra_chords),
-                          [tuple(e) for e in ev])
-
-
 def random_move_on_code(g: SignedGaussCode, kind: str,
                         rng: random.Random | None = None) -> SignedGaussCode:
     """Apply one random classical framed Gauss-code move.
 
     ``kind`` is one of:
 
-    * ``"R1f"`` -- insert (or, at an existing site, delete) a canceling
-      pair of opposite-sign kinks;
-    * ``"R2"``  -- insert or delete a parallel opposite-sign chord pair;
-    * ``"R3"``  -- rewrite an existing triangle of three positive chords
-      to the other side of the braid-like rearrangement;
+    * ``"R1f"`` -- insert a canceling pair of opposite-sign kinks;
+    * ``"R2"``  -- delete the first parallel opposite-sign chord pair, or
+      insert one: a ``G2`` site of :mod:`~xctangle.moves`;
+    * ``"R3"``  -- rewrite a random triangle of three positive chords to
+      the other side: a ``G3`` site of :mod:`~xctangle.moves`;
     * ``"reorder"`` -- renumber chord ids (a representation change).
+
+    On a diamond-free diagram ``G2`` and ``G3`` are the Reidemeister moves
+    R2 and R3 of signed codes, so both run on the move engine.
 
     Raises :class:`NoSiteError` when the requested move has no site.
     """
     validate_code(g)
     rng = rng or random.Random(0)
     if kind == "R1f":
-        a, b = _fresh_ids(g, 2)
-        s1 = rng.randrange(g.n) if g.n else 0
-        s2 = rng.randrange(g.n) if g.n else 0
         if g.n == 0:
             raise NoSiteError("no strand to host a kink pair")
+        a = 1 + max((c for c, _ in g.chords), default=0)
+        s1, s2 = rng.randrange(g.n), rng.randrange(g.n)
         p1 = rng.randint(0, len(g.events[s1]))
         p2 = rng.randint(0, len(g.events[s2]))
         f1 = [(OVER, a), (UNDER, a)] if rng.random() < 0.5 else \
             [(UNDER, a), (OVER, a)]
-        f2 = [(OVER, b), (UNDER, b)] if rng.random() < 0.5 else \
-            [(UNDER, b), (OVER, b)]
-        out = _insert_frag(g, s1, p1, f1, [(a, 1)])
+        f2 = [(OVER, a + 1), (UNDER, a + 1)] if rng.random() < 0.5 else \
+            [(UNDER, a + 1), (OVER, a + 1)]
         if s1 == s2 and p2 >= p1:
             p2 += 2
-        return _insert_frag(out, s2, p2, f2, [(b, -1)])
+        ev = [list(e) for e in g.events]
+        ev[s1][p1:p1] = f1
+        ev[s2][p2:p2] = f2
+        return XCGaussDiagram(g.n, g.top, [*g.chords, (a, 1), (a + 1, -1)], ev)
     if kind == "R2":
-        site = _find_r2(g)
-        if site is not None and rng.random() < 0.5:
-            a, b, (s1, p1), (s2, p2) = site
-            marks = {(s1, p1), (s1, p1 + 1), (s2, p2), (s2, p2 + 1)}
-            return _strip_chords(g, _remove_events(g, marks), {a, b})
+        pairs = [s for s in find_sites(g, "G2") if s.side == "L"]
+        if pairs and rng.random() < 0.5:
+            return apply(g, pairs[0])
         if g.n == 0:
             raise NoSiteError("no strand to host a parallel pair")
-        a, b = _fresh_ids(g, 2)
         eps = rng.choice([1, -1])
         s1, s2 = rng.randrange(g.n), rng.randrange(g.n)
         p1 = rng.randint(0, len(g.events[s1]))
         p2 = rng.randint(0, len(g.events[s2]))
-        extra = [(a, eps), (b, -eps)]
-        if s1 == s2:
-            if p2 < p1:
-                p1, p2 = p2, p1
-            out = _insert_frag(g, s1, p1, [(OVER, a), (OVER, b)], extra)
-            return _insert_frag(out, s1, p2 + 2, [(UNDER, a), (UNDER, b)])
-        out = _insert_frag(g, s1, p1, [(OVER, a), (OVER, b)], extra)
-        return _insert_frag(out, s2, p2, [(UNDER, a), (UNDER, b)])
+        if s1 == s2 and p2 < p1:
+            p1, p2 = p2, p1
+        pattern = next(p for p in builtin_patterns() if p.kind == "G2")
+        return apply(g, MoveSite(pattern, "R", ((s1, p1), (s2, p2)), (), eps))
     if kind == "R3":
-        tris = _triangles(g)
-        if not tris:
-            raise NoSiteError("no triangle configuration in the code")
-        return _apply_triangle(g, rng.choice(tris))
+        return apply(g, random_site(g, "G3", rng))
     if kind == "reorder":
         ids = [c for c, _ in g.chords]
         if not ids:
@@ -455,7 +360,7 @@ def parse_code(text: str) -> SignedGaussCode:
 
     def event(tok, lineno, col):
         if tok[0] not in (OVER, UNDER) or tok[-1] not in "+-" \
-                or not tok[1:-1].isdigit():
+                or not tok[1:-1].isdecimal():
             raise ParseError(f"unknown code token {tok!r}", lineno, col)
         cid, s = int(tok[1:-1]), 1 if tok[-1] == "+" else -1
         if signs.setdefault(cid, s) != s:

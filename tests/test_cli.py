@@ -58,6 +58,20 @@ def test_code_strand_out_of_range_exit_2(files, capsys, extra):
         assert code == 2 and "out of range" in err
 
 
+@pytest.mark.parametrize("kind, text", [
+    ("diagram", "strands: ²\n"),
+    ("code", "strands: 1\nstrand 1: O¹+ U¹+\n"),
+    ("tangle", "vertex ²: out\n"),
+    ("algebra", "dim: ²\n"),
+    ("formula", "term 1\nstrands: 1\nchords: ²:?\nstrand 1:\n"),
+])
+def test_superscript_digit_exit_2(tmp_path, capsys, kind, text):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text, encoding="utf-8")
+    code, _, err = run(capsys, "validate", "--type", kind, str(bad))
+    assert code == 2 and "parse error: line" in err
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "canon", "/nonexistent/x.txt")
     assert code == 2 and "cannot read" in err

@@ -113,7 +113,19 @@ def test_text_round_trip_random():
 def test_parse_reports_position():
     with pytest.raises(ParseError) as exc:
         parse_diagram("strands: 1\nstrand 1: O1 X9\n")
-    assert exc.value.line == 2
+    assert (exc.value.line, exc.value.column) == (2, 14)
+
+
+@pytest.mark.parametrize("line, column", [
+    ("  strand 1:  O1   X9  # note", 19),
+    ("strand x: O1 U1", 8),
+    ("chords: 1:+  2:x", 14),
+    (" strands: ²", 10),
+])
+def test_parse_columns_on_raw_line(line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_diagram(f"strands: 1\n{line}\n")
+    assert (exc.value.line, exc.value.column) == (2, column)
 
 
 def test_parse_unsigned_requires_flag():
@@ -121,7 +133,7 @@ def test_parse_unsigned_requires_flag():
     text = "strands: 1\nchords: 1:?\nstrand 1: O1 U1\n"
     with pytest.raises(ParseError) as exc:
         parse_diagram(text)
-    assert (exc.value.line, exc.value.column) == (2, 1)
+    assert (exc.value.line, exc.value.column) == (2, 9)
     (term,) = parse_formula("term 1\n" + text)
     assert term.unsigned_chords == {1}
     assert term.template.events == (((OVER, 1), (UNDER, 1)),)

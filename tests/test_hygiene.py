@@ -1,0 +1,64 @@
+"""Code hygiene of the package: no private helper without a caller, and no
+import that a module does not use."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).parent.parent / "src" / "xctangle"
+
+
+def _modules():
+    return {p.name: ast.parse(p.read_text(), filename=str(p))
+            for p in sorted(SRC.glob("*.py"))}
+
+
+def _names(node, skip=None):
+    """Every name read in ``node``, as a bare name or an attribute, leaving
+    out the subtree ``skip``."""
+    out = set()
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        if cur is skip:
+            continue
+        if isinstance(cur, ast.Name):
+            out.add(cur.id)
+        elif isinstance(cur, ast.Attribute):
+            out.add(cur.attr)
+        stack.extend(ast.iter_child_nodes(cur))
+    return out
+
+
+def test_every_private_helper_has_a_caller():
+    modules = _modules()
+    unused = []
+    for name, tree in modules.items():
+        others = set()
+        for other, t in modules.items():
+            if other != name:
+                others |= _names(t)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            if node.name not in others | _names(tree, skip=node):
+                unused.append(f"{name}: {node.name}")
+    assert unused == []
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__.py":  # re-exports the public names
+            continue
+        used = _names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}: {bound}")
+    assert unused == []

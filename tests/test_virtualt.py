@@ -3,6 +3,7 @@ moves on codes, the bracket oracle, and the code text format."""
 
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -11,11 +12,10 @@ from xctangle.algebra import builtin_uqsl2
 from xctangle.errors import NoSiteError, ParseError, ValidationError
 from xctangle.gauss import DIAMOND, XCGaussDiagram, identity, print_diagram
 from xctangle.invariant import iota_realize, long_knot_scalar, zeval
+from xctangle.moves import apply, find_sites
 from xctangle.randomgen import random_code
 from xctangle.ring import Coefficient
 from xctangle.virtualt import (
-    _apply_triangle,
-    _triangles,
     bracket_oracle,
     forget,
     lift,
@@ -92,6 +92,25 @@ def test_r3_requires_triangle():
     moved = random_move_on_code(tri, "R3", random.Random(0))
     assert writhe(moved) == 3 and len(moved.chords) == 3
     assert moved != tri
+
+
+def test_code_move_sampler_golden():
+    # R1f, R3 and reorder on seeded codes, and the next draw of the rng
+    out = []
+    for seed in range(42):
+        kind = ("R1f", "R3", "reorder")[seed % 3]
+        rng = random.Random(seed)
+        while True:
+            g = random_code(rng, n=rng.randrange(1, 4), max_chords=3)
+            try:
+                moved = random_move_on_code(g, kind, rng)
+            except NoSiteError:
+                continue
+            break
+        out.append(f"case {seed} {kind} next {rng.getrandbits(32)}\n"
+                   + print_code(g) + "moved:\n" + print_code(moved))
+    golden = Path(__file__).parent / "golden" / "code_moves.txt"
+    assert "".join(out) == golden.read_text()
 
 
 def test_move_invariance_of_lifted_value():
@@ -187,11 +206,11 @@ def test_bracket_matches_lifted_scalar():
 
 
 def _triangle_twist(lifted, g, site):
-    """Diamonds of ``lifted`` inside the three blocks of a triangle site of
+    """Diamonds of ``lifted`` inside the three blocks of a G3 site of
     ``g``, counted +, -, + by block.  No G0 gauge changes it, and G3
     applies only where it is zero."""
     total = 0
-    for sgn, (s, p) in zip((1, -1, 1), site[2:]):
+    for sgn, (s, p) in zip((1, -1, 1), site.locs):
         ev = lifted.events[s]
         i, j = ev.index(g.events[s][p]), ev.index(g.events[s][p + 1])
         total += sgn * sum(v for k, v in ev[i + 1:j] if k == DIAMOND)
@@ -227,12 +246,12 @@ def test_r3_keeps_lifted_value_at_untwisted_triangles():
     untwisted = 0
     for g in classical + _triangle_codes(random.Random(97), 60):
         lifted = lift(g)
-        for site in _triangles(g):
+        for site in find_sites(g, "G3"):
             if _triangle_twist(lifted, g, site):
                 assert g not in classical, print_code(g)
                 continue
             untwisted += 1
-            moved = lift(_apply_triangle(g, site))
+            moved = lift(apply(g, site))
             assert iota_realize(zeval(lifted, ALG)) == \
                 iota_realize(zeval(moved, ALG)), print_code(g)
     assert untwisted >= 40
@@ -275,9 +294,9 @@ def test_parse_code_rejects_out_of_range_strand(extra):
 
 
 @pytest.mark.parametrize("line, message, column", [
-    ("strand 1: O1+ U1- O2+ U2+", "inconsistent signs for chord 1", 14),
-    ("strand 1: O1+ U1 O2+ U2+", "unknown code token 'U1'", 14),
-    ("strand 1: O1+ U1+ D+", "unknown code token 'D+'", 18),
+    ("strand 1: O1+ U1- O2+ U2+", "inconsistent signs for chord 1", 15),
+    ("strand 1: O1+ U1 O2+ U2+", "unknown code token 'U1'", 15),
+    ("strand 1: O1+ U1+ D+", "unknown code token 'D+'", 19),
     ("chords: 1:+", "unknown keyword 'chords'", 1),
 ])
 def test_parse_code_error_columns(line, message, column):
