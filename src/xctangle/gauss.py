@@ -25,6 +25,7 @@ carries a line and a column.
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -168,6 +169,27 @@ def is_pure(d: XCGaussDiagram) -> bool:
     return all(d.top[i] == i + 1 for i in range(d.n))
 
 
+#: The tuples that renumbered diagrams share, indexed by chord id ``c``:
+#: ``_SHARED_EVENTS[k][c] == (k, c)`` for k in O, U and
+#: ``_SHARED_CHORDS[s][c] == (c, s)`` for s = ±1.  The tables only grow,
+#: under ``_GROW_LOCK``, so an entry never changes once written.
+_SHARED_EVENTS: dict[str, list[Event]] = {OVER: [], UNDER: []}
+_SHARED_CHORDS: dict[int, list[tuple[int, int]]] = {1: [], -1: []}
+_GROW_LOCK = threading.Lock()
+
+
+def _grow_shared(size: int) -> None:
+    """Extend every shared table to at least ``size`` entries."""
+    with _GROW_LOCK:
+        for kind, table in _SHARED_EVENTS.items():
+            table.extend([(kind, c) for c in range(len(table), size)])
+        for s, table in _SHARED_CHORDS.items():
+            table.extend([(c, s) for c in range(len(table), size)])
+
+
+_grow_shared(64)
+
+
 def renumbered(n: int, top: tuple[int, ...], sign: dict[int, int],
                events) -> XCGaussDiagram:
     """The diagram on ``n`` strands with this ``top``, these event lists
@@ -177,22 +199,37 @@ def renumbered(n: int, top: tuple[int, ...], sign: dict[int, int],
     The renumbering and the construction are one pass.  Every value is
     taken as an int already, as in the fields of a built diagram, so
     nothing is converted or re-sorted: the chords come out in renumbered
-    order.
+    order.  Chord events and ±1-signed chords are the shared tuples of
+    the module's tables, equal to the ones they stand for, so diagrams
+    built here hold one object per (kind, id) and per (id, sign); diamond
+    events are kept as given, and a chord of any other sign is a new tuple
+    that :func:`validate` rejects.
     """
+    overs, unders = _SHARED_EVENTS[OVER], _SHARED_EVENTS[UNDER]
     mapping: dict[int, int] = {}
     rows = []
     for ev in events:
         row = []
         for e in ev:
-            if e[0] == OVER or e[0] == UNDER:
-                e = (e[0], mapping.setdefault(e[1], len(mapping) + 1))
+            kind = e[0]
+            if kind == OVER or kind == UNDER:
+                c = mapping.get(e[1])
+                if c is None:
+                    c = mapping[e[1]] = len(mapping) + 1
+                    if c >= len(overs):
+                        _grow_shared(2 * c)
+                e = overs[c] if kind == OVER else unders[c]
             row.append(e)
         rows.append(tuple(row))
+    chords = []
+    for old, new in mapping.items():
+        s = sign[old]
+        table = _SHARED_CHORDS.get(s)
+        chords.append(table[new] if table is not None else (new, s))
     d = object.__new__(XCGaussDiagram)
     object.__setattr__(d, "n", n)
     object.__setattr__(d, "top", top)
-    object.__setattr__(
-        d, "chords", tuple((new, sign[old]) for old, new in mapping.items()))
+    object.__setattr__(d, "chords", tuple(chords))
     object.__setattr__(d, "events", tuple(rows))
     return d
 
@@ -281,10 +318,9 @@ def read_stanza(text: str, chord_token, event_token, first_line: int = 1):
                 raise ParseError(f"bad strand count {rest!r}", lineno, at)
             n = int(rest)
         elif head == "top":
-            try:
-                top = tuple(int(t) for t in rest.split())
-            except ValueError:
+            if not all(tok.isdecimal() for tok, _ in toks):
                 raise ParseError(f"bad top permutation {rest!r}", lineno, at)
+            top = tuple(int(tok) for tok, _ in toks)
         elif head == "chords" and chord_token is not None:
             chords += [chord_token(tok, lineno, col) for tok, col in toks]
         elif head.startswith("strand "):

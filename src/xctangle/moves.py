@@ -188,14 +188,10 @@ def builtin_patterns() -> list[MovePattern]:
 # -- matching ----------------------------------------------------------
 
 
-def _instantiate(frag, assign, eps):
-    out = []
-    for kind, val in frag:
-        if kind == DIAMOND:
-            out.append((kind, val))
-        else:
-            out.append((kind, assign[val]))
-    return out
+def _instantiate(frag, assign):
+    """The fragment's events: a diamond token is its own event."""
+    return [tok if tok[0] == DIAMOND else (tok[0], assign[tok[1]])
+            for tok in frag]
 
 
 def _match_run(events, s, start, frag, assign, sign, pattern, eps):
@@ -345,7 +341,7 @@ def _rewrite(d, site, assign):
         key=lambda j: (j[0][0], -j[0][1], 0 if len(j[1]) else 1),
     )
     for (s, p), frag, rep in jobs:
-        ev[s][p:p + len(frag)] = _instantiate(rep, assign, site.eps)
+        ev[s][p:p + len(frag)] = _instantiate(rep, assign)
     return ev, sign
 
 
@@ -425,9 +421,12 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     member of size s skips a whole (pattern, side) when s plus that change
     exceeds ``max_size``; the search is then truncated if the side has a
     site, and no diagram is built.  Every other site is rewritten straight
-    to its canonical diagram (:func:`gauss.renumbered`), which is validated
-    once.  Members are valid canonical diagrams, so they are searched for
-    sites without being validated again.
+    to its canonical diagram (:func:`gauss.renumbered`), whose event and
+    chord tuples are shared with the other members.  Each candidate is
+    hashed once, by adding it to the members; each new member is validated
+    once, and a duplicate equals a member already validated.  Members are
+    valid canonical diagrams, so they are searched for sites without being
+    validated again.
     """
     if max_depth <= 0 or max_size <= 0:
         raise ValidationError("orbit budgets must be positive")
@@ -449,9 +448,10 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
                 for site in _side_sites(cur, pattern, side):
                     ev, sign = _rewrite(cur, site, dict(site.assign))
                     key = renumbered(cur.n, cur.top, sign, ev)
-                    validate(key)
-                    if key not in seen:
-                        seen.add(key)
+                    known = len(seen)
+                    seen.add(key)
+                    if len(seen) > known:
+                        validate(key)
                         nxt.append(key)
         frontier = nxt
         if not frontier:
@@ -475,7 +475,7 @@ def open_sides(pattern: MovePattern, eps: int
             for letter, _ in pattern.vars}
 
     def side(frags):
-        events = [_instantiate(f, assign, eps) for f in frags]
+        events = [_instantiate(f, assign) for f in frags]
         present = {v for e in events for k, v in e if k != DIAMOND}
         k = len(frags)
         return XCGaussDiagram(k, tuple(range(1, k + 1)),

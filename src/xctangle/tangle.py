@@ -381,23 +381,24 @@ def parse_tangle(text: str) -> XCTangleGraph:
             try:
                 halves, rot_s = rest.rsplit("rot=", 1)
                 src_s, dst_s = halves.split("->")
-                a, pa = src_s.strip().split(".")
-                b, pb = dst_s.strip().split(".")
-                edges.append(
-                    (int(eid_s), (int(a), int(pa)), (int(b), int(pb)), int(rot_s))
-                )
+                a, pa = src_s.split(".")
+                b, pb = dst_s.split(".")
             except ValueError:
                 raise ParseError(f"bad edge line {line!r}", lineno, 1)
-        elif head == "outorder":
-            try:
-                out_order = [int(v) for v in rest.split()]
-            except ValueError:
-                raise ParseError(f"bad outorder {rest!r}", lineno, 1)
-        elif head == "inorder":
-            try:
-                in_order = [int(v) for v in rest.split()]
-            except ValueError:
-                raise ParseError(f"bad inorder {rest!r}", lineno, 1)
+            *ids, rot_s = (t.strip() for t in (eid_s, a, pa, b, pb, rot_s))
+            if not all(t.isdecimal() for t in ids) or \
+                    not rot_s.removeprefix("-").isdecimal():
+                raise ParseError(f"bad edge line {line!r}", lineno, 1)
+            eid, a, pa, b, pb = map(int, ids)
+            edges.append((eid, (a, pa), (b, pb), int(rot_s)))
+        elif head in ("outorder", "inorder"):
+            vids = rest.split()
+            if not all(v.isdecimal() for v in vids):
+                raise ParseError(f"bad {head} {rest!r}", lineno, 1)
+            if head == "outorder":
+                out_order = [int(v) for v in vids]
+            else:
+                in_order = [int(v) for v in vids]
         else:
             raise ParseError(f"unknown keyword {head!r}", lineno, 1)
     if out_order is None or in_order is None:

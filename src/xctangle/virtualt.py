@@ -63,7 +63,8 @@ import random
 from .errors import NoSiteError, NonScalarError, ParseError, ValidationError
 from .gauss import (DIAMOND, OVER, UNDER, XCGaussDiagram, print_stanza,
                     read_stanza, validate)
-from .moves import MoveSite, apply, builtin_patterns, find_sites, random_site
+from .moves import (MoveSite, _find_matches, apply, builtin_patterns,
+                    random_site)
 from .ring import Coefficient
 
 #: Structural alias: a signed Gauss code is a diamond-free diagram.
@@ -312,9 +313,10 @@ def random_move_on_code(g: SignedGaussCode, kind: str,
         ev[s2][p2:p2] = f2
         return XCGaussDiagram(g.n, g.top, [*g.chords, (a, 1), (a + 1, -1)], ev)
     if kind == "R2":
-        pairs = [s for s in find_sites(g, "G2") if s.side == "L"]
-        if pairs and rng.random() < 0.5:
-            return apply(g, pairs[0])
+        g2 = [p for p in builtin_patterns() if p.kind == "G2"]
+        pair = next((s for p in g2 for s in _find_matches(g, p, "L")), None)
+        if pair is not None and rng.random() < 0.5:
+            return apply(g, pair)
         if g.n == 0:
             raise NoSiteError("no strand to host a parallel pair")
         eps = rng.choice([1, -1])
@@ -323,8 +325,7 @@ def random_move_on_code(g: SignedGaussCode, kind: str,
         p2 = rng.randint(0, len(g.events[s2]))
         if s1 == s2 and p2 < p1:
             p1, p2 = p2, p1
-        pattern = next(p for p in builtin_patterns() if p.kind == "G2")
-        return apply(g, MoveSite(pattern, "R", ((s1, p1), (s2, p2)), (), eps))
+        return apply(g, MoveSite(g2[0], "R", ((s1, p1), (s2, p2)), (), eps))
     if kind == "R3":
         return apply(g, random_site(g, "G3", rng))
     if kind == "reorder":

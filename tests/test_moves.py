@@ -197,6 +197,10 @@ def test_orbit_equals_reference_loop():
                 d = random_diagram(rng, n=n, max_chords=2, max_diamonds=2)
                 want = reference_orbit(d, depth, size)
                 assert M.orbit(d, depth, size) == want, (n, depth, size)
+    # the budget of `xct moves orbit`, on a kink with a diamond: both
+    # fragments of a G2 insertion can land in one slot
+    d = random_diagram(random.Random(0), n=1, max_chords=2, max_diamonds=2)
+    assert M.orbit(d, 2, 6) == reference_orbit(d, 2, 6)
 
 
 def test_size_change_is_exact_at_every_site():

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from xctangle.errors import ParseError, ValidationError
-from xctangle.gauss import XCGaussDiagram, canonical_key, identity
+from xctangle.gauss import (XCGaussDiagram, canonical_key, identity,
+                            parse_diagram)
 from xctangle.randomgen import random_diagram
 from xctangle.tangle import (
     IN,
@@ -112,3 +113,35 @@ def test_merge_part_sum_mismatch():
 def test_parse_tangle_error_position():
     with pytest.raises(ParseError):
         parse_tangle("vertex 1: zig\n")
+
+
+KINK_TANGLE = """vertex 1: out
+vertex 2: x+
+vertex 3: in
+edge 1: 1.0 -> 2.0 rot=0
+edge 2: 2.3 -> 2.1 rot=1
+edge 3: 2.2 -> 3.0 rot=-1
+outorder: 1
+inorder: 3
+"""
+
+
+@pytest.mark.parametrize("read, text, line, column", [
+    (parse_diagram, "strands: 1\ntop: +1\nstrand 1:\n", 2, 5),
+    (parse_tangle, KINK_TANGLE.replace("edge 1:", "edge 1_0:"), 4, 1),
+    (parse_tangle, KINK_TANGLE.replace("2.3 ->", "+2.3 ->"), 5, 1),
+    (parse_tangle, KINK_TANGLE.replace("rot=0", "rot=+0"), 4, 1),
+    (parse_tangle, KINK_TANGLE.replace("rot=-1", "rot=-0_1"), 6, 1),
+    (parse_tangle, KINK_TANGLE.replace("outorder: 1", "outorder: +1"), 7, 1),
+    (parse_tangle, KINK_TANGLE.replace("inorder: 3", "inorder: 0_3"), 8, 1),
+], ids=["top+1", "edge1_0", "port+2", "rot+0", "rot-0_1", "outorder+1",
+        "inorder0_3"])
+def test_readers_take_only_decimal_numbers(read, text, line, column):
+    # int() reads every one of these; no printer writes them
+    with pytest.raises(ParseError) as exc:
+        read(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+def test_kink_tangle_reads():
+    assert print_tangle(parse_tangle(KINK_TANGLE)) == KINK_TANGLE
