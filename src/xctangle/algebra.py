@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionError, ParseError
-from .gauss import XCGaussDiagram
+from .gauss import XCGaussDiagram, is_decimal
 from .moves import builtin_patterns, open_sides
 from .ring import LAURENT, RATIONAL, Coefficient, parse_laurent
 
@@ -264,10 +264,12 @@ def _parse_entry(text: str, variant: str, lineno: int) -> Coefficient:
     text = text.strip()
     if variant == LAURENT:
         return parse_laurent(text, lineno)
-    try:
-        return Coefficient.rational(Fraction(text))
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational entry {text!r}", lineno, 1)
+    if text.isascii():  # Fraction reads every Unicode digit
+        try:
+            return Coefficient.rational(Fraction(text))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParseError(f"bad rational entry {text!r}", lineno, 1)
 
 
 def parse_algebra(text: str) -> MatrixXCAlgebra:
@@ -286,7 +288,7 @@ def parse_algebra(text: str) -> MatrixXCAlgebra:
             continue
         if line.startswith("dim:"):
             rest = line[4:].strip()
-            if not rest.isdecimal() or int(rest) < 1:
+            if not is_decimal(rest) or int(rest) < 1:
                 raise ParseError(f"bad dimension {rest!r}", lineno, 5)
             d = int(rest)
             current = None

@@ -226,12 +226,43 @@ def renumbered(n: int, top: tuple[int, ...], sign: dict[int, int],
         s = sign[old]
         table = _SHARED_CHORDS.get(s)
         chords.append(table[new] if table is not None else (new, s))
+    return built(n, top, tuple(chords), tuple(rows))
+
+
+def built(n: int, top: tuple[int, ...], chords: tuple, events: tuple
+          ) -> XCGaussDiagram:
+    """The diagram with exactly these fields: tuples of ints, the chords
+    sorted by id.  Nothing is converted, sorted or checked."""
     d = object.__new__(XCGaussDiagram)
     object.__setattr__(d, "n", n)
     object.__setattr__(d, "top", top)
-    object.__setattr__(d, "chords", tuple(chords))
-    object.__setattr__(d, "events", tuple(rows))
+    object.__setattr__(d, "chords", chords)
+    object.__setattr__(d, "events", events)
     return d
+
+
+def raised(d: XCGaussDiagram, m: int, k: int):
+    """The rows and the chords of the canonical diagram ``d`` with every
+    chord id above ``m`` raised by ``k``, as ``(events, chords)``.
+
+    Ids up to ``m`` keep their tuples; the raised chord events and
+    ±1-signed chords are the shared tuples of :func:`renumbered`.
+    """
+    if k == 0:
+        return d.events, d.chords
+    size = len(d.chords) + k + 1
+    if size > len(_SHARED_EVENTS[OVER]):
+        _grow_shared(2 * size)
+    overs, unders = _SHARED_EVENTS[OVER], _SHARED_EVENTS[UNDER]
+    rows = tuple(
+        tuple(e if e[0] == DIAMOND or e[1] <= m
+              else (overs if e[0] == OVER else unders)[e[1] + k]
+              for e in row)
+        for row in d.events)
+    chords = d.chords[:m] + tuple(
+        _SHARED_CHORDS[s][c + k] if s in _SHARED_CHORDS else (c + k, s)
+        for c, s in d.chords[m:])
+    return rows, chords
 
 
 def renumber_canonically(d: XCGaussDiagram) -> XCGaussDiagram:
@@ -246,6 +277,13 @@ def canonical_key(d: XCGaussDiagram) -> XCGaussDiagram:
 
 
 # -- text format ------------------------------------------------------
+
+
+def is_decimal(text: str) -> bool:
+    """Whether ``text`` is a nonempty run of the ASCII digits 0-9, the only
+    digits a printer writes.  ``str.isdecimal`` alone takes every Unicode
+    decimal digit, which ``int`` reads too."""
+    return text.isascii() and text.isdecimal()
 
 
 def chord_text(cid: int, sign: int) -> str:
@@ -277,7 +315,7 @@ def print_diagram(d: XCGaussDiagram) -> str:
 def parse_chord_token(tok: str, lineno: int, col: int) -> tuple[int, int]:
     """One ``<id>:<+|->`` token of a ``chords:`` line."""
     cid, _, sgn = tok.partition(":")
-    if not cid.isdecimal() or sgn not in ("+", "-", "?"):
+    if not is_decimal(cid) or sgn not in ("+", "-", "?"):
         raise ParseError(f"bad chord token {tok!r}", lineno, col)
     if sgn == "?":
         raise ParseError(f"unsigned chord {tok!r} not allowed here", lineno, col)
@@ -288,7 +326,7 @@ def parse_event_token(tok: str, lineno: int, col: int) -> Event:
     """One ``O<id>``, ``U<id>``, ``D+`` or ``D-`` token of a strand line."""
     if tok in ("D+", "D-"):
         return (DIAMOND, 1 if tok == "D+" else -1)
-    if tok[0] in (OVER, UNDER) and tok[1:].isdecimal():
+    if tok[0] in (OVER, UNDER) and is_decimal(tok[1:]):
         return (tok[0], int(tok[1:]))
     raise ParseError(f"unknown event token {tok!r}", lineno, col)
 
@@ -314,18 +352,18 @@ def read_stanza(text: str, chord_token, event_token, first_line: int = 1):
         toks = [(m.group(), at + m.start()) for m in re.finditer(r"\S+", rest)]
         head, rest = head.strip(), rest.strip()
         if head == "strands":
-            if not rest.isdecimal():
+            if not is_decimal(rest):
                 raise ParseError(f"bad strand count {rest!r}", lineno, at)
             n = int(rest)
         elif head == "top":
-            if not all(tok.isdecimal() for tok, _ in toks):
+            if not all(is_decimal(tok) for tok, _ in toks):
                 raise ParseError(f"bad top permutation {rest!r}", lineno, at)
             top = tuple(int(tok) for tok, _ in toks)
         elif head == "chords" and chord_token is not None:
             chords += [chord_token(tok, lineno, col) for tok, col in toks]
         elif head.startswith("strand "):
             idx_s = head[len("strand "):].strip()
-            if not idx_s.isdecimal():
+            if not is_decimal(idx_s):
                 col = line.index(idx_s, line.index("strand ") + 7) + 1
                 raise ParseError(f"bad strand index {idx_s!r}", lineno, col)
             idx = int(idx_s)

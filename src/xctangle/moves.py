@@ -43,7 +43,10 @@ from .gauss import (
     OVER,
     UNDER,
     XCGaussDiagram,
+    built,
     canonical_key,
+    is_decimal,
+    raised,
     renumbered,
     validate,
 )
@@ -154,7 +157,7 @@ def parse_patterns(text: str) -> list[MovePattern]:
             side = "left" if line.startswith("frag ") else "right"
             body = line.split(" ", 1)[1]
             idx_s, _, rest = body.partition(":")
-            if not idx_s.strip().isdecimal():
+            if not is_decimal(idx_s.strip()):
                 raise ParseError(f"bad fragment index in {line!r}", lineno, 1)
             toks = []
             after_colon = raw.index(":") + 2  # 1-based column
@@ -229,6 +232,13 @@ def _match_run(events, s, start, frag, assign, sign, pattern, eps):
     return len(frag)
 
 
+def _inserts(pattern, side):
+    """Whether ``side`` of ``pattern`` is an insertion side: a rewrite
+    from it matches nothing and only inserts the other side's runs."""
+    src = pattern.left if side == "L" else pattern.right
+    return all(len(f) == 0 for f in src)
+
+
 def _runs_conflict(runs, new):
     """Whether a fragment run (strand, start, length) collides with any
     already-placed run: nonempty runs may not share positions and a
@@ -251,9 +261,9 @@ def _runs_conflict(runs, new):
 
 def _find_matches(d, pattern, side):
     """All non-overlapping assignments of one side's fragments to runs."""
-    frags = pattern.left if side == "L" else pattern.right
-    if all(len(f) == 0 for f in frags):
+    if _inserts(pattern, side):
         return []
+    frags = pattern.left if side == "L" else pattern.right
     sign = d.chord_sign
     eps_choices = (1, -1) if pattern.uses_eps() else (1,)
     out = []
@@ -264,8 +274,15 @@ def _find_matches(d, pattern, side):
                                     tuple(sorted(assign.items())), eps))
                 return
             frag = frags[i]
+            # a run starts with the diamond itself or an end of this kind
+            head = frag[0] if frag else None
             for s in range(d.n):
-                for start in range(len(d.events[s]) - len(frag) + 1):
+                ev = d.events[s]
+                for start in range(len(ev) - len(frag) + 1):
+                    if head is not None and (
+                            ev[start] != head if head[0] == DIAMOND
+                            else ev[start][0] != head[0]):
+                        continue
                     if _runs_conflict(runs, (s, start, len(frag))):
                         continue
                     before = dict(assign)
@@ -284,9 +301,9 @@ def _find_insertions(d, pattern, side):
     """Sites for the direction whose source side is entirely empty: one
     insertion slot per fragment, every slot combination, every sign
     choice."""
-    frags = pattern.left if side == "L" else pattern.right
-    if not all(len(f) == 0 for f in frags):
+    if not _inserts(pattern, side):
         return []
+    frags = pattern.left if side == "L" else pattern.right
     slots = [(s, p) for s in range(d.n) for p in range(len(d.events[s]) + 1)]
     eps_choices = (1, -1) if pattern.uses_eps() else (1,)
     out = []
@@ -352,8 +369,7 @@ def apply(d: XCGaussDiagram, site: MoveSite) -> XCGaussDiagram:
     pattern = site.pattern
     src = pattern.left if site.side == "L" else pattern.right
     assign = dict(site.assign)
-    inserting = all(len(f) == 0 for f in src)
-    if inserting:
+    if _inserts(pattern, site.side):
         for s, p in site.locs:
             if s >= d.n or p > len(d.events[s]):
                 raise StaleSiteError("insertion slot out of range")
@@ -411,6 +427,64 @@ def _size_change(pattern, side):
     return count(dst) - count(src)
 
 
+class _Splice:
+    """The rewrites from one insertion side into canonical diagrams, built
+    by splicing (see :func:`orbit`).  The plan of a slot combination, and
+    the target runs and fresh chords of a (first run, sign choice, m), are
+    made once and shared by every member spliced with them."""
+
+    def __init__(self, pattern, side):
+        self.pattern = pattern
+        self.dst = pattern.left if side == "R" else pattern.right
+        self.k = len({val for f in self.dst for kind, val in f
+                      if kind != DIAMOND})
+        self._plans = {}
+        self._made = {}
+
+    def plan(self, locs):
+        """The index of the first nonempty target run in reading order
+        (at one slot the later fragment comes first), and the fragment
+        indices in the order :func:`_rewrite` inserts them: by strand,
+        higher positions first, at one slot in fragment order."""
+        plan = self._plans.get(locs)
+        if plan is None:
+            first = min((i for i, f in enumerate(self.dst) if f),
+                        key=lambda i: (locs[i], -i))
+            order = sorted(range(len(locs)),
+                           key=lambda i: (locs[i][0], -locs[i][1]))
+            plan = self._plans[locs] = (first, order)
+        return plan
+
+    def runs(self, first, eps, m):
+        """The target runs with the letters of fragment ``first`` as chords
+        m+1..m+k in order of first occurrence, and those fresh chords."""
+        made = self._made.get((first, eps, m))
+        if made is None:
+            letters = dict.fromkeys(val for kind, val in self.dst[first]
+                                    if kind != DIAMOND)
+            assign = {letter: c for c, letter in enumerate(letters, m + 1)}
+            runs = tuple(tuple(_instantiate(f, assign)) for f in self.dst)
+            fresh = tuple((c, self.pattern.sign_of(letter, eps))
+                          for letter, c in assign.items())
+            made = self._made[first, eps, m] = (runs, fresh)
+        return made
+
+
+def _ids_before(d):
+    """``out[s][p]``: the number of chords of the canonical diagram ``d``
+    met before slot p of strand s in reading order, which is the largest
+    chord id met there."""
+    out, top = [], 0
+    for row in d.events:
+        col = [top]
+        for kind, val in row:
+            if kind != DIAMOND and val > top:
+                top = val
+            col.append(top)
+        out.append(col)
+    return out
+
+
 def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     """Bounded breadth-first closure of ``d`` under all moves: explores to
     ``max_depth`` rewrites, skipping diagrams with more than ``max_size``
@@ -421,17 +495,33 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     member of size s skips a whole (pattern, side) when s plus that change
     exceeds ``max_size``; the search is then truncated if the side has a
     site, and no diagram is built.  Every other site is rewritten straight
-    to its canonical diagram (:func:`gauss.renumbered`), whose event and
-    chord tuples are shared with the other members.  Each candidate is
-    hashed once, by adding it to the members; each new member is validated
-    once, and a duplicate equals a member already validated.  Members are
-    valid canonical diagrams, so they are searched for sites without being
-    validated again.
+    to its canonical diagram, whose event and chord tuples are shared with
+    the other members.
+
+    A site of a match side is rewritten and renumbered
+    (:func:`gauss.renumbered`).  A site of an insertion side (G0r and G2
+    read right to left: every source fragment empty) is spliced into the
+    member's rows instead.  Let m be the number of chords met before the
+    first nonempty target run in reading order; in a canonical member that
+    is the largest chord id met there.  Chords 1..m keep their ids, the
+    side's k chord letters become m+1..m+k in order of first occurrence in
+    that run, and every other chord c becomes c + k.  This is the
+    renumbered diagram because every nonempty target fragment of a shipped
+    insertion side holds every letter.  The rows with ids above m raised
+    by k come from :func:`gauss.raised`, once per (member, m, k), and the
+    runs are sliced in; runs at one slot go in the order :func:`apply`
+    gives them, the later fragment first.
+
+    Each candidate is hashed once, by adding it to the members; each new
+    member is validated once, and a duplicate equals a member already
+    validated.  Members are valid canonical diagrams, so they are searched
+    for sites without being validated again.
     """
     if max_depth <= 0 or max_size <= 0:
         raise ValidationError("orbit budgets must be positive")
     validate(d)
-    steps = [(p, side, _size_change(p, side))
+    steps = [(p, side, _size_change(p, side),
+              _Splice(p, side) if _inserts(p, side) else None)
              for p in builtin_patterns() for side in ("L", "R")]
     frontier = [canonical_key(d)]
     seen = set(frontier)
@@ -440,14 +530,19 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
         nxt = []
         for cur in frontier:
             size = cur.decoration_count()
-            for pattern, side, change in steps:
+            ids_before, rows = _ids_before(cur), {}
+            for pattern, side, change, splice in steps:
                 if size + change > max_size:
                     truncated = truncated or bool(
                         _side_sites(cur, pattern, side))
                     continue
-                for site in _side_sites(cur, pattern, side):
-                    ev, sign = _rewrite(cur, site, dict(site.assign))
-                    key = renumbered(cur.n, cur.top, sign, ev)
+                if splice is None:
+                    keys = (_rewritten(cur, site)
+                            for site in _find_matches(cur, pattern, side))
+                else:
+                    keys = (_spliced(cur, site, splice, ids_before, rows)
+                            for site in _find_insertions(cur, pattern, side))
+                for key in keys:
                     known = len(seen)
                     seen.add(key)
                     if len(seen) > known:
@@ -460,6 +555,34 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
         if frontier:
             truncated = True
     return OrbitResult(frozenset(seen), truncated)
+
+
+def _rewritten(cur, site):
+    """The canonical diagram of rewriting the matched site ``site`` of
+    ``cur``."""
+    ev, sign = _rewrite(cur, site, dict(site.assign))
+    return renumbered(cur.n, cur.top, sign, ev)
+
+
+def _spliced(cur, site, splice, ids_before, rows):
+    """The canonical diagram of rewriting the insertion site ``site`` of
+    the canonical member ``cur``; ``rows`` caches :func:`gauss.raised` by
+    (m, k)."""
+    locs = site.locs
+    first, order = splice.plan(locs)
+    s, p = locs[first]
+    m = ids_before[s][p]
+    got = rows.get((m, splice.k))
+    if got is None:
+        got = rows[m, splice.k] = raised(cur, m, splice.k)
+    ev, chords = got
+    runs, fresh = splice.runs(first, site.eps, m)
+    ev = list(ev)
+    for i in order:
+        s, p = locs[i]
+        row = ev[s]
+        ev[s] = row[:p] + runs[i] + row[p:]
+    return built(cur.n, cur.top, chords[:m] + fresh + chords[m:], tuple(ev))
 
 
 # -- the validator (binding oracle for pattern transcription) ----------

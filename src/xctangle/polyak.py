@@ -37,6 +37,7 @@ from .gauss import (
     canonical_key,
     chord_text,
     event_text,
+    is_decimal,
     parse_chord_token,
     parse_event_token,
     print_diagram,
@@ -363,7 +364,7 @@ def parse_formula(text: str) -> list[FormulaTerm]:
     unsigned: set[int] = set()
 
     def chord(tok, lineno, col):
-        if tok.endswith(":?") and tok[:-2].isdecimal():
+        if tok.endswith(":?") and is_decimal(tok[:-2]):
             unsigned.add(int(tok[:-2]))
             return int(tok[:-2]), 1
         return parse_chord_token(tok, lineno, col)
@@ -380,10 +381,9 @@ def parse_formula(text: str) -> list[FormulaTerm]:
     out = []
     for h, end in zip(heads, heads[1:] + [len(lines)]):
         body = lines[h][len("term "):].strip()
-        try:
-            coeff = int(body)
-        except ValueError:
+        if not is_decimal(body.removeprefix("-")):
             raise ParseError(f"bad coefficient {body!r}", h + 1, 1)
+        coeff = int(body)
         unsigned.clear()
         stanza = "\n".join(raws[h + 1:end])
         d = XCGaussDiagram(*read_stanza(stanza, chord, event, h + 2))

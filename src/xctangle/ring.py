@@ -286,7 +286,9 @@ def format_laurent(terms: dict[int, int]) -> str:
     return " ".join(parts)
 
 
-_TERM_RE = re.compile(r"\s*(?P<sign>[+-])?\s*(?P<coeff>\d+)?\s*(?P<q>q(\^(?P<exp>-?\d+))?)?")
+_TERM_RE = re.compile(
+    r"\s*(?P<sign>[+-])?\s*(?P<coeff>\d+)?\s*(?P<q>q(\^(?P<exp>-?\d+))?)?",
+    re.ASCII)
 
 
 def parse_laurent(text: str, line: int = 0, column_offset: int = 0) -> Coefficient:

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
-from .gauss import DIAMOND, OVER, UNDER, XCGaussDiagram, validate
+from .gauss import (DIAMOND, OVER, UNDER, XCGaussDiagram, is_decimal,
+                    validate)
 
 OUT = "out"
 IN = "in"
@@ -357,7 +358,21 @@ def print_tangle(t: XCTangleGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _columns(raw: str, fields, start: int = 0) -> list[int]:
+    """The 1-based column on ``raw`` of each of ``fields``, which appear
+    on it in this order from index ``start``."""
+    cols = []
+    for field in fields:
+        start = raw.index(field, start)
+        cols.append(start + 1)
+        start += len(field)
+    return cols
+
+
 def parse_tangle(text: str) -> XCTangleGraph:
+    """Parse and validate one tangle in the text format of
+    :func:`print_tangle`.  A :class:`ParseError` gives the column of the
+    bad field on the raw line."""
     vertices = []
     edges = []
     out_order = None
@@ -371,10 +386,15 @@ def parse_tangle(text: str) -> XCTangleGraph:
         head, _, rest = line.partition(":")
         head = head.strip()
         rest = rest.strip()
+        at = raw.index(":") + 2  # the column just after the colon
         if head.startswith("vertex "):
             vid_s = head[len("vertex "):].strip()
-            if not vid_s.isdecimal() or rest not in _KINDS:
-                raise ParseError(f"bad vertex line {line!r}", lineno, 1)
+            vcol, kcol = _columns(raw, (vid_s, rest),
+                                  raw.index(head) + len("vertex"))
+            if not is_decimal(vid_s):
+                raise ParseError(f"bad vertex line {line!r}", lineno, vcol)
+            if rest not in _KINDS:
+                raise ParseError(f"bad vertex line {line!r}", lineno, kcol)
             vertices.append((int(vid_s), rest))
         elif head.startswith("edge "):
             eid_s = head[len("edge "):].strip()
@@ -384,17 +404,22 @@ def parse_tangle(text: str) -> XCTangleGraph:
                 a, pa = src_s.split(".")
                 b, pb = dst_s.split(".")
             except ValueError:
-                raise ParseError(f"bad edge line {line!r}", lineno, 1)
+                raise ParseError(f"bad edge line {line!r}", lineno, at)
             *ids, rot_s = (t.strip() for t in (eid_s, a, pa, b, pb, rot_s))
-            if not all(t.isdecimal() for t in ids) or \
-                    not rot_s.removeprefix("-").isdecimal():
-                raise ParseError(f"bad edge line {line!r}", lineno, 1)
+            cols = _columns(raw, (*ids, rot_s), raw.index(head) + len("edge"))
+            bad = [col for field, col in zip(
+                       (*ids, rot_s.removeprefix("-")), cols)
+                   if not is_decimal(field)]
+            if bad:
+                raise ParseError(f"bad edge line {line!r}", lineno, bad[0])
             eid, a, pa, b, pb = map(int, ids)
             edges.append((eid, (a, pa), (b, pb), int(rot_s)))
         elif head in ("outorder", "inorder"):
             vids = rest.split()
-            if not all(v.isdecimal() for v in vids):
-                raise ParseError(f"bad {head} {rest!r}", lineno, 1)
+            bad = [col for field, col in zip(vids, _columns(raw, vids, at - 1))
+                   if not is_decimal(field)]
+            if bad:
+                raise ParseError(f"bad {head} {rest!r}", lineno, bad[0])
             if head == "outorder":
                 out_order = [int(v) for v in vids]
             else:

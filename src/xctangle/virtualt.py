@@ -61,8 +61,8 @@ from __future__ import annotations
 import random
 
 from .errors import NoSiteError, NonScalarError, ParseError, ValidationError
-from .gauss import (DIAMOND, OVER, UNDER, XCGaussDiagram, print_stanza,
-                    read_stanza, validate)
+from .gauss import (DIAMOND, OVER, UNDER, XCGaussDiagram, is_decimal,
+                    print_stanza, read_stanza, validate)
 from .moves import (MoveSite, _find_matches, apply, builtin_patterns,
                     random_site)
 from .ring import Coefficient
@@ -361,7 +361,7 @@ def parse_code(text: str) -> SignedGaussCode:
 
     def event(tok, lineno, col):
         if tok[0] not in (OVER, UNDER) or tok[-1] not in "+-" \
-                or not tok[1:-1].isdecimal():
+                or not is_decimal(tok[1:-1]):
             raise ParseError(f"unknown code token {tok!r}", lineno, col)
         cid, s = int(tok[1:-1]), 1 if tok[-1] == "+" else -1
         if signs.setdefault(cid, s) != s:

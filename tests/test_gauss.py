@@ -24,8 +24,12 @@ from xctangle.gauss import (
     tensor,
     validate,
 )
+from xctangle.algebra import parse_algebra
+from xctangle.moves import parse_patterns
 from xctangle.polyak import parse_formula
 from xctangle.randomgen import random_diagram
+from xctangle.tangle import parse_tangle
+from xctangle.virtualt import parse_code
 
 
 def test_validate_accepts_identity():
@@ -208,3 +212,49 @@ def test_parse_unsigned_requires_flag():
     (term,) = parse_formula("term 1\n" + text)
     assert term.unsigned_chords == {1}
     assert term.template.events == (((OVER, 1), (UNDER, 1)),)
+
+
+# ARABIC-INDIC DIGIT ZERO, ONE and TWO: str.isdecimal, int() and
+# Fraction() take them, and no printer writes them
+AR0, AR1, AR2 = "\u0660", "\u0661", "\u0662"
+DIAGRAM = "strands: 1\ntop: 1\nchords: 1:+\nstrand 1: O1 U1\n"
+TANGLE = ("vertex 1: out\nvertex 2: in\nedge 1: 1.0 -> 2.0 rot=0\n"
+          "outorder: 1\ninorder: 2\n")
+RATIONAL = ("dim: 1\nring: rational\nR:\n1\nRinv:\n1\nkappa:\n1\n"
+            "kappainv:\n1\n")
+LAURENT = RATIONAL.replace("rational", "laurent")
+PATTERN = "pattern G0r\nfrag 1: D+ D-\nto 1:\nend\n"
+
+
+# name: (reader, a text it reads, a field of it, that field in
+# Arabic-Indic digits)
+READERS = {
+    "strands": (parse_diagram, DIAGRAM, "strands: 1", f"strands: {AR1}"),
+    "top": (parse_diagram, DIAGRAM, "top: 1", f"top: {AR1}"),
+    "strand": (parse_diagram, DIAGRAM, "strand 1:", f"strand {AR1}:"),
+    "chord": (parse_diagram, DIAGRAM, "chords: 1:", f"chords: {AR1}:"),
+    "event": (parse_diagram, DIAGRAM, "O1", f"O{AR1}"),
+    "code": (parse_code, "strands: 1\nstrand 1: O1+ U1+\n", "U1+",
+             f"U{AR1}+"),
+    "formula-chord": (parse_formula, "term 1\n" + DIAGRAM, "1:+",
+                      f"{AR1}:?"),
+    "formula-term": (parse_formula, "term 1\n" + DIAGRAM, "term 1",
+                     f"term {AR1}"),
+    "vertex": (parse_tangle, TANGLE, "vertex 1", f"vertex {AR1}"),
+    "edge": (parse_tangle, TANGLE, "2.0", f"2.{AR0}"),
+    "rot": (parse_tangle, TANGLE, "rot=0", f"rot=-{AR0}"),
+    "order": (parse_tangle, TANGLE, "inorder: 2", f"inorder: {AR2}"),
+    "dim": (parse_algebra, RATIONAL, "dim: 1", f"dim: {AR1}"),
+    "rational": (parse_algebra, RATIONAL, "R:\n1", f"R:\n{AR1}"),
+    "laurent": (parse_algebra, LAURENT, "R:\n1", f"R:\n{AR1}q^{AR0}"),
+    "fragment": (parse_patterns, PATTERN, "frag 1", f"frag {AR1}"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_readers_take_ascii_digits_only(name):
+    read, text, field, arabic = READERS[name]
+    assert field in text
+    read(text)
+    with pytest.raises(ParseError):
+        read(text.replace(field, arabic, 1))

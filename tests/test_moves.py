@@ -193,7 +193,7 @@ def test_orbit_equals_reference_loop():
     rng = random.Random(7)
     for depth, top in ORBIT_BUDGETS:
         for size in range(2, top + 1):
-            for n in (1, 2):
+            for n in (1, 2, 3):
                 d = random_diagram(rng, n=n, max_chords=2, max_diamonds=2)
                 want = reference_orbit(d, depth, size)
                 assert M.orbit(d, depth, size) == want, (n, depth, size)
@@ -201,6 +201,44 @@ def test_orbit_equals_reference_loop():
     # fragments of a G2 insertion can land in one slot
     d = random_diagram(random.Random(0), n=1, max_chords=2, max_diamonds=2)
     assert M.orbit(d, 2, 6) == reference_orbit(d, 2, 6)
+
+
+def test_splice_equals_apply_at_every_insertion_site():
+    rng = random.Random(19)
+    shared = apart = checked = 0
+    for i in range(30):
+        d = canonical_key(random_diagram(rng, n=1 + i % 3, max_chords=3,
+                                         max_diamonds=2))
+        ids_before, rows = M._ids_before(d), {}
+        for pattern in M.builtin_patterns():
+            for side in ("L", "R"):
+                if not M._inserts(pattern, side):
+                    continue
+                splice = M._Splice(pattern, side)
+                for site in M._side_sites(d, pattern, side):
+                    got = M._spliced(d, site, splice, ids_before, rows)
+                    assert got == canonical_key(M.apply(d, site)), site
+                    slots = set(site.locs)
+                    shared += len(slots) < len(site.locs)
+                    apart += len({s for s, _ in slots}) > 1
+                    checked += 1
+    # both G2 fragments in one slot, and on different strands
+    assert shared > 300 and apart > 1000 and checked > 3000
+
+
+def test_insertion_targets_hold_every_letter():
+    # the splice numbers the letters by the first run alone
+    sides = 0
+    for pattern in M.builtin_patterns():
+        for side in ("L", "R"):
+            if not M._inserts(pattern, side):
+                continue
+            dst = pattern.left if side == "R" else pattern.right
+            letters = {val for f in dst for kind, val in f if kind != "D"}
+            for frag in filter(None, dst):
+                assert {val for kind, val in frag if kind != "D"} == letters
+            sides += 1
+    assert sides == 3  # G0r twice and G2, each read right to left
 
 
 def test_size_change_is_exact_at_every_site():

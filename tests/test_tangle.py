@@ -128,12 +128,12 @@ inorder: 3
 
 @pytest.mark.parametrize("read, text, line, column", [
     (parse_diagram, "strands: 1\ntop: +1\nstrand 1:\n", 2, 5),
-    (parse_tangle, KINK_TANGLE.replace("edge 1:", "edge 1_0:"), 4, 1),
-    (parse_tangle, KINK_TANGLE.replace("2.3 ->", "+2.3 ->"), 5, 1),
-    (parse_tangle, KINK_TANGLE.replace("rot=0", "rot=+0"), 4, 1),
-    (parse_tangle, KINK_TANGLE.replace("rot=-1", "rot=-0_1"), 6, 1),
-    (parse_tangle, KINK_TANGLE.replace("outorder: 1", "outorder: +1"), 7, 1),
-    (parse_tangle, KINK_TANGLE.replace("inorder: 3", "inorder: 0_3"), 8, 1),
+    (parse_tangle, KINK_TANGLE.replace("edge 1:", "edge 1_0:"), 4, 6),
+    (parse_tangle, KINK_TANGLE.replace("2.3 ->", "+2.3 ->"), 5, 9),
+    (parse_tangle, KINK_TANGLE.replace("rot=0", "rot=+0"), 4, 24),
+    (parse_tangle, KINK_TANGLE.replace("rot=-1", "rot=-0_1"), 6, 24),
+    (parse_tangle, KINK_TANGLE.replace("outorder: 1", "outorder: +1"), 7, 11),
+    (parse_tangle, KINK_TANGLE.replace("inorder: 3", "inorder: 0_3"), 8, 10),
 ], ids=["top+1", "edge1_0", "port+2", "rot+0", "rot-0_1", "outorder+1",
         "inorder0_3"])
 def test_readers_take_only_decimal_numbers(read, text, line, column):
