@@ -436,6 +436,7 @@ class _Splice:
     def __init__(self, pattern, side):
         self.pattern = pattern
         self.dst = pattern.left if side == "R" else pattern.right
+        self.eps_choices = (1, -1) if pattern.uses_eps() else (1,)
         self.k = len({val for f in self.dst for kind, val in f
                       if kind != DIAMOND})
         self._plans = {}
@@ -501,16 +502,18 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     A site of a match side is rewritten and renumbered
     (:func:`gauss.renumbered`).  A site of an insertion side (G0r and G2
     read right to left: every source fragment empty) is spliced into the
-    member's rows instead.  Let m be the number of chords met before the
-    first nonempty target run in reading order; in a canonical member that
-    is the largest chord id met there.  Chords 1..m keep their ids, the
-    side's k chord letters become m+1..m+k in order of first occurrence in
-    that run, and every other chord c becomes c + k.  This is the
-    renumbered diagram because every nonempty target fragment of a shipped
-    insertion side holds every letter.  The rows with ids above m raised
-    by k come from :func:`gauss.raised`, once per (member, m, k), and the
-    runs are sliced in; runs at one slot go in the order :func:`apply`
-    gives them, the later fragment first.
+    member's rows instead; its sites, every slot combination under every
+    sign choice, are walked in the order of :func:`find_sites` without a
+    :class:`MoveSite` being built for each.  Let m be the number of chords
+    met before the first nonempty target run in reading order; in a
+    canonical member that is the largest chord id met there.  Chords 1..m
+    keep their ids, the side's k chord letters become m+1..m+k in order of
+    first occurrence in that run, and every other chord c becomes c + k.
+    This is the renumbered diagram because every nonempty target fragment
+    of a shipped insertion side holds every letter.  The rows with ids
+    above m raised by k come from :func:`gauss.raised`, once per (member,
+    m, k), and the runs are sliced in; runs at one slot go in the order
+    :func:`apply` gives them, the later fragment first.
 
     Each candidate is hashed once, by adding it to the members; each new
     member is validated once, and a duplicate equals a member already
@@ -531,17 +534,23 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
         for cur in frontier:
             size = cur.decoration_count()
             ids_before, rows = _ids_before(cur), {}
+            slots = [(s, p) for s, row in enumerate(cur.events)
+                     for p in range(len(row) + 1)]
             for pattern, side, change, splice in steps:
                 if size + change > max_size:
+                    # an insertion side has a site at every slot
                     truncated = truncated or bool(
-                        _side_sites(cur, pattern, side))
+                        slots if splice else
+                        _find_matches(cur, pattern, side))
                     continue
                 if splice is None:
                     keys = (_rewritten(cur, site)
                             for site in _find_matches(cur, pattern, side))
                 else:
-                    keys = (_spliced(cur, site, splice, ids_before, rows)
-                            for site in _find_insertions(cur, pattern, side))
+                    keys = (_spliced(cur, locs, eps, splice, ids_before, rows)
+                            for eps in splice.eps_choices
+                            for locs in product(slots,
+                                                repeat=len(splice.dst)))
                 for key in keys:
                     known = len(seen)
                     seen.add(key)
@@ -564,11 +573,10 @@ def _rewritten(cur, site):
     return renumbered(cur.n, cur.top, sign, ev)
 
 
-def _spliced(cur, site, splice, ids_before, rows):
-    """The canonical diagram of rewriting the insertion site ``site`` of
-    the canonical member ``cur``; ``rows`` caches :func:`gauss.raised` by
-    (m, k)."""
-    locs = site.locs
+def _spliced(cur, locs, eps, splice, ids_before, rows):
+    """The canonical diagram of inserting the target runs of ``splice`` at
+    the slots ``locs`` of the canonical member ``cur``, with the sign
+    choice ``eps``; ``rows`` caches :func:`gauss.raised` by (m, k)."""
     first, order = splice.plan(locs)
     s, p = locs[first]
     m = ids_before[s][p]
@@ -576,7 +584,7 @@ def _spliced(cur, site, splice, ids_before, rows):
     if got is None:
         got = rows[m, splice.k] = raised(cur, m, splice.k)
     ev, chords = got
-    runs, fresh = splice.runs(first, site.eps, m)
+    runs, fresh = splice.runs(first, eps, m)
     ev = list(ev)
     for i in order:
         s, p = locs[i]

@@ -3,8 +3,9 @@
 * :func:`subdiagrams` enumerates the induced diagram of every subset of a
   diagram's decorations (chords and diamonds).
 * :func:`map_I` sends a diagram to the formal sum of all its subdiagrams;
-  :func:`map_I_inverse` is the inclusion-exclusion inverse, so the two are
-  mutually inverse linear maps on the free module of diagrams.
+  :func:`map_I_inverse` inverts it by back-substitution, from the largest
+  decoration count down, so the two are mutually inverse linear maps on
+  the free module of diagrams.
 * :func:`pairing` evaluates a diagram formula — a list of one-strand
   template terms whose decorations may be left unsigned — against a
   one-strand diagram: each way a decoration subset of the diagram matches
@@ -176,17 +177,73 @@ def map_I(d: XCGaussDiagram) -> FormalDiagramSum:
     return out
 
 
+def _canonical_size(d: XCGaussDiagram):
+    """None unless the chords of ``d`` are 1..K, first met in that order
+    in reading order; then a valid ``d`` is its own :func:`canonical_key`,
+    and this is its decoration count."""
+    top = size = 0
+    for row in d.events:
+        for kind, val in row:
+            if kind == DIAMOND:
+                size += 1
+            elif val > top:
+                if val != top + 1:
+                    return None
+                top = val
+    if [c for c, _ in d.chords] != list(range(1, top + 1)):
+        return None
+    return size + top
+
+
 def map_I_inverse(s: FormalDiagramSum) -> FormalDiagramSum:
-    """Inclusion-exclusion inverse of :func:`map_I`, extended linearly:
-    a diagram with k decorations goes to the sum of its subdiagrams, each
-    signed (-1)^(k - its decoration count).  Each term's subsets are
-    walked once and built as canonical diagrams, as in :func:`map_I`."""
-    out = FormalDiagramSum()
-    for d, coeff in s.items():
-        k = d.decoration_count()
-        for size, key in _canonical_subsets(d):
-            out._add_key(key, coeff * (-1) ** (k - size))
-    return out
+    """The inverse of :func:`map_I`, extended linearly: the x with
+    ``map_I(x) == s``.
+
+    ``map_I(t)`` is t plus terms with fewer decorations, so x is found by
+    back-substitution.  The input keys are made canonical and merged, as
+    :meth:`FormalDiagramSum.add` merges them; then, from the largest
+    decoration count down, each remaining term c·t of the current count
+    goes into x, and c times each proper subdiagram of t (walked once, as
+    in :func:`map_I`) is subtracted from the rest.
+
+    A key that is not canonical is validated before it is renumbered.  A
+    key that is canonical already is validated when its term goes into x:
+    the subdiagrams subtracted are those of valid terms, so an invalid key
+    is never cancelled.
+
+    The cost follows the output, 2^|t| diagrams per term t of x, not the
+    input: inverting ``map_I(d)`` for d with k decorations builds 2^k
+    subdiagrams, where expanding every input term by inclusion-exclusion
+    builds 3^k.  The trade-off is a single diagram with k decorations,
+    whose inverse has every subdiagram as a term: it costs up to 3^k here
+    and 2^k by expansion.
+
+    The terms come out sorted by decoration count, then by ``n``, ``top``,
+    ``chords`` and ``events`` of their canonical diagrams.
+    """
+    levels: list[dict[XCGaussDiagram, int]] = []
+    for key, coeff in s.items():
+        size = _canonical_size(key)
+        if size is None:
+            validate(key)
+            key = canonical_key(key)
+            size = key.decoration_count()
+        while len(levels) <= size:
+            levels.append({})
+        level = levels[size]
+        level[key] = level.get(key, 0) + coeff
+    solved = []
+    for size in range(len(levels) - 1, -1, -1):
+        for t, c in levels[size].items():
+            if not c:
+                continue
+            solved.append(((size, t.n, t.top, t.chords, t.events), t, c))
+            for sub_size, sub in _canonical_subsets(t):
+                if sub_size < size:
+                    level = levels[sub_size]
+                    level[sub] = level.get(sub, 0) - c
+    solved.sort(key=lambda term: term[0])
+    return FormalDiagramSum({t: c for _, t, c in solved})
 
 
 def truncate_degree(s: FormalDiagramSum, n: int) -> FormalDiagramSum:

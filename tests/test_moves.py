@@ -216,7 +216,8 @@ def test_splice_equals_apply_at_every_insertion_site():
                     continue
                 splice = M._Splice(pattern, side)
                 for site in M._side_sites(d, pattern, side):
-                    got = M._spliced(d, site, splice, ids_before, rows)
+                    got = M._spliced(d, site.locs, site.eps, splice,
+                                    ids_before, rows)
                     assert got == canonical_key(M.apply(d, site)), site
                     slots = set(site.locs)
                     shared += len(slots) < len(site.locs)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from xctangle import polyak
 from xctangle.errors import ValidationError
 from xctangle.gauss import (
     XCGaussDiagram,
@@ -12,6 +13,7 @@ from xctangle.gauss import (
     identity,
     print_diagram,
     renumber_canonically,
+    renumbered,
 )
 from xctangle.moves import orbit
 from xctangle.polyak import (
@@ -96,6 +98,12 @@ def reference_map_I_inverse(s):
     return out
 
 
+def inverse_order(term):
+    """The documented order of ``map_I_inverse``'s terms."""
+    d, _ = term
+    return d.decoration_count(), d.n, d.top, d.chords, d.events
+
+
 def test_subset_walk_equals_reference():
     rng = random.Random(43)
     sizes = set()
@@ -120,8 +128,60 @@ def test_subset_walk_equals_reference():
             mixed.add(key, (-1) ** j * (1 + j % 3))
         mixed.add(d, -1)
         got, want = map_I_inverse(mixed), reference_map_I_inverse(mixed)
-        assert got == want and list(got.items()) == list(want.items())
+        assert got == want and list(got.items()) == sorted(
+            want.items(), key=inverse_order)
     assert max(sizes) == 9 and min(sizes) <= 3
+
+
+def relabelled(d, ids):
+    """``d`` with each chord id c renamed ``ids(c)``."""
+    return XCGaussDiagram(
+        d.n, d.top, [(ids(c), sg) for c, sg in d.chords],
+        [[(k, v if k == "D" else ids(v)) for k, v in ev] for ev in d.events])
+
+
+def nine_decorations():
+    rng = random.Random(47)
+    while True:
+        d = random_diagram(rng, n=1 + rng.randrange(2), max_chords=5,
+                           max_diamonds=4)
+        if d.decoration_count() == 9:
+            return d
+
+
+def test_round_trip_builds_two_to_the_k_subdiagrams(monkeypatch):
+    d = nine_decorations()
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return renumbered(*args)
+
+    monkeypatch.setattr(polyak, "renumbered", counted)
+    assert map_I_inverse(map_I(d)) == FormalDiagramSum.of(d)
+    assert calls <= 2 ** (9 + 1)
+
+
+def test_inverse_takes_raw_keys():
+    d = nine_decorations()
+    raw = {}
+    for j, (key, c) in enumerate(map_I(d).items()):
+        top = len(key.chords) + 1
+        raw[relabelled(key, lambda x: 10 * (top - x))] = c + j % 3
+        if j % 3:
+            # a second key of the same class, so that the two merge
+            raw[relabelled(key, lambda x: 7 * x + 3)] = -(j % 3)
+    raw[relabelled(d, lambda x: 100 + x)] = 2
+    s = FormalDiagramSum(raw)
+    assert any(canonical_key(k) != k for k in s.terms)
+    assert map_I_inverse(s) == reference_map_I_inverse(s)
+    # a key that is not a valid diagram is refused, canonical or not
+    orphan = XCGaussDiagram(1, (1,), [(1, 1), (2, 1)], [(("O", 1), ("U", 1))])
+    dangling = XCGaussDiagram(1, (1,), [(1, 1)], [(("O", 1),)])
+    for bad in (orphan, dangling):
+        with pytest.raises(ValidationError):
+            map_I_inverse(FormalDiagramSum({bad: 1, canonical_key(d): 1}))
 
 
 def test_map_I_of_empty():
