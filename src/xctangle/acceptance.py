@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from importlib import resources
 
 from . import moves as M
@@ -60,13 +59,28 @@ DEFAULT_SEED = 20240901
 BUDGETS = {1: 5, 2: 60, 3: 120, 8: 30}
 
 
-@dataclass
 class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+    """The outcome of one acceptance criterion."""
+
+    def __init__(self, number: int, name: str, passed: bool, detail: str,
+                 seconds: float):
+        self.number = number
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+        self.seconds = seconds
+
+    def _values(self) -> tuple:
+        return (self.number, self.name, self.passed, self.detail, self.seconds)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return ("CriterionResult(number={!r}, name={!r}, passed={!r}, "
+                "detail={!r}, seconds={!r})".format(*self._values()))
 
     @property
     def budget_s(self) -> float | None:

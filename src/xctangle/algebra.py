@@ -32,13 +32,13 @@ Algebra file format::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionError, ParseError
 from .gauss import XCGaussDiagram, is_decimal
 from .moves import builtin_patterns, open_sides
+from .record import FrozenRecord
 from .ring import LAURENT, RATIONAL, Coefficient, parse_laurent
 
 
@@ -147,8 +147,7 @@ def mat_tensor(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     return RingMatrix(out)
 
 
-@dataclass(frozen=True)
-class MatrixXCAlgebra:
+class MatrixXCAlgebra(FrozenRecord):
     d: int
     R: RingMatrix
     Rinv: RingMatrix

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
+from .record import FrozenRecord
 
 Event = tuple[str, int]
 
@@ -38,8 +38,7 @@ UNDER = "U"
 DIAMOND = "D"
 
 
-@dataclass(frozen=True)
-class XCGaussDiagram:
+class XCGaussDiagram(FrozenRecord):
     """Immutable XC-Gauss diagram."""
 
     n: int
@@ -62,6 +61,17 @@ class XCGaussDiagram:
         object.__setattr__(
             self, "events", tuple(tuple((k, int(v)) for k, v in ev) for ev in events)
         )
+
+    # Diagrams are hashed and compared in every orbit and sum, so the
+    # field tuple is spelled out here rather than built generically.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.n, self.top, self.chords, self.events)
+                    == (other.n, other.top, other.chords, other.events))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.top, self.chords, self.events))
 
     # -- helpers ------------------------------------------------------
 
@@ -272,7 +282,14 @@ def renumber_canonically(d: XCGaussDiagram) -> XCGaussDiagram:
 
 def canonical_key(d: XCGaussDiagram) -> XCGaussDiagram:
     """The renumbered diagram: a hashable key invariant under chord
-    renumbering, and itself a representative of its class."""
+    renumbering, and itself a representative of its class.
+
+    ``d`` is validated first, so a chord end of an unknown chord or a
+    chord without ends raises ValidationError instead of being dropped
+    or failing inside the renumbering.  Callers that hold diagrams known
+    to be valid call :func:`renumbered` directly.
+    """
+    validate(d)
     return renumber_canonically(d)
 
 

@@ -28,7 +28,6 @@ realization map sends ``(u, sigma)`` to ``perm_matrix(sigma) . u``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -36,6 +35,7 @@ from . import gauss
 from .algebra import MatrixXCAlgebra, RingMatrix, mat_mul, mat_tensor
 from .errors import DimensionError, GuardrailError, NonScalarError, ValidationError
 from .gauss import DIAMOND, OVER, XCGaussDiagram
+from .record import FrozenRecord
 from .ring import Coefficient
 
 DEFAULT_GUARDRAIL = 4096
@@ -82,8 +82,7 @@ def perm_matrix(sigma: tuple[int, ...], d: int, variant: str) -> RingMatrix:
     return RingMatrix(out)
 
 
-@dataclass(frozen=True)
-class InvariantValue:
+class InvariantValue(FrozenRecord):
     """An element of the virtual category of elements, realized on V^{(x)n}."""
 
     n: int

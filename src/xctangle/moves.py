@@ -32,7 +32,6 @@ where tokens are ``O<letter>``, ``U<letter>``, ``D+``, ``D-``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from itertools import product
@@ -50,14 +49,14 @@ from .gauss import (
     renumbered,
     validate,
 )
+from .record import FrozenRecord
 
 Token = tuple[str, object]  # ("O"|"U", varname) or ("D", ±1)
 
 KINDS = ("G0r", "G0", "G1f", "G2", "G2p", "G3")
 
 
-@dataclass(frozen=True)
-class MovePattern:
+class MovePattern(FrozenRecord):
     kind: str
     variant: int
     vars: tuple[tuple[str, str], ...]  # (letter, sign expression)
@@ -77,8 +76,7 @@ class MovePattern:
         return any(expr in ("e", "-e") for _, expr in self.vars)
 
 
-@dataclass(frozen=True)
-class MoveSite:
+class MoveSite(FrozenRecord):
     """A concrete applicable instance of one side of a pattern.
 
     ``side`` names the matched side ("L" or "R"); applying the site
@@ -94,6 +92,17 @@ class MoveSite:
     locs: tuple[tuple[int, int], ...]
     assign: tuple[tuple[str, int], ...]
     eps: int
+
+    # Thousands of sites are built per orbit or walk, so the constructor
+    # is spelled out: the generic one of FrozenRecord takes about 0.7 us
+    # more per site.
+    def __init__(self, pattern: MovePattern, side: str, locs, assign,
+                 eps: int):
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "locs", locs)
+        object.__setattr__(self, "assign", assign)
+        object.__setattr__(self, "eps", eps)
 
 
 def _parse_token(tok: str, lineno: int, col: int) -> Token:
@@ -405,8 +414,7 @@ def random_site(d: XCGaussDiagram, kind: str, rng) -> MoveSite:
 # -- orbit search ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitResult:
+class OrbitResult(FrozenRecord):
     """The orbit's members as canonical diagrams (:func:`canonical_key`),
     and whether a budget cut the search short."""
 
@@ -522,7 +530,6 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     """
     if max_depth <= 0 or max_size <= 0:
         raise ValidationError("orbit budgets must be positive")
-    validate(d)
     steps = [(p, side, _size_change(p, side),
               _Splice(p, side) if _inserts(p, side) else None)
              for p in builtin_patterns() for side in ("L", "R")]

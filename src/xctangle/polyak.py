@@ -26,7 +26,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import ParseError, ValidationError
@@ -47,6 +46,7 @@ from .gauss import (
     renumbered,
     validate,
 )
+from .record import FrozenRecord
 
 Decoration = tuple  # ("c", chord_id) or ("d", strand, event_index)
 
@@ -114,13 +114,16 @@ def subdiagrams(d: XCGaussDiagram):
         yield XCGaussDiagram(d.n, d.top, _chords_in(d, mask), events)
 
 
-@dataclass
 class FormalDiagramSum:
     """Finitely supported integer combination of diagrams, keyed by
     :func:`canonical_key` (the renumbered diagram, which is also the
     term's representative); zero coefficients are never stored."""
 
-    terms: dict[XCGaussDiagram, int] = field(default_factory=dict)
+    def __init__(self, terms: dict[XCGaussDiagram, int] | None = None):
+        self.terms = {} if terms is None else terms
+
+    def __repr__(self) -> str:
+        return f"FormalDiagramSum(terms={self.terms!r})"
 
     @staticmethod
     def of(d: XCGaussDiagram, coeff: int = 1) -> "FormalDiagramSum":
@@ -225,7 +228,6 @@ def map_I_inverse(s: FormalDiagramSum) -> FormalDiagramSum:
     for key, coeff in s.items():
         size = _canonical_size(key)
         if size is None:
-            validate(key)
             key = canonical_key(key)
             size = key.decoration_count()
         while len(levels) <= size:
@@ -260,8 +262,7 @@ def truncate_degree(s: FormalDiagramSum, n: int) -> FormalDiagramSum:
 # -- diagram formulas --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormulaTerm:
+class FormulaTerm(FrozenRecord):
     """One term of a diagram formula: an integer coefficient and a
     one-strand template whose chords/diamonds may be unsigned (unsigned
     diamonds carry sign 0 in the event list; unsigned chord ids are

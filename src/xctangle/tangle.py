@@ -26,12 +26,12 @@ Text format (one graph per stanza, canonical printing sorts by id)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
 from .gauss import (DIAMOND, OVER, UNDER, XCGaussDiagram, is_decimal,
                     validate)
+from .record import FrozenRecord
 
 OUT = "out"
 IN = "in"
@@ -50,8 +50,7 @@ _THROUGH = {0: 3, 1: 2}
 Half = tuple[int, int]  # (vertexId, port)
 
 
-@dataclass(frozen=True)
-class XCTangleGraph:
+class XCTangleGraph(FrozenRecord):
     """Immutable tangle graph; vertices and edges stored sorted by id."""
 
     vertices: tuple[tuple[int, str], ...]

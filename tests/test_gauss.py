@@ -26,7 +26,7 @@ from xctangle.gauss import (
 )
 from xctangle.algebra import parse_algebra
 from xctangle.moves import parse_patterns
-from xctangle.polyak import parse_formula
+from xctangle.polyak import FormalDiagramSum, parse_formula
 from xctangle.randomgen import random_diagram
 from xctangle.tangle import parse_tangle
 from xctangle.virtualt import parse_code
@@ -167,14 +167,30 @@ def test_shared_tables_grow_in_step_across_threads():
         assert all(e == (c, s) for c, e in enumerate(table))
 
 
-def test_canonical_key_keeps_a_bad_sign_for_validate():
+def test_renumbering_keeps_a_bad_sign_for_validate():
     d = XCGaussDiagram(1, (1,), [(5, 2), (9, -1)],
                        [((OVER, 9), (OVER, 5), (UNDER, 5), (UNDER, 9))])
-    key = canonical_key(d)
+    key = renumber_canonically(d)
     assert key.chords == ((1, -1), (2, 2))
     assert key.events == (((OVER, 1), (OVER, 2), (UNDER, 2), (UNDER, 1)),)
     with pytest.raises(ValidationError, match="chord 2 has sign 2"):
         validate(key)
+    with pytest.raises(ValidationError, match="chord 5 has sign 2"):
+        canonical_key(d)
+
+
+def test_canonical_key_validates_its_input():
+    # a chord end of an unknown chord used to fail inside the renumbering
+    # with a KeyError, and a chord without ends was silently dropped
+    dangling = XCGaussDiagram(1, (1,), [(1, 1)], [((OVER, 1), (UNDER, 2))])
+    with pytest.raises(ValidationError, match="unknown chord 2"):
+        canonical_key(dangling)
+    endless = XCGaussDiagram(1, (1,), [(1, 1), (2, 1)],
+                             [((OVER, 1), (UNDER, 1))])
+    with pytest.raises(ValidationError, match="chord 2 has no over endpoint"):
+        canonical_key(endless)
+    with pytest.raises(ValidationError, match="chord 2 has no over endpoint"):
+        FormalDiagramSum.of(endless)
 
 
 def test_text_round_trip_random():

@@ -1,7 +1,11 @@
-"""Code hygiene of the package: no private helper without a caller, and no
-import that a module does not use."""
+"""Code hygiene of the package: no private helper without a caller, no
+import that a module does not use, and no slow standard module loaded by
+importing the CLI."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "xctangle"
@@ -62,3 +66,15 @@ def test_no_unused_imports():
                     if bound not in used:
                         unused.append(f"{name}: {bound}")
     assert unused == []
+
+
+def test_cli_import_does_not_load_dataclasses():
+    # dataclasses loads inspect, ast, dis and tokenize, which cost most
+    # of the import time of the package when its records were dataclasses
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    code = "import sys, xctangle.cli; print('dataclasses' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"

@@ -2,7 +2,6 @@
 orbit search, and the open-fragment validator."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -59,10 +58,18 @@ def _flip_diamond(side, i, j):
     return tuple(tuple(f) for f in frags)
 
 
+def _flipped(p, which, i, j):
+    """``p`` with diamond ``j`` of fragment ``i`` of side ``which`` flipped."""
+    sides = {"left": p.left, "right": p.right}
+    sides[which] = _flip_diamond(sides[which], i, j)
+    return M.MovePattern(p.kind, p.variant, p.vars, sides["left"],
+                         sides["right"])
+
+
 def test_validator_rejects_every_diamond_flip():
     # the counterexample is the open pair of the mutant
     mutants = [
-        replace(p, **{which: _flip_diamond(getattr(p, which), i, j)})
+        _flipped(p, which, i, j)
         for p in M.builtin_patterns()
         for which in ("left", "right")
         for i, frag in enumerate(getattr(p, which))
