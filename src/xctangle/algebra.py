@@ -259,16 +259,18 @@ def builtin_uqsl2() -> MatrixXCAlgebra:
 # -- algebra file format ----------------------------------------------
 
 
-def _parse_entry(text: str, variant: str, lineno: int) -> Coefficient:
-    text = text.strip()
+def _parse_entry(text: str, variant: str, lineno: int,
+                 offset: int) -> Coefficient:
+    """One matrix entry, stripped, starting ``offset`` characters into
+    its raw line."""
     if variant == LAURENT:
-        return parse_laurent(text, lineno)
+        return parse_laurent(text, lineno, offset)
     if text.isascii():  # Fraction reads every Unicode digit
         try:
             return Coefficient.rational(Fraction(text))
         except (ValueError, ZeroDivisionError):
             pass
-    raise ParseError(f"bad rational entry {text!r}", lineno, 1)
+    raise ParseError(f"bad rational entry {text!r}", lineno, offset + 1)
 
 
 def parse_algebra(text: str) -> MatrixXCAlgebra:
@@ -301,9 +303,12 @@ def parse_algebra(text: str) -> MatrixXCAlgebra:
             continue
         if current is None:
             raise ParseError(f"unexpected line {line!r}", lineno, 1)
-        blocks[current].append(
-            [_parse_entry(e, variant, lineno) for e in line.split(",")]
-        )
+        at, row = len(raw) - len(raw.lstrip()), []  # offsets on ``raw``
+        for entry in line.split(","):
+            lead = len(entry) - len(entry.lstrip())
+            row.append(_parse_entry(entry.strip(), variant, lineno, at + lead))
+            at += len(entry) + 1
+        blocks[current].append(row)
     if d is None:
         raise ParseError("missing 'dim:' line", 1, 1)
     for name in ("R", "Rinv", "kappa", "kappainv"):

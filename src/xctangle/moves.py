@@ -11,6 +11,14 @@ language over the diagram event syntax:
 * all patterns are bidirectional: sites are found for both the left and
   the right side, and applying a site rewrites to the other side.
 
+Each pattern reads each of its sides once (:attr:`MovePattern.sides`):
+the side object holds its source and target runs, whether it only
+inserts, its sign choices, its letter count and its decoration change,
+and its one site walk yields plain ``(locs, assign, eps)`` tuples.
+:func:`find_sites` wraps them in :class:`MoveSite`, :func:`apply`
+rewrites through the same side, and :func:`orbit` walks the tuples,
+match sites like insertion sites, without building a :class:`MoveSite`.
+
 ``validate_pattern`` is the binding correctness gate: it opens both sides
 of a pattern (:func:`open_sides`, fragment i alone on strand i) and checks
 that their ``zeval`` values agree exactly for every sign choice.  A move is
@@ -74,6 +82,12 @@ class MovePattern(FrozenRecord):
 
     def uses_eps(self) -> bool:
         return any(expr in ("e", "-e") for _, expr in self.vars)
+
+    @cached_property
+    def sides(self) -> dict[str, _Side]:
+        """The pattern read from each side, "L" and "R", as a rewrite to
+        the other side; each holds only what the pattern fixes."""
+        return {name: _Side(self, name) for name in ("L", "R")}
 
 
 class MoveSite(FrozenRecord):
@@ -206,125 +220,156 @@ def _instantiate(frag, assign):
             for tok in frag]
 
 
-def _match_run(events, s, start, frag, assign, sign, pattern, eps):
-    """Try to match a fragment at events[s][start:]; extends ``assign`` in
-    place on success, returns the matched length or None."""
-    ev = events[s]
-    if start + len(frag) > len(ev):
+def _letters(frags):
+    """The chord letters of some fragments, in order of first occurrence."""
+    return dict.fromkeys(val for f in frags for kind, val in f
+                         if kind != DIAMOND)
+
+
+def _decorations(frags):
+    """Chord letters plus diamonds of some fragments."""
+    return len(_letters(frags)) + sum(kind == DIAMOND for f in frags
+                                      for kind, _ in f)
+
+
+def _match_run(row, start, frag, assign, sign, signs, eps):
+    """The bindings ``assign`` extended by matching a fragment at
+    ``row[start:]``, or None when it does not match there."""
+    if start + len(frag) > len(row):
         return None
-    added = []
-    for off, (kind, val) in enumerate(frag):
-        got = ev[start + off]
+    out = dict(assign)
+    for (kind, val), got in zip(frag, row[start:]):
         if kind == DIAMOND:
-            if got != (DIAMOND, val):
-                for a in added:
-                    del assign[a]
-                return None
-            continue
-        if got[0] != kind:
-            for a in added:
-                del assign[a]
-            return None
-        cid = got[1]
-        if val in assign:
-            if assign[val] != cid:
-                for a in added:
-                    del assign[a]
-                return None
+            ok = got == (DIAMOND, val)
+        elif val in out:
+            ok = got == (kind, out[val])
         else:
-            if cid in assign.values() or sign[cid] != pattern.sign_of(val, eps):
-                for a in added:
-                    del assign[a]
-                return None
-            assign[val] = cid
-            added.append(val)
-    return len(frag)
-
-
-def _inserts(pattern, side):
-    """Whether ``side`` of ``pattern`` is an insertion side: a rewrite
-    from it matches nothing and only inserts the other side's runs."""
-    src = pattern.left if side == "L" else pattern.right
-    return all(len(f) == 0 for f in src)
+            ok = (got[0] == kind and got[1] not in out.values()
+                  and sign[got[1]] == signs[val, eps])
+            out[val] = got[1]
+        if not ok:
+            return None
+    return out
 
 
 def _runs_conflict(runs, new):
-    """Whether a fragment run (strand, start, length) collides with any
+    """Whether a fragment run (strand, start, length) collides with an
     already-placed run: nonempty runs may not share positions and a
     zero-length slot may not fall strictly inside a nonempty run."""
     s, a, la = new
     for t, b, lb in runs:
-        if s != t:
-            continue
-        if la and lb:
-            if a < b + lb and b < a + la:
-                return True
-        elif la == 0 and lb:
-            if b < a < b + lb:
-                return True
-        elif lb == 0 and la:
-            if a < b < a + la:
-                return True
+        if s == t and a < b + lb and b < a + la:
+            return True
     return False
 
 
-def _find_matches(d, pattern, side):
-    """All non-overlapping assignments of one side's fragments to runs."""
-    if _inserts(pattern, side):
-        return []
-    frags = pattern.left if side == "L" else pattern.right
-    sign = d.chord_sign
-    eps_choices = (1, -1) if pattern.uses_eps() else (1,)
-    out = []
-    for eps in eps_choices:
-        def rec(i, locs, runs, assign):
+class _Side:
+    """One side of a pattern read as a rewrite to the other side, made
+    once per pattern (:attr:`MovePattern.sides`).  It holds the source and
+    target runs, whether it only inserts (every source fragment empty),
+    the sign choices, the number ``k`` of chord letters it writes and the
+    decoration change of a rewrite, the same at every site."""
+
+    def __init__(self, pattern: MovePattern, name: str):
+        self.pattern, self.name = pattern, name
+        self.src, self.dst = ((pattern.left, pattern.right) if name == "L"
+                              else (pattern.right, pattern.left))
+        self.inserts = not any(self.src)
+        self.eps_choices = (1, -1) if pattern.uses_eps() else (1,)
+        self.signs = pattern._signs
+        self.k = len(_letters(self.dst))
+        self.change = _decorations(self.dst) - _decorations(self.src)
+
+    def sites(self, d: XCGaussDiagram):
+        """The sites of this side in the valid diagram ``d``, in the order
+        of :func:`find_sites`, as (locs, assign, eps): under each sign
+        choice, every non-overlapping binding of the source runs, with
+        ``assign`` sorted by letter, or for an insertion side every
+        combination of one slot per fragment, with ``assign`` empty."""
+        if self.inserts:
+            slots = [(s, p) for s, row in enumerate(d.events)
+                     for p in range(len(row) + 1)]
+            return ((locs, (), eps) for eps in self.eps_choices
+                    for locs in product(slots, repeat=len(self.src)))
+        frags, sign, out = self.src, d.chord_sign, []
+
+        def rec(i, locs, runs, assign, eps):
             if i == len(frags):
-                out.append(MoveSite(pattern, side, tuple(locs),
-                                    tuple(sorted(assign.items())), eps))
+                out.append((locs, tuple(sorted(assign.items())), eps))
                 return
             frag = frags[i]
             # a run starts with the diamond itself or an end of this kind
             head = frag[0] if frag else None
-            for s in range(d.n):
-                ev = d.events[s]
-                for start in range(len(ev) - len(frag) + 1):
+            for s, row in enumerate(d.events):
+                for start in range(len(row) - len(frag) + 1):
                     if head is not None and (
-                            ev[start] != head if head[0] == DIAMOND
-                            else ev[start][0] != head[0]):
+                            row[start] != head if head[0] == DIAMOND
+                            else row[start][0] != head[0]):
                         continue
-                    if _runs_conflict(runs, (s, start, len(frag))):
+                    run = (s, start, len(frag))
+                    if _runs_conflict(runs, run):
                         continue
-                    before = dict(assign)
-                    if _match_run(d.events, s, start, frag, assign, sign,
-                                  pattern, eps) is not None:
-                        rec(i + 1, locs + [(s, start)],
-                            runs + [(s, start, len(frag))], assign)
-                        assign.clear()
-                        assign.update(before)
-            return
-        rec(0, [], [], {})
-    return out
+                    got = _match_run(row, start, frag, assign, sign,
+                                     self.signs, eps)
+                    if got is not None:
+                        rec(i + 1, locs + ((s, start),), runs + (run,),
+                            got, eps)
 
+        for eps in self.eps_choices:
+            rec(0, (), (), {}, eps)
+        return out
 
-def _find_insertions(d, pattern, side):
-    """Sites for the direction whose source side is entirely empty: one
-    insertion slot per fragment, every slot combination, every sign
-    choice."""
-    if not _inserts(pattern, side):
-        return []
-    frags = pattern.left if side == "L" else pattern.right
-    slots = [(s, p) for s in range(d.n) for p in range(len(d.events[s]) + 1)]
-    eps_choices = (1, -1) if pattern.uses_eps() else (1,)
-    out = []
-    for eps in eps_choices:
-        for locs in product(slots, repeat=len(frags)):
-            out.append(MoveSite(pattern, side, locs, (), eps))
-    return out
+    def order(self, locs):
+        """The fragment indices in the order a rewrite at ``locs`` writes
+        them: by strand, higher positions first, and at one position the
+        nonempty source run before the slot at its left boundary."""
+        return sorted(range(len(locs)), key=lambda i: (
+            locs[i][0], -locs[i][1], not self.src[i]))
 
+    def rewrite(self, d, locs, assign, eps):
+        """The chord signs and event rows of ``d`` with this side at
+        ``locs`` rewritten to the other side.  ``assign`` binds the chord
+        letters already matched; each other letter gets a fresh chord id
+        and is added to it."""
+        sign = d.chord_sign
+        nxt = 1 + max(sign, default=0)
+        for letter, _ in self.pattern.vars:
+            if letter not in assign:
+                assign[letter] = nxt
+                nxt += 1
+        for letter, cid in assign.items():
+            if cid not in sign:
+                sign[cid] = self.signs[letter, eps]
+        ev = [list(row) for row in d.events]
+        for i in self.order(locs):
+            s, p = locs[i]
+            ev[s][p:p + len(self.src[i])] = _instantiate(self.dst[i], assign)
+        return sign, ev
 
-def _side_sites(d, pattern, side):
-    """The sites of one side of a pattern in a diagram known valid."""
-    return _find_matches(d, pattern, side) + _find_insertions(d, pattern, side)
+    def plan(self, locs, memo):
+        """For an insertion side: the index of the first nonempty target
+        run in reading order (at one slot the later fragment comes first)
+        and :meth:`order`.  ``memo`` holds them by slot tuple."""
+        plan = memo.get(locs)
+        if plan is None:
+            first = min((i for i, f in enumerate(self.dst) if f),
+                        key=lambda i: (locs[i], -i))
+            plan = memo[locs] = (first, self.order(locs))
+        return plan
+
+    def runs(self, first, eps, m, memo):
+        """For an insertion side: the target runs with the letters of
+        fragment ``first`` as chords m+1..m+k in order of first occurrence,
+        and those fresh chords.  ``memo`` holds them by (first, eps, m)."""
+        made = memo.get((first, eps, m))
+        if made is None:
+            assign = {letter: c for c, letter in
+                      enumerate(_letters((self.dst[first],)), m + 1)}
+            runs = tuple(tuple(_instantiate(f, assign)) for f in self.dst)
+            fresh = tuple((c, self.signs[letter, eps])
+                          for letter, c in assign.items())
+            made = memo[first, eps, m] = (runs, fresh)
+        return made
 
 
 def find_sites(d: XCGaussDiagram, kind: str) -> list[MoveSite]:
@@ -335,68 +380,39 @@ def find_sites(d: XCGaussDiagram, kind: str) -> list[MoveSite]:
         raise ValidationError(f"unknown move kind {kind!r}")
     out: list[MoveSite] = []
     for pattern in builtin_patterns():
-        if pattern.kind != kind:
-            continue
-        for side in ("L", "R"):
-            out.extend(_side_sites(d, pattern, side))
+        if pattern.kind == kind:
+            for side in pattern.sides.values():
+                out.extend(MoveSite(pattern, side.name, locs, assign, eps)
+                           for locs, assign, eps in side.sites(d))
     return out
-
-
-def _rewrite(d, site, assign):
-    """The event lists of ``d`` with the matched side of ``site`` rewritten
-    to the other side, and the chord signs of ``d`` with those of the
-    chords the rewrite brings in.  ``assign`` binds the chord variables
-    already matched; each other variable gets a fresh chord id."""
-    pattern = site.pattern
-    src = pattern.left if site.side == "L" else pattern.right
-    dst = pattern.right if site.side == "L" else pattern.left
-    nxt = 1 + max((c for c, _ in d.chords), default=0)
-    for letter, _ in pattern.vars:
-        if letter not in assign:
-            assign[letter] = nxt
-            nxt += 1
-    sign = d.chord_sign
-    for letter, cid in assign.items():
-        if cid not in sign:
-            sign[cid] = pattern.sign_of(letter, site.eps)
-    ev = [list(e) for e in d.events]
-    # higher positions first; at equal positions replace the nonempty run
-    # before inserting at its left boundary slot
-    jobs = sorted(
-        zip(site.locs, src, dst),
-        key=lambda j: (j[0][0], -j[0][1], 0 if len(j[1]) else 1),
-    )
-    for (s, p), frag, rep in jobs:
-        ev[s][p:p + len(frag)] = _instantiate(rep, assign)
-    return ev, sign
 
 
 def apply(d: XCGaussDiagram, site: MoveSite) -> XCGaussDiagram:
     """Rewrite the matched side of ``site`` to the other side of its
     pattern.  Raises StaleSiteError when the site no longer matches ``d``."""
     validate(d)
-    pattern = site.pattern
-    src = pattern.left if site.side == "L" else pattern.right
+    side = site.pattern.sides.get(site.side)
+    if side is None or len(site.locs) != len(side.src) or any(
+            s < 0 or s >= d.n or p < 0 for s, p in site.locs):
+        raise StaleSiteError("site out of range")
     assign = dict(site.assign)
-    if _inserts(pattern, site.side):
-        for s, p in site.locs:
-            if s >= d.n or p > len(d.events[s]):
-                raise StaleSiteError("insertion slot out of range")
+    if side.inserts:
+        if any(p > len(d.events[s]) for s, p in site.locs):
+            raise StaleSiteError("insertion slot out of range")
     else:
-        sign = d.chord_sign
-        runs = []
-        rebind = {}
-        for (s, p), frag in zip(site.locs, src):
+        sign, runs, rebind = d.chord_sign, [], {}
+        for (s, p), frag in zip(site.locs, side.src):
             if _runs_conflict(runs, (s, p, len(frag))):
                 raise StaleSiteError("site fragments overlap")
             runs.append((s, p, len(frag)))
-            if _match_run(d.events, s, p, frag, rebind, sign,
-                          pattern, site.eps) is None:
+            rebind = _match_run(d.events[s], p, frag, rebind, sign,
+                                side.signs, site.eps)
+            if rebind is None:
                 raise StaleSiteError("site no longer matches the diagram")
         if any(rebind.get(k, v) != v for k, v in assign.items()):
             raise StaleSiteError("site variables no longer match the diagram")
         assign.update(rebind)
-    ev, sign = _rewrite(d, site, assign)
+    sign, ev = side.rewrite(d, site.locs, assign, site.eps)
     present = {v for e in ev for k, v in e if k != DIAMOND}
     out = XCGaussDiagram(d.n, d.top, [(c, sign[c]) for c in present],
                          [tuple(e) for e in ev])
@@ -422,63 +438,6 @@ class OrbitResult(FrozenRecord):
     truncated: bool
 
 
-def _size_change(pattern, side):
-    """How many decorations a rewrite from ``side`` adds: chord letters
-    plus diamonds of the target side, minus those of the source side."""
-    def count(frags):
-        letters = {val for f in frags for kind, val in f if kind != DIAMOND}
-        return len(letters) + sum(kind == DIAMOND for f in frags
-                                  for kind, _ in f)
-
-    src, dst = ((pattern.left, pattern.right) if side == "L"
-                else (pattern.right, pattern.left))
-    return count(dst) - count(src)
-
-
-class _Splice:
-    """The rewrites from one insertion side into canonical diagrams, built
-    by splicing (see :func:`orbit`).  The plan of a slot combination, and
-    the target runs and fresh chords of a (first run, sign choice, m), are
-    made once and shared by every member spliced with them."""
-
-    def __init__(self, pattern, side):
-        self.pattern = pattern
-        self.dst = pattern.left if side == "R" else pattern.right
-        self.eps_choices = (1, -1) if pattern.uses_eps() else (1,)
-        self.k = len({val for f in self.dst for kind, val in f
-                      if kind != DIAMOND})
-        self._plans = {}
-        self._made = {}
-
-    def plan(self, locs):
-        """The index of the first nonempty target run in reading order
-        (at one slot the later fragment comes first), and the fragment
-        indices in the order :func:`_rewrite` inserts them: by strand,
-        higher positions first, at one slot in fragment order."""
-        plan = self._plans.get(locs)
-        if plan is None:
-            first = min((i for i, f in enumerate(self.dst) if f),
-                        key=lambda i: (locs[i], -i))
-            order = sorted(range(len(locs)),
-                           key=lambda i: (locs[i][0], -locs[i][1]))
-            plan = self._plans[locs] = (first, order)
-        return plan
-
-    def runs(self, first, eps, m):
-        """The target runs with the letters of fragment ``first`` as chords
-        m+1..m+k in order of first occurrence, and those fresh chords."""
-        made = self._made.get((first, eps, m))
-        if made is None:
-            letters = dict.fromkeys(val for kind, val in self.dst[first]
-                                    if kind != DIAMOND)
-            assign = {letter: c for c, letter in enumerate(letters, m + 1)}
-            runs = tuple(tuple(_instantiate(f, assign)) for f in self.dst)
-            fresh = tuple((c, self.pattern.sign_of(letter, eps))
-                          for letter, c in assign.items())
-            made = self._made[first, eps, m] = (runs, fresh)
-        return made
-
-
 def _ids_before(d):
     """``out[s][p]``: the number of chords of the canonical diagram ``d``
     met before slot p of strand s in reading order, which is the largest
@@ -499,29 +458,31 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     ``max_depth`` rewrites, skipping diagrams with more than ``max_size``
     decorations; flags truncation instead of erroring.
 
-    A rewrite from one side of a shipped pattern changes the decoration
-    count by the same amount at every site (:func:`_size_change`), so a
-    member of size s skips a whole (pattern, side) when s plus that change
-    exceeds ``max_size``; the search is then truncated if the side has a
-    site, and no diagram is built.  Every other site is rewritten straight
-    to its canonical diagram, whose event and chord tuples are shared with
+    Each (pattern, side) is walked through its side object
+    (:attr:`MovePattern.sides`), whose sites are (locs, assign, eps)
+    tuples: no :class:`MoveSite` is built, for match sites as for
+    insertion sites.  A rewrite from one side changes the decoration
+    count by the same amount at every site (``change``), so a member of
+    size s skips a whole side when s plus that change exceeds
+    ``max_size``; the search is then truncated if the side has a site,
+    and no diagram is built.  Every other site is rewritten straight to
+    its canonical diagram, whose event and chord tuples are shared with
     the other members.
 
-    A site of a match side is rewritten and renumbered
-    (:func:`gauss.renumbered`).  A site of an insertion side (G0r and G2
-    read right to left: every source fragment empty) is spliced into the
-    member's rows instead; its sites, every slot combination under every
-    sign choice, are walked in the order of :func:`find_sites` without a
-    :class:`MoveSite` being built for each.  Let m be the number of chords
-    met before the first nonempty target run in reading order; in a
-    canonical member that is the largest chord id met there.  Chords 1..m
-    keep their ids, the side's k chord letters become m+1..m+k in order of
-    first occurrence in that run, and every other chord c becomes c + k.
-    This is the renumbered diagram because every nonempty target fragment
-    of a shipped insertion side holds every letter.  The rows with ids
-    above m raised by k come from :func:`gauss.raised`, once per (member,
-    m, k), and the runs are sliced in; runs at one slot go in the order
-    :func:`apply` gives them, the later fragment first.
+    A match site is rewritten and renumbered (:func:`gauss.renumbered`).
+    An insertion site (G0r and G2 read right to left: every source
+    fragment empty) is spliced into the member's rows instead.  Let m be
+    the number of chords met before the first nonempty target run in
+    reading order; in a canonical member that is the largest chord id met
+    there.  Chords 1..m keep their ids, the side's k chord letters become
+    m+1..m+k in order of first occurrence in that run, and every other
+    chord c becomes c + k.  This is the renumbered diagram because every
+    nonempty target fragment of a shipped insertion side holds every
+    letter.  The rows with ids above m raised by k come from
+    :func:`gauss.raised`, once per (member, m, k), and the runs are sliced
+    in; runs at one slot go in the order :func:`apply` gives them, the
+    later fragment first.  The plans and runs of a side are kept for one
+    call only.
 
     Each candidate is hashed once, by adding it to the members; each new
     member is validated once, and a duplicate equals a member already
@@ -530,9 +491,8 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     """
     if max_depth <= 0 or max_size <= 0:
         raise ValidationError("orbit budgets must be positive")
-    steps = [(p, side, _size_change(p, side),
-              _Splice(p, side) if _inserts(p, side) else None)
-             for p in builtin_patterns() for side in ("L", "R")]
+    steps = [(side, {}) for p in builtin_patterns()
+             for side in p.sides.values()]
     frontier = [canonical_key(d)]
     seen = set(frontier)
     truncated = False
@@ -541,23 +501,19 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
         for cur in frontier:
             size = cur.decoration_count()
             ids_before, rows = _ids_before(cur), {}
-            slots = [(s, p) for s, row in enumerate(cur.events)
-                     for p in range(len(row) + 1)]
-            for pattern, side, change, splice in steps:
-                if size + change > max_size:
-                    # an insertion side has a site at every slot
-                    truncated = truncated or bool(
-                        slots if splice else
-                        _find_matches(cur, pattern, side))
+            for side, memo in steps:
+                if size + side.change > max_size:
+                    # a site is a nonempty tuple
+                    truncated = truncated or any(side.sites(cur))
                     continue
-                if splice is None:
-                    keys = (_rewritten(cur, site)
-                            for site in _find_matches(cur, pattern, side))
+                if side.inserts:
+                    keys = (_spliced(cur, locs, eps, side, ids_before, rows,
+                                     memo)
+                            for locs, _, eps in side.sites(cur))
                 else:
-                    keys = (_spliced(cur, locs, eps, splice, ids_before, rows)
-                            for eps in splice.eps_choices
-                            for locs in product(slots,
-                                                repeat=len(splice.dst)))
+                    keys = (renumbered(cur.n, cur.top, *side.rewrite(
+                                cur, locs, dict(assign), eps))
+                            for locs, assign, eps in side.sites(cur))
                 for key in keys:
                     known = len(seen)
                     seen.add(key)
@@ -573,25 +529,19 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     return OrbitResult(frozenset(seen), truncated)
 
 
-def _rewritten(cur, site):
-    """The canonical diagram of rewriting the matched site ``site`` of
-    ``cur``."""
-    ev, sign = _rewrite(cur, site, dict(site.assign))
-    return renumbered(cur.n, cur.top, sign, ev)
-
-
-def _spliced(cur, locs, eps, splice, ids_before, rows):
-    """The canonical diagram of inserting the target runs of ``splice`` at
-    the slots ``locs`` of the canonical member ``cur``, with the sign
-    choice ``eps``; ``rows`` caches :func:`gauss.raised` by (m, k)."""
-    first, order = splice.plan(locs)
+def _spliced(cur, locs, eps, side, ids_before, rows, memo):
+    """The canonical diagram of inserting the target runs of the insertion
+    side ``side`` at the slots ``locs`` of the canonical member ``cur``,
+    with the sign choice ``eps``; ``rows`` caches :func:`gauss.raised` by
+    (m, k) and ``memo`` holds the side's plans and runs."""
+    first, order = side.plan(locs, memo)
     s, p = locs[first]
     m = ids_before[s][p]
-    got = rows.get((m, splice.k))
+    got = rows.get((m, side.k))
     if got is None:
-        got = rows[m, splice.k] = raised(cur, m, splice.k)
+        got = rows[m, side.k] = raised(cur, m, side.k)
     ev, chords = got
-    runs, fresh = splice.runs(first, eps, m)
+    runs, fresh = side.runs(first, eps, m, memo)
     ev = list(ev)
     for i in order:
         s, p = locs[i]
@@ -630,7 +580,7 @@ def validate_pattern(pattern: MovePattern, algebra) -> tuple[bool, object]:
     closure.  A side that is not a valid diagram raises ValidationError."""
     from .invariant import zeval
 
-    for eps in (1, -1) if pattern.uses_eps() else (1,):
+    for eps in pattern.sides["L"].eps_choices:
         lhs, rhs = open_sides(pattern, eps)
         validate(lhs)
         validate(rhs)

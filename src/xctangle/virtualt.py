@@ -63,8 +63,7 @@ import random
 from .errors import NoSiteError, NonScalarError, ParseError, ValidationError
 from .gauss import (DIAMOND, OVER, UNDER, XCGaussDiagram, is_decimal,
                     print_stanza, read_stanza, validate)
-from .moves import (MoveSite, _find_matches, apply, builtin_patterns,
-                    random_site)
+from .moves import MoveSite, apply, builtin_patterns, random_site
 from .ring import Coefficient
 
 #: Structural alias: a signed Gauss code is a diamond-free diagram.
@@ -314,7 +313,8 @@ def random_move_on_code(g: SignedGaussCode, kind: str,
         return XCGaussDiagram(g.n, g.top, [*g.chords, (a, 1), (a + 1, -1)], ev)
     if kind == "R2":
         g2 = [p for p in builtin_patterns() if p.kind == "G2"]
-        pair = next((s for p in g2 for s in _find_matches(g, p, "L")), None)
+        pair = next((MoveSite(p, "L", *site) for p in g2
+                     for site in p.sides["L"].sites(g)), None)
         if pair is not None and rng.random() < 0.5:
             return apply(g, pair)
         if g.n == 0:

@@ -87,3 +87,16 @@ def test_algebra_text_round_trip():
 def test_parse_algebra_errors():
     with pytest.raises(ParseError):
         parse_algebra("dim: 2\nring: laurent\nR:\n1, 0\n")
+
+
+def test_parse_algebra_reports_the_column_on_the_raw_line():
+    head = "dim: 2\nring: {}\nR:\n"
+    cases = [("laurent", "q, 0, 0, 0, q^", 14),
+             ("laurent", "   q, zz, 0, 0", 7),
+             ("laurent", "1,, 0", 3),
+             ("rational", "1, 1/0 # x", 4),
+             ("rational", "\t1,  0,  x", 10)]
+    for ring, row, column in cases:
+        with pytest.raises(ParseError) as err:
+            parse_algebra(head.format(ring) + row + "\n")
+        assert (err.value.line, err.value.column) == (4, column), row

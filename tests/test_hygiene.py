@@ -1,6 +1,6 @@
 """Code hygiene of the package: no private helper without a caller, no
-import that a module does not use, and no slow standard module loaded by
-importing the CLI."""
+module importing another module's private name, no import that a module
+does not use, and no slow standard module loaded by importing the CLI."""
 
 import ast
 import os
@@ -49,6 +49,17 @@ def test_every_private_helper_has_a_caller():
             if node.name not in others | _names(tree, skip=node):
                 unused.append(f"{name}: {node.name}")
     assert unused == []
+
+
+def test_no_module_imports_a_private_name():
+    private = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("xctangle")):
+                private += [f"{name}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_no_unused_imports():

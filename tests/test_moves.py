@@ -151,6 +151,55 @@ def test_stale_site_detected():
         M.apply(other, sites[0])
 
 
+def test_apply_rejects_out_of_range_sites():
+    two = XCGaussDiagram(2, (1, 2), [(1, 1)],
+                         [(), (("O", 1), ("D", -1), ("U", 1))])
+    on_strand_2 = next(s for s in M.find_sites(two, "G1f") if s.side == "L")
+    assert on_strand_2.locs == ((1, 0),)
+    kink = next(s for s in M.find_sites(KINK, "G1f") if s.side == "L")
+    g0r = next(s for s in M.find_sites(KINK, "G0r") if s.side == "R")
+    stale = [
+        (identity(1), on_strand_2),
+        (KINK, M.MoveSite(kink.pattern, "L", ((0, -3),), kink.assign,
+                          kink.eps)),
+        (KINK, M.MoveSite(g0r.pattern, "R", ((0, -1),), (), g0r.eps)),
+        (KINK, M.MoveSite(g0r.pattern, "R", ((-1, 0),), (), g0r.eps)),
+        (KINK, M.MoveSite(g0r.pattern, "X", ((0, 0),), (), g0r.eps)),
+        (KINK, M.MoveSite(g0r.pattern, "R", (), (), g0r.eps)),
+        (KINK, M.MoveSite(g0r.pattern, "R", ((0, 0), (0, 0)), (), g0r.eps)),
+    ]
+    for d, site in stale:
+        with pytest.raises(StaleSiteError):
+            M.apply(d, site)
+
+
+def _old_runs_conflict(runs, new):
+    """The three-case rule the interval test replaced."""
+    s, a, la = new
+    for t, b, lb in runs:
+        if s != t:
+            continue
+        if la and lb:
+            if a < b + lb and b < a + la:
+                return True
+        elif la == 0 and lb:
+            if b < a < b + lb:
+                return True
+        elif lb == 0 and la:
+            if a < b < a + la:
+                return True
+    return False
+
+
+def test_runs_conflict_is_one_interval_test():
+    runs = [(s, a, la) for s in (0, 1) for a in range(6) for la in range(4)]
+    for placed in runs:
+        for new in runs:
+            assert M._runs_conflict([placed], new) == \
+                _old_runs_conflict([placed], new), (placed, new)
+    assert not M._runs_conflict([], (0, 0, 1))
+
+
 def test_random_site_raises_without_sites():
     with pytest.raises(NoSiteError):
         M.random_site(identity(1), "G3", random.Random(0))
@@ -210,6 +259,12 @@ def test_orbit_equals_reference_loop():
     assert M.orbit(d, 2, 6) == reference_orbit(d, 2, 6)
 
 
+def _side_sites(d, side):
+    """The sites of one pattern side in ``d``, as :class:`MoveSite`."""
+    return [M.MoveSite(side.pattern, side.name, *site)
+            for site in side.sites(d)]
+
+
 def test_splice_equals_apply_at_every_insertion_site():
     rng = random.Random(19)
     shared = apart = checked = 0
@@ -218,13 +273,13 @@ def test_splice_equals_apply_at_every_insertion_site():
                                          max_diamonds=2))
         ids_before, rows = M._ids_before(d), {}
         for pattern in M.builtin_patterns():
-            for side in ("L", "R"):
-                if not M._inserts(pattern, side):
+            for side in pattern.sides.values():
+                if not side.inserts:
                     continue
-                splice = M._Splice(pattern, side)
-                for site in M._side_sites(d, pattern, side):
-                    got = M._spliced(d, site.locs, site.eps, splice,
-                                    ids_before, rows)
+                memo = {}
+                for site in _side_sites(d, side):
+                    got = M._spliced(d, site.locs, site.eps, side,
+                                     ids_before, rows, memo)
                     assert got == canonical_key(M.apply(d, site)), site
                     slots = set(site.locs)
                     shared += len(slots) < len(site.locs)
@@ -238,10 +293,10 @@ def test_insertion_targets_hold_every_letter():
     # the splice numbers the letters by the first run alone
     sides = 0
     for pattern in M.builtin_patterns():
-        for side in ("L", "R"):
-            if not M._inserts(pattern, side):
+        for side in pattern.sides.values():
+            if not side.inserts:
                 continue
-            dst = pattern.left if side == "R" else pattern.right
+            dst = side.dst
             letters = {val for f in dst for kind, val in f if kind != "D"}
             for frag in filter(None, dst):
                 assert {val for kind, val in frag if kind != "D"} == letters
@@ -255,9 +310,9 @@ def test_size_change_is_exact_at_every_site():
     for i in range(12):
         d = random_diagram(rng, n=1 + i % 2, max_chords=3, max_diamonds=3)
         for pattern in M.builtin_patterns():
-            for side in ("L", "R"):
-                change = M._size_change(pattern, side)
-                for site in M._side_sites(d, pattern, side):
+            for side in pattern.sides.values():
+                change = side.change
+                for site in _side_sites(d, side):
                     got = M.apply(d, site).decoration_count()
                     assert got == d.decoration_count() + change, site
                     checked += 1
