@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import time
-from importlib import resources
 
 from . import moves as M
 from .algebra import builtin_uqsl2, check_axioms
@@ -225,6 +224,8 @@ def criterion_7(seed: int) -> tuple[str, bool, str]:
 def load_golden() -> dict[str, tuple[str, str]]:
     """name -> (bracket value, long-knot scalar), as serialized Laurent
     polynomials from the golden file."""
+    from importlib import resources  # see moves.builtin_patterns
+
     text = (resources.files("xctangle")
             .joinpath("data/golden_bracket.cfg").read_text())
     out = {}

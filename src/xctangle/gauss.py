@@ -39,7 +39,13 @@ DIAMOND = "D"
 
 
 class XCGaussDiagram(FrozenRecord):
-    """Immutable XC-Gauss diagram."""
+    """Immutable XC-Gauss diagram.
+
+    Its fields are slots: a diagram carries no instance dict, which
+    matters in an orbit of tens of thousands of members.
+    """
+
+    __slots__ = ("n", "top", "chords", "events")
 
     n: int
     top: tuple[int, ...]
@@ -72,6 +78,9 @@ class XCGaussDiagram(FrozenRecord):
 
     def __hash__(self) -> int:
         return hash((self.n, self.top, self.chords, self.events))
+
+    def __reduce__(self):
+        return self.__class__, (self.n, self.top, self.chords, self.events)
 
     # -- helpers ------------------------------------------------------
 
@@ -242,7 +251,10 @@ def renumbered(n: int, top: tuple[int, ...], sign: dict[int, int],
 def built(n: int, top: tuple[int, ...], chords: tuple, events: tuple
           ) -> XCGaussDiagram:
     """The diagram with exactly these fields: tuples of ints, the chords
-    sorted by id.  Nothing is converted, sorted or checked."""
+    sorted by id.  Nothing is converted, sorted or checked, and the
+    tuples are kept as given, so diagrams built from one set of row and
+    chord tuples share them: :func:`moves.orbit` builds its members from
+    one dict of them per call."""
     d = object.__new__(XCGaussDiagram)
     object.__setattr__(d, "n", n)
     object.__setattr__(d, "top", top)
@@ -251,12 +263,14 @@ def built(n: int, top: tuple[int, ...], chords: tuple, events: tuple
     return d
 
 
-def raised(d: XCGaussDiagram, m: int, k: int):
+def raised(d: XCGaussDiagram, m: int, k: int, share: dict):
     """The rows and the chords of the canonical diagram ``d`` with every
     chord id above ``m`` raised by ``k``, as ``(events, chords)``.
 
     Ids up to ``m`` keep their tuples; the raised chord events and
-    ±1-signed chords are the shared tuples of :func:`renumbered`.
+    ±1-signed chords are the shared tuples of :func:`renumbered`.  Each
+    row is the object that ``share`` holds for its value, added there if
+    it is new.
     """
     if k == 0:
         return d.events, d.chords
@@ -264,11 +278,13 @@ def raised(d: XCGaussDiagram, m: int, k: int):
     if size > len(_SHARED_EVENTS[OVER]):
         _grow_shared(2 * size)
     overs, unders = _SHARED_EVENTS[OVER], _SHARED_EVENTS[UNDER]
-    rows = tuple(
-        tuple(e if e[0] == DIAMOND or e[1] <= m
-              else (overs if e[0] == OVER else unders)[e[1] + k]
-              for e in row)
-        for row in d.events)
+    rows = []
+    for row in d.events:
+        row = tuple([e if e[0] == DIAMOND or e[1] <= m
+                     else (overs if e[0] == OVER else unders)[e[1] + k]
+                     for e in row])
+        rows.append(share.setdefault(row, row))
+    rows = tuple(rows)
     chords = d.chords[:m] + tuple(
         _SHARED_CHORDS[s][c + k] if s in _SHARED_CHORDS else (c + k, s)
         for c, s in d.chords[m:])

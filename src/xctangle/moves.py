@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from importlib import resources
 from itertools import product
 
 from .errors import NoSiteError, ParseError, StaleSiteError, ValidationError
@@ -204,6 +203,10 @@ def builtin_patterns() -> list[MovePattern]:
     """The shipped pattern table, loaded from ``data/patterns.cfg``."""
     global _BUILTIN
     if _BUILTIN is None:
+        # imported here: it loads pathlib, zipfile and tempfile, and only
+        # the data files need it
+        from importlib import resources
+
         text = (
             resources.files("xctangle").joinpath("data/patterns.cfg").read_text()
         )
@@ -466,8 +469,18 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     size s skips a whole side when s plus that change exceeds
     ``max_size``; the search is then truncated if the side has a site,
     and no diagram is built.  Every other site is rewritten straight to
-    its canonical diagram, whose event and chord tuples are shared with
-    the other members.
+    its canonical diagram.
+
+    Members share their storage.  One dict per call maps each row tuple
+    and each chord tuple, by value, to one object, and every candidate
+    is built from those objects: the rows of :func:`gauss.raised`, each
+    spliced row and chord tuple, and the rows and chords of each
+    renumbered match-site result.  The events and chords inside them were
+    shared already: the tables of :func:`gauss.renumbered`, or a side's
+    runs, kept for the call.  A diagram keeps its fields in slots, with
+    no instance dict.  Equal tuples are interchangeable and the dict
+    lives for one call only, so the members are the same values as
+    without it.
 
     A match site is rewritten and renumbered (:func:`gauss.renumbered`).
     An insertion site (G0r and G2 read right to left: every source
@@ -481,8 +494,8 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     letter.  The rows with ids above m raised by k come from
     :func:`gauss.raised`, once per (member, m, k), and the runs are sliced
     in; runs at one slot go in the order :func:`apply` gives them, the
-    later fragment first.  The plans and runs of a side are kept for one
-    call only.
+    later fragment first.  A splice looks up only the rows it touches in
+    the dict.  The plans and runs of a side are kept for one call only.
 
     Each candidate is hashed once, by adding it to the members; each new
     member is validated once, and a duplicate equals a member already
@@ -493,7 +506,8 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
         raise ValidationError("orbit budgets must be positive")
     steps = [(side, {}) for p in builtin_patterns()
              for side in p.sides.values()]
-    frontier = [canonical_key(d)]
+    share: dict[tuple, tuple] = {}
+    frontier = [_shared(canonical_key(d), share)]
     seen = set(frontier)
     truncated = False
     for _ in range(max_depth):
@@ -508,11 +522,11 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
                     continue
                 if side.inserts:
                     keys = (_spliced(cur, locs, eps, side, ids_before, rows,
-                                     memo)
+                                     memo, share)
                             for locs, _, eps in side.sites(cur))
                 else:
-                    keys = (renumbered(cur.n, cur.top, *side.rewrite(
-                                cur, locs, dict(assign), eps))
+                    keys = (_shared(renumbered(cur.n, cur.top, *side.rewrite(
+                                cur, locs, dict(assign), eps)), share)
                             for locs, assign, eps in side.sites(cur))
                 for key in keys:
                     known = len(seen)
@@ -529,17 +543,29 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     return OrbitResult(frozenset(seen), truncated)
 
 
-def _spliced(cur, locs, eps, side, ids_before, rows, memo):
+def _shared(d, share):
+    """``d`` built from the row and chord tuples that ``share`` holds for
+    its values, adding the ones it lacks."""
+    chords = share.setdefault(d.chords, d.chords)
+    return built(d.n, d.top, chords,
+                 tuple([share.setdefault(row, row) for row in d.events]))
+
+
+def _spliced(cur, locs, eps, side, ids_before, rows, memo, share=None):
     """The canonical diagram of inserting the target runs of the insertion
     side ``side`` at the slots ``locs`` of the canonical member ``cur``,
     with the sign choice ``eps``; ``rows`` caches :func:`gauss.raised` by
-    (m, k) and ``memo`` holds the side's plans and runs."""
+    (m, k), ``memo`` holds the side's plans and runs, and ``share`` the
+    orbit's row and chord tuples by value, which each raised or spliced
+    row and the chords are taken from (a splice alone shares nothing)."""
+    if share is None:
+        share = {}
     first, order = side.plan(locs, memo)
     s, p = locs[first]
     m = ids_before[s][p]
     got = rows.get((m, side.k))
     if got is None:
-        got = rows[m, side.k] = raised(cur, m, side.k)
+        got = rows[m, side.k] = raised(cur, m, side.k, share)
     ev, chords = got
     runs, fresh = side.runs(first, eps, m, memo)
     ev = list(ev)
@@ -547,7 +573,10 @@ def _spliced(cur, locs, eps, side, ids_before, rows, memo):
         s, p = locs[i]
         row = ev[s]
         ev[s] = row[:p] + runs[i] + row[p:]
-    return built(cur.n, cur.top, chords[:m] + fresh + chords[m:], tuple(ev))
+    for s, _ in locs:
+        ev[s] = share.setdefault(ev[s], ev[s])
+    chords = chords[:m] + fresh + chords[m:]
+    return built(cur.n, cur.top, share.setdefault(chords, chords), tuple(ev))
 
 
 # -- the validator (binding oracle for pattern transcription) ----------

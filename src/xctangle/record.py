@@ -20,15 +20,27 @@ from __future__ import annotations
 
 
 class FrozenRecord:
-    """Immutable record with field-wise equality, hash and repr."""
+    """Immutable record with field-wise equality, hash and repr.
 
+    The base declares no instance storage (``__slots__ = ()``), so a
+    subclass may keep its fields in slots and carry no instance dict, as
+    :class:`~xctangle.gauss.XCGaussDiagram` does.  Its slot descriptors
+    are then class attributes named like the fields; they are not read
+    as defaults.  Python 3.10 cannot restore slots through the default
+    protocol without ``__setattr__``, so such a subclass pickles and
+    copies through its own ``__reduce__``.
+    """
+
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
     _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
-        cls._defaults = {f: vars(cls)[f] for f in cls._fields if f in vars(cls)}
+        own, slots = vars(cls), vars(cls).get("__slots__", ())
+        cls._defaults = {f: own[f] for f in cls._fields
+                         if f in own and f not in slots}
 
     def __init__(self, *args, **kwargs):
         fields = self._fields

@@ -89,3 +89,18 @@ def test_cli_import_does_not_load_dataclasses():
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_resources():
+    # importlib.resources loads pathlib, zipfile and tempfile; only the
+    # shipped data files need it, so it is imported where they are read.
+    # -S keeps site from loading these modules before the package does.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    slow = ("importlib.resources", "pathlib", "tempfile")
+    code = ("import sys, xctangle.cli; "
+            f"print([m for m in {slow!r} if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"

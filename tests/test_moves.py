@@ -259,6 +259,18 @@ def test_orbit_equals_reference_loop():
     assert M.orbit(d, 2, 6) == reference_orbit(d, 2, 6)
 
 
+def test_orbit_members_share_rows_and_chords():
+    # one object per row value and per chord tuple value across the
+    # members, spliced and renumbered alike
+    d = random_diagram(random.Random(2), n=2, max_chords=2, max_diamonds=2)
+    keys = M.orbit(d, 2, 5).keys
+    rows = [row for k in keys for row in k.events]
+    chords = [k.chords for k in keys]
+    assert len(keys) > 100
+    assert len({id(row) for row in rows}) == len(set(rows))
+    assert len({id(c) for c in chords}) == len(set(chords))
+
+
 def _side_sites(d, side):
     """The sites of one pattern side in ``d``, as :class:`MoveSite`."""
     return [M.MoveSite(side.pattern, side.name, *site)

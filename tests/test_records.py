@@ -108,6 +108,14 @@ def test_defaults():
     assert len(first) == 1 and len(FormalDiagramSum()) == 0
 
 
+def test_diagram_fields_are_slots():
+    # no instance dict, and the slot descriptors are not read as defaults
+    assert not hasattr(CURL, "__dict__")
+    assert XCGaussDiagram._defaults == {}
+    with pytest.raises(TypeError):
+        XCGaussDiagram(1, (1,), ())
+
+
 def test_construction_by_keyword_and_bad_arguments():
     term = FormulaTerm(coefficient=2, template=CURL,
                        unsigned_chords=frozenset({1}))
