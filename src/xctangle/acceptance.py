@@ -14,7 +14,7 @@ import time
 
 from . import moves as M
 from .algebra import builtin_uqsl2, check_axioms
-from .errors import NoSiteError
+from .errors import DomainError, NoSiteError
 from .gauss import (
     canonical_key,
     compose,
@@ -339,6 +339,9 @@ CRITERIA = [
 def run_criterion(number: int, seed: int = DEFAULT_SEED) -> CriterionResult:
     """Run and time one criterion; a budgeted criterion fails when it runs
     over its budget."""
+    if not 1 <= number <= len(CRITERIA):
+        raise DomainError(
+            f"criterion {number} out of range 1..{len(CRITERIA)}")
     t0 = time.perf_counter()
     name, passed, detail = CRITERIA[number - 1](seed)
     dt = time.perf_counter() - t0

@@ -32,8 +32,7 @@ Algebra file format::
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import DimensionError, ParseError
 from .gauss import XCGaussDiagram, is_decimal
@@ -265,6 +264,10 @@ def _parse_entry(text: str, variant: str, lineno: int,
     its raw line."""
     if variant == LAURENT:
         return parse_laurent(text, lineno, offset)
+    # imported here: fractions loads decimal, and only rational algebra
+    # files need it
+    from fractions import Fraction
+
     if text.isascii():  # Fraction reads every Unicode digit
         try:
             return Coefficient.rational(Fraction(text))

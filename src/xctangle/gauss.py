@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 import threading
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
 from .record import FrozenRecord

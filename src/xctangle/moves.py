@@ -141,7 +141,7 @@ def parse_patterns(text: str) -> list[MovePattern]:
             if kind not in KINDS:
                 raise ParseError(f"unknown move kind {kind!r}", lineno, 1)
             cur = {"kind": kind, "vars": [], "left": {}, "right": {},
-                   "uses": []}
+                   "uses": [], "line": lineno}
         elif line == "end":
             if cur is None:
                 raise ParseError("'end' outside a pattern block", lineno, 1)
@@ -174,13 +174,22 @@ def parse_patterns(text: str) -> list[MovePattern]:
             if len(letter) != 1 or not letter.isalpha() or \
                     expr not in ("+", "-", "e", "-e"):
                 raise ParseError(f"bad var line {line!r}", lineno, 1)
+            if letter in dict(cur["vars"]):
+                col = raw.index(letter, raw.index("var ") + 4) + 1
+                raise ParseError(f"chord letter {letter!r} declared twice",
+                                 lineno, col)
             cur["vars"].append((letter, expr))
         elif line.startswith("frag ") or line.startswith("to "):
             side = "left" if line.startswith("frag ") else "right"
-            body = line.split(" ", 1)[1]
+            keyword, body = line.split(" ", 1)
             idx_s, _, rest = body.partition(":")
-            if not is_decimal(idx_s.strip()):
+            idx_s = idx_s.strip()
+            if not is_decimal(idx_s):
                 raise ParseError(f"bad fragment index in {line!r}", lineno, 1)
+            if int(idx_s) in cur[side]:
+                col = raw.index(idx_s, raw.index(keyword) + len(keyword)) + 1
+                raise ParseError(f"duplicate '{keyword} {idx_s}' line",
+                                 lineno, col)
             toks = []
             after_colon = raw.index(":") + 2  # 1-based column
             for m in re.finditer(r"\S+", rest):
@@ -192,7 +201,7 @@ def parse_patterns(text: str) -> list[MovePattern]:
         else:
             raise ParseError(f"unexpected line {line!r}", lineno, 1)
     if cur is not None:
-        raise ParseError("unterminated pattern block", 0, 1)
+        raise ParseError("unterminated pattern block", cur["line"], 1)
     return patterns
 
 

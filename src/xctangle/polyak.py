@@ -6,12 +6,12 @@
   :func:`map_I_inverse` inverts it by back-substitution, from the largest
   decoration count down, so the two are mutually inverse linear maps on
   the free module of diagrams.
-* :func:`pairing` evaluates a diagram formula — a list of one-strand
-  template terms whose decorations may be left unsigned — against a
-  one-strand diagram: each way a decoration subset of the diagram matches
-  a template exactly (signed slots by equality, unsigned slots by shape)
-  contributes the term coefficient times the product of the signs matched
-  to unsigned slots.
+* :func:`pairing` is the pairing <F, I(d)> of a diagram formula F — a
+  list of one-strand template terms whose decorations may be left
+  unsigned — with :func:`map_I` of a one-strand diagram d.  Each unsigned
+  slot is expanded into both signs, the sign multiplying the term's
+  coefficient, and the signed templates are summed as canonical diagrams;
+  each subdiagram of d of a template's size adds its weight in that sum.
 * :func:`framing_formula` is the degree-one formula 2*(unsigned
   under-first chord) - (unsigned diamond); it returns the writhe on every
   planar lift and is unchanged by all certified moves.
@@ -26,7 +26,8 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 
 from .errors import ParseError, ValidationError
 from .gauss import (
@@ -86,25 +87,26 @@ def _induced(rows, mask: int):
     return [[e for e, w in row if mask & w] for row in rows]
 
 
-def _subsets(d: XCGaussDiagram):
+def _subsets(d: XCGaussDiagram, sizes=None):
     """Every decoration subset of ``d`` as ``(mask, event lists)``, in
-    ascending mask order, with the event bits computed once."""
+    ascending mask order, with the event bits computed once.  Given a set
+    of ``sizes``, only the subsets with one of those decoration counts are
+    walked, size by size."""
     validate(d)
     rows = _event_bits(d)
-    for mask in range(1 << d.decoration_count()):
+    k = d.decoration_count()
+    if sizes is None:
+        masks = range(1 << k)
+    else:
+        bits = [1 << i for i in range(k)]
+        masks = (sum(c) for size in sorted(sizes)
+                 for c in combinations(bits, size))
+    for mask in masks:
         yield mask, _induced(rows, mask)
 
 
 def _chords_in(d: XCGaussDiagram, mask: int):
     return [c for i, c in enumerate(d.chords) if mask >> i & 1]
-
-
-def subdiagram(d: XCGaussDiagram, subset) -> XCGaussDiagram:
-    """The induced diagram keeping exactly the given decorations."""
-    mask = sum(1 << i for i, dec in enumerate(decorations(d))
-               if dec in subset)
-    return XCGaussDiagram(d.n, d.top, _chords_in(d, mask),
-                          _induced(_event_bits(d), mask))
 
 
 def subdiagrams(d: XCGaussDiagram):
@@ -158,11 +160,12 @@ class FormalDiagramSum:
         return len(self.terms)
 
 
-def _canonical_subsets(d: XCGaussDiagram):
+def _canonical_subsets(d: XCGaussDiagram, sizes=None):
     """Every subset of ``d`` as ``(decoration count, canonical diagram)``,
-    in the order of :func:`subdiagrams`."""
+    in the order of :func:`subdiagrams`; ``sizes`` restricts the walk as
+    in :func:`_subsets`."""
     sign = d.chord_sign
-    for mask, events in _subsets(d):
+    for mask, events in _subsets(d, sizes):
         yield mask.bit_count(), renumbered(d.n, d.top, sign, events)
 
 
@@ -277,78 +280,45 @@ class FormulaTerm(FrozenRecord):
             raise ValidationError("formula templates must have one strand")
 
 
-def _term_profile(t: FormulaTerm):
-    """The template's shape: renumbered event kinds/ids plus per-position
-    sign requirements (None = unsigned slot)."""
-    d = t.template
-    ren: dict[int, int] = {}
-    shape = []
-    req = []
-    sign = d.chord_sign
-    for kind, val in d.events[0]:
-        if kind == DIAMOND:
-            shape.append((DIAMOND, 0))
-            req.append(None if val == 0 else val)
-        else:
-            if val not in ren:
-                ren[val] = len(ren) + 1
-            shape.append((kind, ren[val]))
-            if val in t.unsigned_chords:
-                req.append(None)
-            elif kind == OVER:  # chord sign is checked once, on the O end
-                req.append(sign[val])
-            else:
-                req.append(0)  # 0 = already constrained at the other end
-    return tuple(shape), tuple(req)
+def _signed_templates(formula) -> FormalDiagramSum:
+    """The formula as a sum of signed templates: each unsigned slot of a
+    term is expanded into both signs, the chosen sign multiplying the
+    term's coefficient.  A template is validated once, with its unsigned
+    slots signed +1; its other sign choices are renumbered directly."""
+    out = FormalDiagramSum()
+    for term in formula:
+        t = term.template
+        sign = t.chord_sign
+        rows = [list(ev) for ev in t.events]
+        chords = [c for c in sign if c in term.unsigned_chords]
+        dias = [(row, i) for row in rows
+                for i, e in enumerate(row) if e == (DIAMOND, 0)]
+        sign.update((c, 1) for c in chords)
+        for row, i in dias:
+            row[i] = (DIAMOND, 1)
+        validate(XCGaussDiagram(t.n, t.top, sign.items(), rows))
+        for signs in product((1, -1), repeat=len(chords) + len(dias)):
+            sign.update(zip(chords, signs))
+            for (row, i), s in zip(dias, signs[len(chords):]):
+                row[i] = (DIAMOND, s)
+            out._add_key(renumbered(t.n, t.top, sign, rows),
+                         term.coefficient * prod(signs))
+    return out
 
 
 def pairing(formula, d: XCGaussDiagram) -> int:
-    """Signed count of embeddings of each template as a subdiagram of a
-    one-strand diagram, weighted by the term coefficients and, for
-    unsigned template slots, by the matched decorations' signs."""
+    """The pairing <F, I(d)> of a formula F with :func:`map_I` of a
+    one-strand diagram d: each canonical subdiagram of d with as many
+    decorations as some template adds its weight in the signed templates
+    of F.  A template that is not a valid diagram raises ValidationError.
+    """
     validate(d)
     if d.n != 1:
         raise ValidationError("pairing requires a one-strand diagram")
-    (row,) = _event_bits(d)
-    bits = [1 << i for i in range(d.decoration_count())]
-    sign = d.chord_sign
-    total = 0
-    for term in formula:
-        shape, req = _term_profile(term)
-        size = len(decorations(term.template))
-        for subset in combinations(bits, size):
-            ev = _induced([row], sum(subset))[0]
-            if len(ev) != len(shape):
-                continue
-            ren: dict[int, int] = {}
-            ok = True
-            weight = 1
-            for pos, (kind, val) in enumerate(ev):
-                want_kind, want_id = shape[pos]
-                if kind != want_kind:
-                    ok = False
-                    break
-                if kind == DIAMOND:
-                    if req[pos] is None:
-                        weight *= val
-                    elif val != req[pos]:
-                        ok = False
-                        break
-                else:
-                    if val not in ren:
-                        ren[val] = len(ren) + 1
-                    if ren[val] != want_id:
-                        ok = False
-                        break
-                    if kind == OVER:
-                        if req[pos] is None:
-                            weight *= sign[val]
-                        elif req[pos] != sign[val]:
-                            ok = False
-                            break
-            if ok:
-                total += term.coefficient * weight
-    return total
+    weights = _signed_templates(formula).terms
+    sizes = {t.decoration_count() for t in weights}
+    return sum(weights.get(key, 0)
+               for _, key in _canonical_subsets(d, sizes))
 
 
 def framing_terms() -> list[FormulaTerm]:

@@ -27,9 +27,8 @@ suppressed except on the constant term.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+from collections.abc import Iterable
 from numbers import Rational
-from typing import Iterable
 
 from .errors import DomainError, ParseError, VariantMismatchError
 
@@ -61,6 +60,10 @@ class Coefficient:
                 raise DomainError(
                     f"rational value must be an int or a Fraction, got {payload!r}"
                 )
+            # imported here: fractions loads decimal, and only the
+            # rational variant needs it
+            from fractions import Fraction
+
             payload = Fraction(payload)
         else:
             items = payload.items() if isinstance(payload, dict) else payload
@@ -103,6 +106,8 @@ class Coefficient:
             raise DomainError(f"rational value must be exact, got {p!r}/{q!r}")
         if q == 0:
             raise DomainError("rational value with zero denominator")
+        from fractions import Fraction
+
         return Coefficient(RATIONAL, Fraction(p, q))
 
     @staticmethod
@@ -138,8 +143,11 @@ class Coefficient:
             raise DomainError("terms only defined for laurent coefficients")
         return dict(self._payload)
 
-    def as_fraction(self) -> Fraction:
+    def as_fraction(self):
+        """The value as a ``fractions.Fraction``."""
         if self.variant == INTEGER:
+            from fractions import Fraction
+
             return Fraction(self._payload)
         if self.variant == RATIONAL:
             return self._payload

@@ -26,7 +26,7 @@ Text format (one graph per stanza, canonical printing sorts by id)::
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
 from .gauss import (DIAMOND, OVER, UNDER, XCGaussDiagram, is_decimal,

@@ -8,6 +8,7 @@ the criterion result from the shared harness in
 import pytest
 
 from xctangle.acceptance import DEFAULT_SEED, run_criterion
+from xctangle.errors import DomainError
 
 NAMES = {
     1: "algebra axioms",
@@ -32,3 +33,9 @@ def test_acceptance(number):
           f"({result.seconds:.1f}s) {result.name}: {result.detail}")
     assert result.name == NAMES[number]
     assert result.passed, f"criterion {number}: {result.detail}"
+
+
+@pytest.mark.parametrize("number", [0, -1, 12])
+def test_criterion_number_out_of_range(number):
+    with pytest.raises(DomainError, match=r"1\.\.11"):
+        run_criterion(number)

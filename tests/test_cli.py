@@ -360,6 +360,16 @@ def test_pair_formula(files, capsys, tmp_path):
     assert code == 0 and out == "3\n"
 
 
+def test_pair_rejects_invalid_template(files, capsys, tmp_path):
+    _, idf, _ = files
+    formula = tmp_path / "f.txt"
+    formula.write_text("term 1\nstrands: 1\nchords:\nstrand 1: O1 U1\n")
+    code, out, err = run(capsys, "pair", "--formula", str(formula),
+                         "--diagram", str(idf))
+    assert (code, out) == (1, "")
+    assert err == "error: dangling chord end: unknown chord 1\n"
+
+
 def test_deterministic_output(files, capsys):
     _, _, tre = files
     outs = set()

@@ -347,6 +347,23 @@ def test_pattern_parse_errors():
         M.parse_patterns("pattern G2\nfrag 1: Qa\nto 1:\nend\n")
 
 
+@pytest.mark.parametrize("text,where", [
+    # an unterminated block is reported at its header
+    ("pattern G0\nfrag 1: D+ D-\nto 1:\nend\n\npattern G2\nfrag 1:\n",
+     (6, 1)),
+    # a repeated var letter, at the letter of the repeat
+    ("pattern G2\nvar a: +\n  var  a: -\nfrag 1:\nto 1: Oa Ua\nend\n",
+     (3, 8)),
+    # a repeated fragment line, at the index of the repeat
+    ("pattern G0\nfrag 1: D+ D-\nfrag  1: D-\nto 1:\nend\n", (3, 7)),
+    ("pattern G0\nfrag 1: D+ D-\nto 1:\n to 1: D+\nend\n", (4, 5)),
+])
+def test_pattern_parse_error_positions(text, where):
+    with pytest.raises(ParseError) as err:
+        M.parse_patterns(text)
+    assert (err.value.line, err.value.column) == where
+
+
 def test_undeclared_chord_letter_is_a_parse_error():
     with pytest.raises(ParseError) as err:
         M.parse_patterns("pattern G1f\nfrag 1: Ox D- Ux\nto 1: Ux D+ Ox\nend\n")

@@ -2,6 +2,8 @@
 truncation, and the formula text format."""
 
 import random
+from itertools import product
+from math import prod
 
 import pytest
 
@@ -256,6 +258,69 @@ def test_pairing_is_linear_in_the_formula():
                            t.unsigned_chords) for t in terms]
     d = lift(random_code(random.Random(101), n=1, max_chords=4))
     assert pairing(doubled, d) == 2 * pairing(terms, d)
+
+
+def signed_choices(term):
+    """Each signed template of a term with its coefficient: every unsigned
+    slot takes both signs, and the sign taken multiplies the coefficient."""
+    t = term.template
+    chords = [c for c, _ in t.chords if c in term.unsigned_chords]
+    dias = [i for i, e in enumerate(t.events[0]) if e == ("D", 0)]
+    for signs in product((1, -1), repeat=len(chords) + len(dias)):
+        sign = dict(t.chords)
+        sign.update(zip(chords, signs))
+        row = list(t.events[0])
+        for i, s in zip(dias, signs[len(chords):]):
+            row[i] = ("D", s)
+        yield (term.coefficient * prod(signs),
+               XCGaussDiagram(1, (1,), sign.items(), [row]))
+
+
+def reference_pairing(formula, d):
+    """Match every subdiagram of ``d`` against every sign choice of every
+    term by the printed text of their renumbered diagrams."""
+    texts = [(c, print_diagram(renumber_canonically(t)))
+             for term in formula for c, t in signed_choices(term)]
+    total = 0
+    for sub in subdiagrams(d):
+        text = print_diagram(renumber_canonically(sub))
+        total += sum(c for c, want in texts if want == text)
+    return total
+
+
+def test_pairing_equals_reference():
+    rng = random.Random(109)
+    unsigned_slots = 0
+    for _ in range(300):
+        formula = []
+        for _ in range(rng.randint(1, 5)):
+            t = random_diagram(rng, n=1, max_chords=3, max_diamonds=2)
+            events = [(k, 0) if k == "D" and rng.random() < 0.5 else (k, v)
+                      for k, v in t.events[0]]
+            unsigned = frozenset(c for c, _ in t.chords
+                                 if rng.random() < 0.5)
+            unsigned_slots += len(unsigned) + events.count(("D", 0))
+            formula.append(FormulaTerm(
+                rng.randint(-3, 3),
+                XCGaussDiagram(1, (1,), t.chords, [events]), unsigned))
+        # a repeated term, so that templates of two terms add up
+        formula.append(formula[0])
+        d = random_diagram(rng, n=1, max_chords=4, max_diamonds=3)
+        assert pairing(formula, d) == reference_pairing(formula, d)
+    assert unsigned_slots > 300
+
+
+@pytest.mark.parametrize("chords,events", [
+    ([], [("O", 1), ("U", 1)]),  # chord ends of an unlisted chord
+    ([(1, 1)], []),  # a chord listed without ends
+    ([(1, 1)], [("O", 1)]),  # a one-ended chord
+    ([(1, 0)], [("O", 1), ("U", 1)]),  # a chord of sign 0
+])
+def test_pairing_rejects_invalid_templates(chords, events):
+    template = XCGaussDiagram(1, (1,), chords, [events])
+    for coefficient in (1, 0):
+        with pytest.raises(ValidationError):
+            pairing([FormulaTerm(coefficient, template)], ONE_EACH)
 
 
 def test_pairing_rejects_multistrand():
