@@ -16,8 +16,14 @@ the left.  The walk is still exponential in the chord count: about 2x per
 crossing on T(2,k) lifts, against 3x for the plain sum.
 
 Each bead (kappa, kappa^-1 and every Q_ac) is split once per call into
-sparse rows of its nonzero ``(column, entry)`` pairs, and a bead product
-multiplies only those pairs.  The product reports a zero result as
+sparse rows of its nonzero ``(column, payload)`` pairs, and a bead product
+multiplies only those pairs.  Bead products run on bare normal-form
+payloads with the ring's payload kernel (:func:`~xctangle.ring.kernel`):
+the split beads, the walk's running product and its partial sums are
+payloads, and zero is the falsy payload.  A strand's word becomes a
+:class:`RingMatrix` of :class:`Coefficient` entries only when the strand
+closes; the tensor product of the words and the sum into the value use
+``Coefficient`` arithmetic.  The product reports a zero result as
 ``None``, and an E_ac bead ends its branch when row c of the partial
 product is zero, so no product is scanned for zeros afterwards.
 
@@ -36,7 +42,7 @@ from .algebra import MatrixXCAlgebra, RingMatrix, mat_mul, mat_tensor
 from .errors import DimensionError, GuardrailError, NonScalarError, ValidationError
 from .gauss import DIAMOND, OVER, XCGaussDiagram
 from .record import FrozenRecord
-from .ring import Coefficient
+from .ring import Coefficient, kernel
 
 DEFAULT_GUARDRAIL = 4096
 
@@ -124,24 +130,28 @@ def _decompose_two_leg(m: RingMatrix, d: int) -> tuple:
 
 
 def _sparse_rows(m: RingMatrix) -> tuple:
-    """Each row of a bead as its nonzero (column, entry) pairs."""
-    return tuple([tuple([(j, x) for j, x in enumerate(row) if not x.is_zero()])
+    """Each row of a bead as the (column, payload) pairs of its nonzero
+    entries."""
+    return tuple([tuple([(j, x._payload) for j, x in enumerate(row) if x._payload])
                   for row in m.entries])
 
 
-def _left_mul(k: tuple, acc: list, zero: Coefficient) -> list | None:
-    """k . acc for a bead ``k`` in sparse rows and ``acc`` as d row lists,
-    multiplying only nonzero pairs; ``None`` when the product is zero."""
+def _left_mul(k: tuple, acc: list, mul, add, zero) -> list | None:
+    """k . acc for a bead ``k`` in sparse rows and ``acc`` as d rows of
+    payloads, multiplying only nonzero pairs with the kernel's ``mul`` and
+    ``add``; ``None`` when the product is zero."""
     out, nonzero = [], False
+    cols = range(len(acc))
     for pairs in k:
         row = []
-        for c in range(len(acc)):
+        for c in cols:
             s = zero
             for j, x in pairs:
                 y = acc[j][c]
-                if not y.is_zero():
-                    s = x * y if s is zero else s + x * y
-            nonzero = nonzero or not s.is_zero()
+                if y:
+                    s = add(s, mul(x, y)) if s else mul(x, y)
+            if s:
+                nonzero = True
             row.append(s)
         out.append(row)
     return out if nonzero else None
@@ -173,6 +183,8 @@ def zeval(
     variant = a.variant
     zero = Coefficient.zero(variant)
     one = Coefficient.one(variant)
+    ops = kernel(variant)
+    mul, add, pzero = ops.mul, ops.add, ops.zero
     sign = d_.chord_sign
     decomp = {
         s: [(aa, cc, _sparse_rows(q))
@@ -181,7 +193,7 @@ def zeval(
     }
     kappa = _sparse_rows(a.kappa)
     kappainv = _sparse_rows(a.kappainv)
-    unit = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
+    unit = [[ops.one if i == j else pzero for j in range(dim)] for i in range(dim)]
     # strand-major events, None closing each strand
     steps = [ev for strand in d_.events for ev in (*strand, None)]
     size = dim**n
@@ -193,12 +205,13 @@ def zeval(
             step = steps[i]
             i += 1
             if step is None:
-                words += (RingMatrix(acc),)
+                words += (RingMatrix([[Coefficient._normal(variant, x) if x else zero
+                                       for x in row] for row in acc]),)
                 acc = unit
                 continue
             kind, val = step
             if kind == DIAMOND:
-                acc = _left_mul(kappainv if val > 0 else kappa, acc, zero)
+                acc = _left_mul(kappainv if val > 0 else kappa, acc, mul, add, pzero)
             elif val not in chosen:
                 for term in decomp[sign[val]]:
                     chosen[val] = term
@@ -208,11 +221,11 @@ def zeval(
             else:
                 aa, cc, q = chosen[val]
                 if kind == OVER:  # E_ac . acc moves row c to row a
-                    if all(x.is_zero() for x in acc[cc]):
+                    if not any(acc[cc]):
                         return
-                    acc = [acc[cc] if r == aa else [zero] * dim for r in range(dim)]
+                    acc = [acc[cc] if r == aa else [pzero] * dim for r in range(dim)]
                 else:
-                    acc = _left_mul(q, acc, zero)
+                    acc = _left_mul(q, acc, mul, add, pzero)
             if acc is None:
                 return
         m = words[0] if words else RingMatrix([[one]])

@@ -26,6 +26,7 @@
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import combinations, product
 from math import prod
 
@@ -306,19 +307,27 @@ def _signed_templates(formula) -> FormalDiagramSum:
     return out
 
 
+def _check_one_strand(d: XCGaussDiagram) -> None:
+    validate(d)
+    if d.n != 1:
+        raise ValidationError("pairing requires a one-strand diagram")
+
+
+def _pair(weights: dict, d: XCGaussDiagram) -> int:
+    """<F, I(d)> for the signed templates ``weights`` of F."""
+    sizes = {t.decoration_count() for t in weights}
+    return sum(weights.get(key, 0)
+               for _, key in _canonical_subsets(d, sizes))
+
+
 def pairing(formula, d: XCGaussDiagram) -> int:
     """The pairing <F, I(d)> of a formula F with :func:`map_I` of a
     one-strand diagram d: each canonical subdiagram of d with as many
     decorations as some template adds its weight in the signed templates
     of F.  A template that is not a valid diagram raises ValidationError.
     """
-    validate(d)
-    if d.n != 1:
-        raise ValidationError("pairing requires a one-strand diagram")
-    weights = _signed_templates(formula).terms
-    sizes = {t.decoration_count() for t in weights}
-    return sum(weights.get(key, 0)
-               for _, key in _canonical_subsets(d, sizes))
+    _check_one_strand(d)
+    return _pair(_signed_templates(formula).terms, d)
 
 
 def framing_terms() -> list[FormulaTerm]:
@@ -332,9 +341,17 @@ def framing_terms() -> list[FormulaTerm]:
     ]
 
 
+@cache
+def _framing_weights() -> dict:
+    """The signed templates of :func:`framing_terms`, built on first use."""
+    return _signed_templates(framing_terms()).terms
+
+
 def framing_formula(d: XCGaussDiagram) -> int:
-    """Evaluate the framing formula; equals the writhe on planar lifts."""
-    return pairing(framing_terms(), d)
+    """Evaluate the framing formula; equals the writhe on planar lifts.
+    Its signed templates are built once and shared by every call."""
+    _check_one_strand(d)
+    return _pair(_framing_weights(), d)
 
 
 # -- falsification harness ---------------------------------------------

@@ -11,10 +11,19 @@ used anywhere.
 The public constructor accepts only exact values: ints, Fractions for the
 rational variant, and for Laurent terms int pairs, where repeated exponents
 add up.  Anything else, a float above all, raises :class:`DomainError`.
-Arithmetic results are in normal form by construction, so ``+``, ``-`` and
-``*`` build them with the private trusted constructor
-``Coefficient._normal``, which neither validates nor re-sorts.  A product
-with a one-term factor shifts and scales the other factor's terms.
+
+The arithmetic itself is one payload kernel per variant, returned by
+:func:`kernel`: ``mul``, ``add`` and ``neg`` act directly on normal-form
+payloads and return one, and ``zero`` and ``one`` are the payloads of 0
+and 1.  Zero is the only falsy payload (``0``, ``Fraction(0)``, ``()``).
+A Laurent product with a one-term factor shifts and scales the other
+factor's terms.  ``+``, ``-`` and ``*`` of :class:`Coefficient` are thin
+wrappers over the kernel: they wrap its result with the private trusted
+constructor ``Coefficient._normal``, which neither validates nor
+re-sorts.  Hot loops, such as the bead products of
+:func:`~xctangle.invariant.zeval`, run on bare payloads (the slot
+``Coefficient._payload``) and wrap only their results, so that no
+partial product or partial sum builds and hashes a :class:`Coefficient`.
 
 Laurent text syntax (also used by algebra files and CLI output): terms joined
 by ``+``/``-``; a term is an optional integer coefficient, optionally followed
@@ -26,17 +35,99 @@ suppressed except on the constant term.
 
 from __future__ import annotations
 
+import operator
 import re
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from numbers import Rational
 
 from .errors import DomainError, ParseError, VariantMismatchError
+from .record import FrozenRecord
 
 INTEGER = "integer"
 RATIONAL = "rational"
 LAURENT = "laurent"
 
 _VARIANTS = (INTEGER, RATIONAL, LAURENT)
+
+
+def _laurent_add(p1: tuple, p2: tuple) -> tuple:
+    if not p1:
+        return p2
+    if not p2:
+        return p1
+    acc = dict(p1)
+    for e, c in p2:
+        v = acc.get(e, 0) + c
+        if v:
+            acc[e] = v
+        else:
+            del acc[e]
+    return tuple(sorted(acc.items()))
+
+
+def _laurent_mul(p1: tuple, p2: tuple) -> tuple:
+    if len(p1) == 1:
+        p1, p2 = p2, p1
+    if len(p2) == 1:  # a monomial shifts and scales the other factor
+        (e2, c2), = p2
+        # tuple() of a list, not of a generator, which over-allocates
+        # and resizes: that left pages of freed memory resident
+        return tuple([(e + e2, c * c2) for e, c in p1])
+    acc: dict[int, int] = {}
+    for e1, c1 in p1:
+        for e2, c2 in p2:
+            e = e1 + e2
+            v = acc.get(e, 0) + c1 * c2
+            if v:
+                acc[e] = v
+            else:
+                del acc[e]
+    return tuple(sorted(acc.items()))
+
+
+def _laurent_neg(p: tuple) -> tuple:
+    return tuple([(e, -c) for e, c in p])
+
+
+class Kernel(FrozenRecord):
+    """The exact arithmetic of one variant, on normal-form payloads."""
+
+    __slots__ = ("mul", "add", "neg", "zero", "one")
+
+    mul: Callable
+    add: Callable
+    neg: Callable
+    zero: object
+    one: object
+
+
+class _Kernels(dict):
+    """Kernels by variant, each built on first use: the rational one
+    imports fractions, which loads decimal, and only that variant needs
+    it."""
+
+    def __missing__(self, variant: str) -> Kernel:
+        if variant == LAURENT:
+            k = Kernel(_laurent_mul, _laurent_add, _laurent_neg, (), ((0, 1),))
+        elif variant in (INTEGER, RATIONAL):
+            zero, one = 0, 1
+            if variant == RATIONAL:
+                from fractions import Fraction
+
+                zero, one = Fraction(0), Fraction(1)
+            k = Kernel(operator.mul, operator.add, operator.neg, zero, one)
+        else:
+            raise DomainError(f"unknown coefficient variant {variant!r}")
+        self[variant] = k
+        return k
+
+
+_KERNELS = _Kernels()
+
+
+def kernel(variant: str) -> Kernel:
+    """The payload kernel of ``variant``."""
+    return _KERNELS[variant]
 
 
 def _exact_int(x, what: str) -> int:
@@ -121,19 +212,11 @@ class Coefficient:
 
     @staticmethod
     def zero(variant: str = LAURENT) -> "Coefficient":
-        if variant == INTEGER:
-            return Coefficient(INTEGER, 0)
-        if variant == RATIONAL:
-            return Coefficient(RATIONAL, 0)
-        return Coefficient(LAURENT, {})
+        return Coefficient._normal(variant, _KERNELS[variant].zero)
 
     @staticmethod
     def one(variant: str = LAURENT) -> "Coefficient":
-        if variant == INTEGER:
-            return Coefficient(INTEGER, 1)
-        if variant == RATIONAL:
-            return Coefficient(RATIONAL, 1)
-        return Coefficient(LAURENT, {0: 1})
+        return Coefficient._normal(variant, _KERNELS[variant].one)
 
     # -- accessors ----------------------------------------------------
 
@@ -157,9 +240,7 @@ class Coefficient:
         return not self._payload
 
     def is_one(self) -> bool:
-        if self.variant == LAURENT:
-            return self._payload == ((0, 1),)
-        return self._payload == 1
+        return self._payload == _KERNELS[self.variant].one
 
     # -- arithmetic ---------------------------------------------------
 
@@ -175,47 +256,20 @@ class Coefficient:
 
     def __add__(self, other: "Coefficient") -> "Coefficient":
         self._check(other)
-        if self.variant != LAURENT:
-            return Coefficient._normal(self.variant, self._payload + other._payload)
-        acc = dict(self._payload)
-        for e, c in other._payload:
-            v = acc.get(e, 0) + c
-            if v:
-                acc[e] = v
-            else:
-                acc.pop(e, None)
-        return Coefficient._normal(LAURENT, tuple(sorted(acc.items())))
+        return Coefficient._normal(
+            self.variant, _KERNELS[self.variant].add(self._payload, other._payload))
 
     def __neg__(self) -> "Coefficient":
-        if self.variant != LAURENT:
-            return Coefficient._normal(self.variant, -self._payload)
-        return Coefficient._normal(LAURENT, tuple([(e, -c) for e, c in self._payload]))
+        return Coefficient._normal(
+            self.variant, _KERNELS[self.variant].neg(self._payload))
 
     def __sub__(self, other: "Coefficient") -> "Coefficient":
         return self + (-other)
 
     def __mul__(self, other: "Coefficient") -> "Coefficient":
         self._check(other)
-        if self.variant != LAURENT:
-            return Coefficient._normal(self.variant, self._payload * other._payload)
-        p1, p2 = self._payload, other._payload
-        if len(p1) == 1:
-            p1, p2 = p2, p1
-        if len(p2) == 1:  # a monomial shifts and scales the other factor
-            (e2, c2), = p2
-            # tuple() of a list, not of a generator, which over-allocates
-            # and resizes: that left pages of freed memory resident
-            return Coefficient._normal(LAURENT, tuple([(e + e2, c * c2) for e, c in p1]))
-        acc: dict[int, int] = {}
-        for e1, c1 in p1:
-            for e2, c2 in p2:
-                e = e1 + e2
-                v = acc.get(e, 0) + c1 * c2
-                if v:
-                    acc[e] = v
-                else:
-                    del acc[e]
-        return Coefficient._normal(LAURENT, tuple(sorted(acc.items())))
+        return Coefficient._normal(
+            self.variant, _KERNELS[self.variant].mul(self._payload, other._payload))
 
     def __pow__(self, n: int) -> "Coefficient":
         if not isinstance(n, int):

@@ -107,3 +107,23 @@ def test_cli_import_does_not_load_resources():
     res = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "[]"
+
+
+def test_zeval_does_not_load_fractions():
+    # the payload kernel of the Laurent variant needs neither fractions
+    # nor the decimal it loads; only the rational variant imports them
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "from xctangle import builtin_uqsl2, long_knot_scalar, zeval\n"
+        "from xctangle.gauss import parse_diagram\n"
+        "from xctangle.virtualt import lift\n"
+        "trefoil = parse_diagram('strands: 1\\nchords: 1:+ 2:+ 3:+\\n'\n"
+        "                        'strand 1: O1 U2 O3 U1 O2 U3\\n')\n"
+        "print(long_knot_scalar(zeval(lift(trefoil), builtin_uqsl2())))\n"
+        "print([m for m in ('fractions', 'decimal') if m in sys.modules])\n")
+    res = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.splitlines() == ["q^4 + 1 - q^-2", "[]"]

@@ -338,6 +338,19 @@ def test_framing_formula_examples():
         assert framing_formula(lift(g)) == writhe(g)
 
 
+def test_framing_formula_builds_its_templates_once(monkeypatch):
+    calls = []
+    build = polyak._signed_templates
+    monkeypatch.setattr(polyak, "_signed_templates",
+                        lambda formula: calls.append(1) or build(formula))
+    polyak._framing_weights.cache_clear()
+    rng = random.Random(107)
+    for _ in range(20):
+        d = random_diagram(rng, n=1, max_chords=3, max_diamonds=3)
+        assert framing_formula(d) == pairing(framing_terms(), d)
+    assert len(calls) == 1 + 20  # the framing formula's, then each pairing's
+
+
 def test_invariance_harness_flags_bad_formula():
     plus = FormulaTerm(
         1, XCGaussDiagram(1, (1,), [(1, 1)], [(("O", 1), ("U", 1))]))

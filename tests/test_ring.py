@@ -16,6 +16,7 @@ from xctangle.ring import (
     RATIONAL,
     Coefficient,
     format_laurent,
+    kernel,
     parse_laurent,
 )
 
@@ -166,3 +167,59 @@ def test_trusted_results_are_normal(p1, p2):
         assert exps == sorted(set(exps))
         assert all(type(e) is int and type(c) is int and c
                    for e, c in x._payload)
+
+
+def _laurent_reference(op, p1, p2=()):
+    """Schoolbook Laurent arithmetic on exponent dicts."""
+    acc: dict[int, int] = {}
+    if op == "mul":
+        for e1, c1 in p1:
+            for e2, c2 in p2:
+                acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    else:
+        sign = -1 if op == "neg" else 1
+        for e, c in (*p1, *p2):
+            acc[e] = acc.get(e, 0) + sign * c
+    return {e: c for e, c in acc.items() if c}
+
+
+def _is_normal(variant, p) -> bool:
+    if variant == INTEGER:
+        return type(p) is int
+    if variant == RATIONAL:
+        return type(p) is Fraction
+    exps = [e for e, _ in p]
+    return (type(p) is tuple and exps == sorted(set(exps))
+            and all(type(e) is int and type(c) is int and c for e, c in p))
+
+
+values = {INTEGER: st.integers(-10**20, 10**20),
+          RATIONAL: st.fractions(max_denominator=10**6),
+          LAURENT: payloads}
+same_variant_pairs = st.sampled_from(sorted(values)).flatmap(
+    lambda v: st.tuples(values[v], values[v]).map(
+        lambda xy: (Coefficient(v, xy[0]), Coefficient(v, xy[1]))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(same_variant_pairs)
+def test_kernel_equals_coefficient_arithmetic(pair):
+    a, b = pair
+    v = a.variant
+    k = kernel(v)
+    x, y = a._payload, b._payload
+    got = {"mul": k.mul(x, y), "add": k.add(x, y), "neg": k.neg(x)}
+    assert got == {"mul": (a * b)._payload, "add": (a + b)._payload,
+                   "neg": (-a)._payload}
+    for op, r in got.items():
+        assert _is_normal(v, r), (op, r)
+        assert Coefficient._normal(v, r) == Coefficient(v, r)
+        if v == LAURENT:
+            assert dict(r) == _laurent_reference(op, x, y if op != "neg" else ())
+    if v != LAURENT:
+        assert got == {"mul": x * y, "add": x + y, "neg": -x}
+    assert not k.zero and _is_normal(v, k.zero) and _is_normal(v, k.one)
+    assert k.add(k.zero, x) == x and k.mul(k.one, x) == x
+    assert not k.mul(k.zero, x)
+    assert Coefficient.zero(v)._payload == k.zero
+    assert Coefficient.one(v).is_one()
