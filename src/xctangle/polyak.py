@@ -92,8 +92,7 @@ def _subsets(d: XCGaussDiagram, sizes=None):
     """Every decoration subset of ``d`` as ``(mask, event lists)``, in
     ascending mask order, with the event bits computed once.  Given a set
     of ``sizes``, only the subsets with one of those decoration counts are
-    walked, size by size."""
-    validate(d)
+    walked, size by size.  ``d`` is valid: its callers validate it."""
     rows = _event_bits(d)
     k = d.decoration_count()
     if sizes is None:
@@ -113,6 +112,7 @@ def _chords_in(d: XCGaussDiagram, mask: int):
 def subdiagrams(d: XCGaussDiagram):
     """All 2^k induced subdiagrams, in deterministic order (subsets as
     ascending bitmasks over the decoration list)."""
+    validate(d)
     for mask, events in _subsets(d):
         yield XCGaussDiagram(d.n, d.top, _chords_in(d, mask), events)
 
@@ -178,6 +178,7 @@ def map_I(d: XCGaussDiagram) -> FormalDiagramSum:
     renumbered into its canonical diagram (:func:`gauss.renumbered`) as it
     is built, and stored without calling :func:`canonical_key` again.
     """
+    validate(d)
     out = FormalDiagramSum()
     for _, key in _canonical_subsets(d):
         out._add_key(key, 1)
@@ -244,6 +245,7 @@ def map_I_inverse(s: FormalDiagramSum) -> FormalDiagramSum:
             if not c:
                 continue
             solved.append(((size, t.n, t.top, t.chords, t.events), t, c))
+            validate(t)
             for sub_size, sub in _canonical_subsets(t):
                 if sub_size < size:
                     level = levels[sub_size]

@@ -9,7 +9,10 @@ nothing records rotation.  This module provides
   that, on one-strand classical codes, the decorated diagram is the
   rotational diagram of the upright planar realization of the code;
 * classical oracles: ``writhe``, ``rotation_total`` and the Kauffman-bracket
-  state sum ``bracket_oracle``;
+  state sum ``bracket_oracle``, whose 2^k states are the leaves of one
+  depth-first walk over the chords in sorted id order, on a union-find
+  whose unions are undone as the walk returns; it refuses more than
+  ``BRACKET_MAX_CHORDS`` chords with :class:`GuardrailError`;
 * ``random_move_on_code`` -- apply one random classical framed move; its
   R2 and R3 are the diamond-free ``G2`` and ``G3`` sites of
   :mod:`~xctangle.moves` (Goussarov, Polyak and Viro, "Finite type
@@ -59,8 +62,10 @@ and there the R3 move changes the lifted value.
 from __future__ import annotations
 
 import random
+from math import comb
 
-from .errors import NoSiteError, NonScalarError, ParseError, ValidationError
+from .errors import (GuardrailError, NoSiteError, NonScalarError, ParseError,
+                     ValidationError)
 from .gauss import (DIAMOND, OVER, UNDER, XCGaussDiagram, is_decimal,
                     print_stanza, read_stanza, validate)
 from .moves import MoveSite, apply, builtin_patterns, random_site
@@ -184,6 +189,11 @@ def lift(g: SignedGaussCode) -> XCGaussDiagram:
 # -- Kauffman bracket state sum ---------------------------------------
 
 
+#: The most chords :func:`bracket_oracle` sums over: 2^25 states take
+#: about a minute.
+BRACKET_MAX_CHORDS = 25
+
+
 def bracket_oracle(g: SignedGaussCode) -> Coefficient:
     """Kauffman-bracket state sum of a one-strand code, as a Laurent
     polynomial in q under the substitution ``A^2 = q^-1``.
@@ -194,68 +204,89 @@ def bracket_oracle(g: SignedGaussCode) -> Coefficient:
     bracket-B smoothings and ``L`` loops contributes
     ``A^(a-b) * delta^(L-1)`` with ``delta = -A^2 - A^-2``; the total is
     normalized by the framing factor ``(-A^3)^(-writhe)``.
+
+    The 2^k states are the leaves of a depth-first walk over the chords in
+    sorted id order, both smoothings of each, on one union-find of the
+    curve's 2k arcs.  A chord's two unions are undone when its branch
+    returns, so states that share a prefix share its unions.  Leaves are
+    counted by ``(a, L)``, and each distinct pair is expanded once.
+    Raises :class:`GuardrailError` before the walk on more than
+    :data:`BRACKET_MAX_CHORDS` chords.
     """
     validate_code(g)
     if g.n != 1:
         raise ValidationError(f"bracket oracle needs a one-strand code, got {g.n}")
+    k = len(g.chords)
+    if k > BRACKET_MAX_CHORDS:
+        raise GuardrailError(
+            f"bracket state sum over {k} chords has 2^{k} = {1 << k} states, "
+            f"more than 2^{BRACKET_MAX_CHORDS}")
     ev = g.events[0]
     sign = g.chord_sign
-    k = len(g.chords)
-    pos: dict[tuple[str, int], int] = {}
-    for i, (kind, val) in enumerate(ev):
-        pos[(kind, val)] = i
-    m = len(ev)  # == 2k
-    chord_ids = sorted(sign)
+    m = len(ev)  # == 2k; arc i runs from event i to event i+1 mod m
+    pos = {e: i for i, e in enumerate(ev)}
+    # per chord, in sorted id order: the arc pairs joined by its bracket-A
+    # smoothing, then by its bracket-B smoothing.  For a positive chord the
+    # A-smoothing preserves orientation; for a negative chord it reverses
+    # it (pinned by the kink: the A-state of a positive kink has the extra
+    # loop).
+    smoothings = []
+    for cid in sorted(sign):
+        p, q = pos[(OVER, cid)], pos[(UNDER, cid)]
+        oriented = ((p - 1) % m, q, (q - 1) % m, p)
+        reversed_ = ((p - 1) % m, (q - 1) % m, p, q)
+        smoothings.append((oriented, reversed_) if sign[cid] > 0
+                          else (reversed_, oriented))
 
-    def a_terms(total: dict[int, int], add: dict[int, int]):
-        for e, c in add.items():
-            total[e] = total.get(e, 0) + c
-            if total[e] == 0:
-                del total[e]
+    parent = list(range(m))
+    size = [1] * m
+    # leaves[a][L]: the states with a bracket-A smoothings and L loops
+    leaves = [[0] * (m + 2) for _ in range(k + 1)]
 
+    def union(x, y):
+        """Join the classes of arcs x and y by size; return the root that
+        was hung under the other, or -1 if they were one class."""
+        while parent[x] != x:
+            x = parent[x]
+        while parent[y] != y:
+            y = parent[y]
+        if x == y:
+            return -1
+        if size[x] > size[y]:
+            x, y = y, x
+        parent[x] = y
+        size[y] += size[x]
+        return x
+
+    def undo(x):
+        if x >= 0:
+            y = parent[x]
+            parent[x] = x
+            size[y] -= size[x]
+
+    def walk(i, a, loops):
+        if i == k:
+            leaves[a][loops] += 1
+            return
+        for pick_a, (x1, y1, x2, y2) in zip((1, 0), smoothings[i]):
+            r1 = union(x1, y1)
+            r2 = union(x2, y2)
+            walk(i + 1, a + pick_a, loops - (r1 >= 0) - (r2 >= 0))
+            undo(r2)
+            undo(r1)
+
+    walk(0, 0, max(m, 1))  # the empty code is one loop
+    # A^(a-b) * delta^(L-1) with delta = -A^2 - A^-2, once per (a, L)
     total: dict[int, int] = {}
-    for state in range(1 << k):
-        # union-find over the closed curve's arcs (arc i runs i -> i+1 mod m)
-        parent = list(range(max(m, 1)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        a_count = 0
-        for idx, cid in enumerate(chord_ids):
-            p = pos[(OVER, cid)]
-            q = pos[(UNDER, cid)]
-            pick_a = bool(state >> idx & 1)
-            if pick_a:
-                a_count += 1
-            # For a positive chord the bracket-A smoothing preserves
-            # orientation; for a negative chord it reverses it (pinned by
-            # the kink: the A-state of a positive kink has the extra loop).
-            oriented = pick_a if sign[cid] > 0 else not pick_a
-            if oriented:
-                union((p - 1) % m, q)
-                union((q - 1) % m, p)
-            else:
-                union((p - 1) % m, (q - 1) % m)
-                union(p, q)
-        loops = len({find(i) for i in range(m)}) if m else 1
-        # A^(a-b) * delta^(loops-1) with delta = -A^2 - A^-2
-        term = {a_count - (k - a_count): 1}
-        for _ in range(loops - 1):
-            nxt: dict[int, int] = {}
-            for e, c in term.items():
-                nxt[e + 2] = nxt.get(e + 2, 0) - c
-                nxt[e - 2] = nxt.get(e - 2, 0) - c
-            term = nxt
-        a_terms(total, term)
+    for a, row in enumerate(leaves):
+        for loops, count in enumerate(row):
+            if not count:
+                continue
+            n = loops - 1
+            for j in range(n + 1):
+                e = 2 * a - k + 2 * n - 4 * j
+                total[e] = total.get(e, 0) + (-1) ** n * comb(n, j) * count
+    total = {e: c for e, c in total.items() if c}
     # framing normalization (-A^3)^(-writhe)
     w = writhe(g)
     normalized: dict[int, int] = {}

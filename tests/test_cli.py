@@ -96,6 +96,16 @@ def test_bracket_golden(files, capsys):
     assert code == 0 and out.strip() == "-q^8 + q^6 + q^2"
 
 
+def test_bracket_guardrail_exit_1(tmp_path, capsys):
+    big = tmp_path / "kinks.txt"
+    big.write_text("strands: 1\nstrand 1: "
+                   + " ".join(f"O{c}+ U{c}+" for c in range(1, 27)) + "\n")
+    code, out, err = run(capsys, "bracket", str(big))
+    assert code == 1 and out == ""
+    assert err == ("error: bracket state sum over 26 chords has "
+                   "2^26 = 67108864 states, more than 2^25\n")
+
+
 def test_axioms_ok(capsys):
     code, out, _ = run(capsys, "axioms")
     assert code == 0 and "all: ok" in out

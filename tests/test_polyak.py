@@ -351,6 +351,41 @@ def test_framing_formula_builds_its_templates_once(monkeypatch):
     assert len(calls) == 1 + 20  # the framing formula's, then each pairing's
 
 
+def test_each_diagram_is_validated_once(monkeypatch):
+    seen = []
+    check = polyak.validate
+    monkeypatch.setattr(polyak, "validate",
+                        lambda d: seen.append(d) or check(d))
+    framing_formula(identity(1))  # builds the cached framing templates
+    rng = random.Random(109)
+    for _ in range(20):
+        d = random_diagram(rng, n=1, max_chords=3, max_diamonds=3)
+        seen.clear()
+        framing_formula(d)
+        assert seen == [d]
+        seen.clear()
+        pairing(framing_terms(), d)
+        assert seen.count(d) == 1 and len(seen) == 1 + len(framing_terms())
+        seen.clear()
+        map_I(d)
+        assert seen == [d]
+    key = canonical_key(ONE_EACH)
+    seen.clear()
+    map_I_inverse(FormalDiagramSum({key: 1}))
+    assert seen.count(key) == 1
+    # an invalid diagram on two strands still fails validation first
+    bad = XCGaussDiagram(2, (1, 2), [(1, 1)], [(("O", 1),), ()])
+    with pytest.raises(ValidationError) as want:
+        check(bad)
+    for call in (lambda: framing_formula(bad),
+                 lambda: pairing(framing_terms(), bad),
+                 lambda: map_I(bad),
+                 lambda: list(subdiagrams(bad))):
+        with pytest.raises(ValidationError) as got:
+            call()
+        assert str(got.value) == str(want.value)
+
+
 def test_invariance_harness_flags_bad_formula():
     plus = FormulaTerm(
         1, XCGaussDiagram(1, (1,), [(1, 1)], [(("O", 1), ("U", 1))]))

@@ -9,13 +9,15 @@ import pytest
 
 from xctangle.acceptance import golden_codes
 from xctangle.algebra import builtin_uqsl2
-from xctangle.errors import NoSiteError, ParseError, ValidationError
+from xctangle.errors import (GuardrailError, NoSiteError, ParseError,
+                             ValidationError)
 from xctangle.gauss import DIAMOND, XCGaussDiagram, identity, print_diagram
 from xctangle.invariant import iota_realize, long_knot_scalar, zeval
 from xctangle.moves import apply, find_sites
 from xctangle.randomgen import random_code
 from xctangle.ring import Coefficient
 from xctangle.virtualt import (
+    BRACKET_MAX_CHORDS,
     bracket_oracle,
     forget,
     lift,
@@ -141,6 +143,77 @@ def test_bracket_oracle_values():
 def test_bracket_oracle_rejects_multistrand():
     with pytest.raises(ValidationError):
         bracket_oracle(identity(2))
+
+
+def _kinks(signs):
+    """One kink per sign, in a row on one strand."""
+    events = [(kind, c) for c in range(1, len(signs) + 1) for kind in "OU"]
+    return XCGaussDiagram(1, (1,), list(enumerate(signs, start=1)), [events])
+
+
+def test_bracket_oracle_guardrail():
+    with pytest.raises(GuardrailError,
+                       match=r"26 chords has 2\^26 = 67108864 states"):
+        bracket_oracle(_kinks([1] * (BRACKET_MAX_CHORDS + 1)))
+
+
+def _bracket_reference(g):
+    """The bracket state sum one state at a time: a fresh union-find over
+    the arcs per state, and A^(a-b) * delta^(L-1) expanded per state."""
+    ev = g.events[0]
+    sign = g.chord_sign
+    k = len(g.chords)
+    pos = {e: i for i, e in enumerate(ev)}
+    m = len(ev)
+    total: dict[int, int] = {}
+    for state in range(1 << k):
+        parent = list(range(m))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        a_count = 0
+        for idx, cid in enumerate(sorted(sign)):
+            p, q = pos[("O", cid)], pos[("U", cid)]
+            pick_a = bool(state >> idx & 1)
+            a_count += pick_a
+            if pick_a == (sign[cid] > 0):
+                pairs = (((p - 1) % m, q), ((q - 1) % m, p))
+            else:
+                pairs = (((p - 1) % m, (q - 1) % m), (p, q))
+            for x, y in pairs:
+                parent[find(x)] = find(y)
+        loops = len({find(i) for i in range(m)}) if m else 1
+        term = {2 * a_count - k: 1}
+        for _ in range(loops - 1):
+            nxt: dict[int, int] = {}
+            for e, c in term.items():
+                nxt[e + 2] = nxt.get(e + 2, 0) - c
+                nxt[e - 2] = nxt.get(e - 2, 0) - c
+            term = nxt
+        for e, c in term.items():
+            total[e] = total.get(e, 0) + c
+    w = writhe(g)
+    out: dict[int, int] = {}
+    for e, c in total.items():
+        e -= 3 * w
+        assert e % 2 == 0
+        out[-(e // 2)] = out.get(-(e // 2), 0) + (-c if w % 2 else c)
+    return Coefficient.laurent(out)
+
+
+def test_bracket_oracle_equals_per_state_reference():
+    codes = [identity(1), _kinks([1]), _kinks([-1]), _kinks([1, -1, -1])]
+    codes += [_one_strand("U1+ O1+"), _one_strand("U1- O1-")]
+    # T(2,±k): the closure of sigma_1^(±k) is a knot for odd k only
+    codes += [_braid_closure([s] * k) for k in range(1, 12, 2) for s in (1, -1)]
+    rng = random.Random(3)
+    codes += [random_code(rng, n=1, max_chords=8) for _ in range(2000)]
+    for g in codes:
+        assert bracket_oracle(g) == _bracket_reference(g), print_code(g)
 
 
 def _braid_closure(word):
