@@ -28,13 +28,16 @@ Algebra file format::
     <d lines of d comma-separated entries>
     kappainv:
     ...
+
+``ring:`` (default ``laurent``) must come before the first block, and
+every entry of a :class:`MatrixXCAlgebra` must be of its ``variant``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import DimensionError, ParseError
+from .errors import DimensionError, ParseError, VariantMismatchError
 from .gauss import XCGaussDiagram, is_decimal
 from .moves import builtin_patterns, open_sides
 from .record import FrozenRecord
@@ -164,6 +167,13 @@ class MatrixXCAlgebra(FrozenRecord):
             raise DimensionError("kappa must be d x d")
         if self.kappainv.rows != d or self.kappainv.cols != d:
             raise DimensionError("kappainv must be d x d")
+        for name in ("R", "Rinv", "kappa", "kappainv"):
+            for row in getattr(self, name).entries:
+                for c in row:
+                    if c.variant != self.variant:
+                        raise VariantMismatchError(
+                            f"{name} has a {c.variant} entry in a "
+                            f"{self.variant} algebra")
 
 
 # Each axiom is one shipped move (data/patterns.cfg) opened by
@@ -298,6 +308,9 @@ def parse_algebra(text: str) -> MatrixXCAlgebra:
             current = None
             continue
         if line.startswith("ring:"):
+            if blocks:  # the blocks above were read in the old ring
+                raise ParseError("'ring:' must come before the matrix blocks",
+                                 lineno, 1)
             rest = line[5:].strip()
             if rest not in (LAURENT, RATIONAL):
                 raise ParseError(f"bad ring {rest!r}", lineno, 6)

@@ -5,8 +5,9 @@ terms, or a single-variable Laurent polynomial in ``q`` with integer
 coefficients.  All values are immutable and kept in one normal form: an
 ``int``; a ``Fraction`` (lowest terms, positive denominator); or a tuple of
 ``(exponent, coefficient)`` int pairs sorted by exponent, with no zero
-coefficient.  Equality and hashing compare that form.  No floating point is
-used anywhere.
+coefficient.  Equality and hashing compare that form; the hash is of the
+normal form, computed on first use and kept.  No floating point is used
+anywhere.
 
 The public constructor accepts only exact values: ints, Fractions for the
 rational variant, and for Laurent terms int pairs, where repeated exponents
@@ -23,7 +24,7 @@ constructor ``Coefficient._normal``, which neither validates nor
 re-sorts.  Hot loops, such as the bead products of
 :func:`~xctangle.invariant.zeval`, run on bare payloads (the slot
 ``Coefficient._payload``) and wrap only their results, so that no
-partial product or partial sum builds and hashes a :class:`Coefficient`.
+partial product or partial sum builds a :class:`Coefficient`.
 
 Laurent text syntax (also used by algebra files and CLI output): terms joined
 by ``+``/``-``; a term is an optional integer coefficient, optionally followed
@@ -175,9 +176,10 @@ class Coefficient:
         return self
 
     def _set(self, variant: str, payload) -> None:
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "_payload", payload)
-        object.__setattr__(self, "_hash", hash((variant, payload)))
+        # the slot descriptors' own setters, bound below the class: two
+        # C calls, where object.__setattr__ would look each name up
+        _set_variant(self, variant)
+        _set_payload(self, payload)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Coefficient is immutable")
@@ -312,7 +314,11 @@ class Coefficient:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:  # first call: hash the normal form once
+            object.__setattr__(self, "_hash", hash((self.variant, self._payload)))
+            return self._hash
 
     # -- printing / parsing -------------------------------------------
 
@@ -325,6 +331,10 @@ class Coefficient:
         if self.variant == RATIONAL:
             return str(self._payload)
         return format_laurent(dict(self._payload))
+
+
+_set_variant = Coefficient.variant.__set__
+_set_payload = Coefficient._payload.__set__
 
 
 def format_laurent(terms: dict[int, int]) -> str:

@@ -4,6 +4,7 @@ with the move table, matrix arithmetic, and the algebra text format."""
 import pytest
 
 from xctangle.algebra import (
+    MatrixXCAlgebra,
     RingMatrix,
     _axiom_diagrams,
     builtin_uqsl2,
@@ -12,9 +13,9 @@ from xctangle.algebra import (
     parse_algebra,
     print_algebra,
 )
-from xctangle.errors import DimensionError, ParseError
+from xctangle.errors import DimensionError, ParseError, VariantMismatchError
 from xctangle.gauss import canonical_key, parse_diagram
-from xctangle.ring import Coefficient
+from xctangle.ring import RATIONAL, Coefficient
 
 # The reference axiom diagrams, written out by hand in report order: name,
 # chord signs, then the two sides with "|" between strands.
@@ -84,9 +85,25 @@ def test_algebra_text_round_trip():
     assert b.kappa == a.kappa and b.kappainv == a.kappainv
 
 
+# A ring line after a block: R and Rinv would be read as laurent and the
+# later blocks as rational.
+LATE_RING = ("dim: 1\nR:\n1\nRinv:\n1\nring: rational\n"
+             "kappa:\n1\nkappainv:\n1\n")
+
+
 def test_parse_algebra_errors():
-    with pytest.raises(ParseError):
-        parse_algebra("dim: 2\nring: laurent\nR:\n1, 0\n")
+    cases = [("dim: 2\nring: laurent\nR:\n1, 0\n", 1, 1),
+             (LATE_RING, 6, 1)]
+    for text, line, column in cases:
+        with pytest.raises(ParseError) as err:
+            parse_algebra(text)
+        assert (err.value.line, err.value.column) == (line, column), text
+
+
+def test_algebra_entries_must_be_of_its_variant():
+    a = builtin_uqsl2()
+    with pytest.raises(VariantMismatchError, match="R has a laurent entry"):
+        MatrixXCAlgebra(a.d, a.R, a.Rinv, a.kappa, a.kappainv, RATIONAL)
 
 
 def test_parse_algebra_reports_the_column_on_the_raw_line():

@@ -265,6 +265,19 @@ def test_axioms_report_golden(tmp_path, capsys, algebra, fmt, expected):
     assert code == (0 if algebra is None else 1)
 
 
+def test_ring_line_after_a_block_exit_2(files, capsys):
+    tmp, idf, _ = files
+    late = tmp / "late.txt"
+    late.write_text("dim: 1\nR:\n1\nRinv:\n1\nring: rational\n"
+                    "kappa:\n1\nkappainv:\n1\n")
+    for argv in (("axioms", "--algebra", str(late)),
+                 ("zeval", str(idf), "--algebra", str(late))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == ("parse error: line 6, column 1: "
+                       "'ring:' must come before the matrix blocks\n")
+
+
 def test_zeval_identity(files, capsys):
     _, idf, _ = files
     code, out, _ = run(capsys, "zeval", str(idf))

@@ -119,6 +119,29 @@ def test_copy_and_pickle_round_trips():
             assert back == v and hash(back) == hash(v)
 
 
+def test_results_hash_on_first_use_only(monkeypatch):
+    import xctangle.ring as ring
+    from xctangle.algebra import builtin_uqsl2, mat_mul, mat_tensor
+
+    a = builtin_uqsl2()
+    x, y = Coefficient.laurent({1: 2, -1: 3}), Coefficient.q_power(2)
+    calls = []
+
+    def counting_hash(obj):
+        calls.append(obj)
+        return hash(obj)
+
+    monkeypatch.setattr(ring, "hash", counting_hash, raising=False)
+    m = mat_mul(mat_tensor(a.R, a.kappa), mat_tensor(a.kappa, a.R))
+    results = [x + y, x - y, -x, x * y, *(c for row in m.entries for c in row)]
+    assert calls == []
+    for c in results:
+        first = hash(c)
+        assert first == hash((c.variant, c._payload))
+        assert hash(c) == first
+    assert len(calls) == len({id(c) for c in results})
+
+
 def test_laurent_sums_repeated_exponents():
     assert Coefficient.laurent([(1, 2), (1, 3)]) == Coefficient.q_power(1, 5)
     assert Coefficient.laurent([(1, 2), (1, -2), (0, 1)]) == Coefficient.one()
@@ -213,7 +236,9 @@ def test_kernel_equals_coefficient_arithmetic(pair):
                    "neg": (-a)._payload}
     for op, r in got.items():
         assert _is_normal(v, r), (op, r)
-        assert Coefficient._normal(v, r) == Coefficient(v, r)
+        built = Coefficient._normal(v, r)
+        assert built == Coefficient(v, r)
+        assert hash(built) == hash(Coefficient(v, r))
         if v == LAURENT:
             assert dict(r) == _laurent_reference(op, x, y if op != "neg" else ())
     if v != LAURENT:
