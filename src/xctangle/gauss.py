@@ -94,6 +94,12 @@ class XCGaussDiagram(FrozenRecord):
         return len(self.chords) + dia
 
 
+_set_n = XCGaussDiagram.n.__set__
+_set_top = XCGaussDiagram.top.__set__
+_set_chords = XCGaussDiagram.chords.__set__
+_set_events = XCGaussDiagram.events.__set__
+
+
 def identity(n: int) -> XCGaussDiagram:
     return XCGaussDiagram(n, tuple(range(1, n + 1)), (), tuple(() for _ in range(n)))
 
@@ -120,10 +126,8 @@ def validate(d: XCGaussDiagram) -> None:
     seen_under: set[int] = set()
     for i, ev in enumerate(d.events, start=1):
         for kind, val in ev:
-            if kind == DIAMOND:
-                if val not in (1, -1):
-                    raise ValidationError(f"diamond on strand {i} has sign {val}")
-            elif kind == OVER:
+            # chord ends outnumber diamonds, so they are tested first
+            if kind == OVER:
                 if val not in signs:
                     raise ValidationError(f"dangling chord end: unknown chord {val}")
                 if val in seen_over:
@@ -135,13 +139,19 @@ def validate(d: XCGaussDiagram) -> None:
                 if val in seen_under:
                     raise ValidationError(f"duplicate under endpoint for chord {val}")
                 seen_under.add(val)
+            elif kind == DIAMOND:
+                if val not in (1, -1):
+                    raise ValidationError(f"diamond on strand {i} has sign {val}")
             else:
                 raise ValidationError(f"unknown event kind {kind!r}")
-    for cid in signs:
-        if cid not in seen_over:
-            raise ValidationError(f"chord {cid} has no over endpoint")
-        if cid not in seen_under:
-            raise ValidationError(f"chord {cid} has no under endpoint")
+    # both sets hold listed chords only, so equal sizes mean every chord
+    # has both ends; otherwise find the first chord that lacks one
+    if len(seen_over) + len(seen_under) != 2 * len(signs):
+        for cid in signs:
+            if cid not in seen_over:
+                raise ValidationError(f"chord {cid} has no over endpoint")
+            if cid not in seen_under:
+                raise ValidationError(f"chord {cid} has no under endpoint")
 
 
 def compose(d2: XCGaussDiagram, d1: XCGaussDiagram) -> XCGaussDiagram:
@@ -256,10 +266,12 @@ def built(n: int, top: tuple[int, ...], chords: tuple, events: tuple
     chord tuples share them: :func:`moves.orbit` builds its members from
     one dict of them per call."""
     d = object.__new__(XCGaussDiagram)
-    object.__setattr__(d, "n", n)
-    object.__setattr__(d, "top", top)
-    object.__setattr__(d, "chords", chords)
-    object.__setattr__(d, "events", events)
+    # the slot descriptors' own setters, bound below the class: four C
+    # calls, where object.__setattr__ would look each name up
+    _set_n(d, n)
+    _set_top(d, top)
+    _set_chords(d, chords)
+    _set_events(d, events)
     return d
 
 

@@ -13,11 +13,12 @@ language over the diagram event syntax:
 
 Each pattern reads each of its sides once (:attr:`MovePattern.sides`):
 the side object holds its source and target runs, whether it only
-inserts, its sign choices, its letter count and its decoration change,
-and its one site walk yields plain ``(locs, assign, eps)`` tuples.
-:func:`find_sites` wraps them in :class:`MoveSite`, :func:`apply`
-rewrites through the same side, and :func:`orbit` walks the tuples,
-match sites like insertion sites, without building a :class:`MoveSite`.
+inserts, its sign choices, its letter count, its decoration change and
+the kind signatures of its source runs, and its one site walk yields
+plain ``(locs, assign, eps)`` tuples.  :func:`find_sites` wraps them in
+:class:`MoveSite`, :func:`apply` rewrites through the same side, and
+:func:`orbit` walks the match sites' tuples and the insertion sides'
+slot tuples without building a :class:`MoveSite`.
 
 ``validate_pattern`` is the binding correctness gate: it opens both sides
 of a pattern (:func:`open_sides`, fragment i alone on strand i) and checks
@@ -275,12 +276,27 @@ def _runs_conflict(runs, new):
     return False
 
 
+def _signature(d):
+    """The kind signature of the diagram ``d``: one character per event,
+    ``O``, ``U``, or ``+`` and ``-`` for a diamond of that sign, with the
+    rows joined by ``|``.  A source run of a pattern side matches only
+    where its own signature (:attr:`_Side.kinds`) is a substring."""
+    return "|".join(["".join([kind if kind != DIAMOND else
+                              "+" if val > 0 else "-" for kind, val in row])
+                     for row in d.events])
+
+
 class _Side:
     """One side of a pattern read as a rewrite to the other side, made
     once per pattern (:attr:`MovePattern.sides`).  It holds the source and
     target runs, whether it only inserts (every source fragment empty),
     the sign choices, the number ``k`` of chord letters it writes and the
-    decoration change of a rewrite, the same at every site."""
+    decoration change of a rewrite, the same at every site.
+
+    ``kinds`` holds the kind signature of each nonempty source fragment,
+    one character per token as in :func:`_signature`.  A run matches a
+    fragment only where the run's signature equals the fragment's, so the
+    side has no site in a diagram whose signature lacks one of them."""
 
     def __init__(self, pattern: MovePattern, name: str):
         self.pattern, self.name = pattern, name
@@ -291,18 +307,33 @@ class _Side:
         self.signs = pattern._signs
         self.k = len(_letters(self.dst))
         self.change = _decorations(self.dst) - _decorations(self.src)
+        self.kinds = tuple(
+            "".join(kind if kind != DIAMOND else "+" if val > 0 else "-"
+                    for kind, val in frag)
+            for frag in self.src if frag)
+
+    def cannot_match(self, signature: str) -> bool:
+        """Whether a diagram of kind signature ``signature``
+        (:func:`_signature`) lacks the signature of one of this side's
+        source runs, so that the side has no site in it."""
+        return any(frag not in signature for frag in self.kinds)
+
+    def slot_tuples(self, d: XCGaussDiagram):
+        """For an insertion side: every combination of one slot of ``d``
+        per fragment, as (strand, position) pairs."""
+        slots = [(s, p) for s, row in enumerate(d.events)
+                 for p in range(len(row) + 1)]
+        return product(slots, repeat=len(self.src))
 
     def sites(self, d: XCGaussDiagram):
         """The sites of this side in the valid diagram ``d``, in the order
         of :func:`find_sites`, as (locs, assign, eps): under each sign
         choice, every non-overlapping binding of the source runs, with
         ``assign`` sorted by letter, or for an insertion side every
-        combination of one slot per fragment, with ``assign`` empty."""
+        slot tuple (:meth:`slot_tuples`), with ``assign`` empty."""
         if self.inserts:
-            slots = [(s, p) for s, row in enumerate(d.events)
-                     for p in range(len(row) + 1)]
             return ((locs, (), eps) for eps in self.eps_choices
-                    for locs in product(slots, repeat=len(self.src)))
+                    for locs in self.slot_tuples(d))
         frags, sign, out = self.src, d.chord_sign, []
 
         def rec(i, locs, runs, assign, eps):
@@ -360,27 +391,32 @@ class _Side:
 
     def plan(self, locs, memo):
         """For an insertion side: the index of the first nonempty target
-        run in reading order (at one slot the later fragment comes first)
-        and :meth:`order`.  ``memo`` holds them by slot tuple."""
+        run in reading order (at one slot the later fragment comes first),
+        :meth:`order`, and whether each fragment has a strand of its own.
+        ``memo`` holds them by slot tuple."""
         plan = memo.get(locs)
         if plan is None:
             first = min((i for i, f in enumerate(self.dst) if f),
                         key=lambda i: (locs[i], -i))
-            plan = memo[locs] = (first, self.order(locs))
+            apart = len({s for s, _ in locs}) == len(locs)
+            plan = memo[locs] = (first, self.order(locs), apart)
         return plan
 
-    def runs(self, first, eps, m, memo):
+    def runs(self, first, m, memo):
         """For an insertion side: the target runs with the letters of
         fragment ``first`` as chords m+1..m+k in order of first occurrence,
-        and those fresh chords.  ``memo`` holds them by (first, eps, m)."""
-        made = memo.get((first, eps, m))
+        which do not depend on the sign choice, and those fresh chords
+        under each sign choice of ``eps_choices``.  ``memo`` holds them by
+        (first, m)."""
+        made = memo.get((first, m))
         if made is None:
             assign = {letter: c for c, letter in
                       enumerate(_letters((self.dst[first],)), m + 1)}
             runs = tuple(tuple(_instantiate(f, assign)) for f in self.dst)
-            fresh = tuple((c, self.signs[letter, eps])
-                          for letter, c in assign.items())
-            made = memo[first, eps, m] = (runs, fresh)
+            fresh = tuple(tuple((c, self.signs[letter, eps])
+                                for letter, c in assign.items())
+                          for eps in self.eps_choices)
+            made = memo[first, m] = (runs, fresh)
         return made
 
 
@@ -471,14 +507,18 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     decorations; flags truncation instead of erroring.
 
     Each (pattern, side) is walked through its side object
-    (:attr:`MovePattern.sides`), whose sites are (locs, assign, eps)
-    tuples: no :class:`MoveSite` is built, for match sites as for
-    insertion sites.  A rewrite from one side changes the decoration
-    count by the same amount at every site (``change``), so a member of
-    size s skips a whole side when s plus that change exceeds
-    ``max_size``; the search is then truncated if the side has a site,
-    and no diagram is built.  Every other site is rewritten straight to
-    its canonical diagram.
+    (:attr:`MovePattern.sides`): a match side through its sites, which
+    are (locs, assign, eps) tuples, and an insertion side through its
+    slot tuples, so no :class:`MoveSite` is built.  Each member's kind
+    signature (:func:`_signature`) is computed once, and a match side
+    with a source fragment whose signature is not a substring of it has
+    no site there (:meth:`_Side.cannot_match`), so it is skipped before
+    its site walk.  A rewrite from one side changes the decoration count
+    by the same amount at every site (``change``), so a member of size s
+    skips a whole side when s plus that change exceeds ``max_size``; the
+    search is then truncated if the side has a site, and no diagram is
+    built.  Every other site is rewritten straight to its canonical
+    diagram.
 
     Members share their storage.  One dict per call maps each row tuple
     and each chord tuple, by value, to one object, and every candidate
@@ -501,10 +541,16 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     chord c becomes c + k.  This is the renumbered diagram because every
     nonempty target fragment of a shipped insertion side holds every
     letter.  The rows with ids above m raised by k come from
-    :func:`gauss.raised`, once per (member, m, k), and the runs are sliced
-    in; runs at one slot go in the order :func:`apply` gives them, the
-    later fragment first.  A splice looks up only the rows it touches in
-    the dict.  The plans and runs of a side are kept for one call only.
+    :func:`gauss.raised`, and the runs are sliced in; runs at one slot go
+    in the order :func:`apply` gives them, the later fragment first.
+    The rows of a slot tuple do not depend on the sign choice, so
+    :func:`_splices` builds them once and each sign choice adds only its
+    chord tuple.  Per member and side, the raised rows and the chord
+    tuples are kept by the first run and m, and when each run has a
+    strand of its own, each row with one run placed in it is kept too,
+    for every slot tuple that places that run there.  A splice looks up
+    only the rows it builds in the dict.  The plans and runs of a side
+    are kept for one call only.
 
     Each candidate is hashed once, by adding it to the members; each new
     member is validated once, and a duplicate equals a member already
@@ -523,16 +569,16 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
         nxt = []
         for cur in frontier:
             size = cur.decoration_count()
-            ids_before, rows = _ids_before(cur), {}
+            ids_before, sig = _ids_before(cur), _signature(cur)
             for side, memo in steps:
+                if side.cannot_match(sig):
+                    continue
                 if size + side.change > max_size:
                     # a site is a nonempty tuple
                     truncated = truncated or any(side.sites(cur))
                     continue
                 if side.inserts:
-                    keys = (_spliced(cur, locs, eps, side, ids_before, rows,
-                                     memo, share)
-                            for locs, _, eps in side.sites(cur))
+                    keys = _splices(cur, side, ids_before, memo, share)
                 else:
                     keys = (_shared(renumbered(cur.n, cur.top, *side.rewrite(
                                 cur, locs, dict(assign), eps)), share)
@@ -560,32 +606,52 @@ def _shared(d, share):
                  tuple([share.setdefault(row, row) for row in d.events]))
 
 
-def _spliced(cur, locs, eps, side, ids_before, rows, memo, share=None):
-    """The canonical diagram of inserting the target runs of the insertion
-    side ``side`` at the slots ``locs`` of the canonical member ``cur``,
-    with the sign choice ``eps``; ``rows`` caches :func:`gauss.raised` by
-    (m, k), ``memo`` holds the side's plans and runs, and ``share`` the
-    orbit's row and chord tuples by value, which each raised or spliced
-    row and the chords are taken from (a splice alone shares nothing)."""
-    if share is None:
-        share = {}
-    first, order = side.plan(locs, memo)
-    s, p = locs[first]
-    m = ids_before[s][p]
-    got = rows.get((m, side.k))
-    if got is None:
-        got = rows[m, side.k] = raised(cur, m, side.k, share)
-    ev, chords = got
-    runs, fresh = side.runs(first, eps, m, memo)
-    ev = list(ev)
-    for i in order:
-        s, p = locs[i]
-        row = ev[s]
-        ev[s] = row[:p] + runs[i] + row[p:]
-    for s, _ in locs:
-        ev[s] = share.setdefault(ev[s], ev[s])
-    chords = chords[:m] + fresh + chords[m:]
-    return built(cur.n, cur.top, share.setdefault(chords, chords), tuple(ev))
+def _splices(cur, side, ids_before, memo, share):
+    """The canonical diagrams of inserting the target runs of the
+    insertion side ``side`` into the canonical member ``cur``: for each
+    slot tuple of :meth:`_Side.slot_tuples` in turn, one diagram per sign
+    choice of ``side.eps_choices``.  The diagrams of one slot tuple share
+    their row tuple and differ in their chords only.
+
+    ``memo`` holds the side's plans and runs, and ``share`` the orbit's
+    row and chord tuples by value, which every row and chord tuple here
+    is taken from.  For this member alone, the raised rows, the runs and
+    the chord tuple of each sign choice are kept by (first, m), and so is
+    each row with one fragment's run placed at one slot: a slot tuple with
+    each fragment on a strand of its own takes its rows from there."""
+    n, top, k, made = cur.n, cur.top, side.k, {}
+    for locs in side.slot_tuples(cur):
+        first, order, apart = side.plan(locs, memo)
+        s, p = locs[first]
+        m = ids_before[s][p]
+        got = made.get((first, m))
+        if got is None:
+            ev, chords = raised(cur, m, k, share)
+            runs, fresh = side.runs(first, m, memo)
+            choices = [chords[:m] + f + chords[m:] for f in fresh]
+            got = made[first, m] = (
+                ev, runs, [share.setdefault(c, c) for c in choices],
+                [{} for _ in locs])
+        ev, runs, chord_choices, placed = got
+        ev = list(ev)
+        if apart:
+            for i, slot in enumerate(locs):
+                row = placed[i].get(slot)
+                if row is None:
+                    s, p = slot
+                    row = ev[s][:p] + runs[i] + ev[s][p:]
+                    row = placed[i][slot] = share.setdefault(row, row)
+                ev[slot[0]] = row
+        else:
+            for i in order:
+                s, p = locs[i]
+                row = ev[s]
+                ev[s] = row[:p] + runs[i] + row[p:]
+            for s, _ in locs:
+                ev[s] = share.setdefault(ev[s], ev[s])
+        ev = tuple(ev)
+        for chords in chord_choices:
+            yield built(n, top, chords, ev)
 
 
 # -- the validator (binding oracle for pattern transcription) ----------

@@ -1,6 +1,8 @@
 """Diagram combinatorics: validation, composition, tensor, braiding,
 canonical forms and the text format."""
 
+import copy
+import pickle
 import random
 import sys
 import threading
@@ -14,6 +16,7 @@ from xctangle.gauss import (
     UNDER,
     XCGaussDiagram,
     braiding,
+    built,
     canonical_key,
     compose,
     identity,
@@ -54,6 +57,67 @@ def test_validate_rejects_unknown_chord_sign():
     with pytest.raises(ValidationError):
         validate(XCGaussDiagram(1, (1,), [(1, 0)],
                                 [(("O", 1), ("U", 1))]))
+
+
+O1, U1 = (OVER, 1), (UNDER, 1)
+
+# one case per message of validate, each diagram breaking one invariant
+VALIDATE_CASES = {
+    "negative n": (built(-1, (), (), ()), "negative strand count"),
+    "top length": (built(2, (1,), (), ((), ())),
+                   "top has length 1, expected 2"),
+    "top bijection": (built(2, (1, 1), (), ((), ())),
+                      "top (1, 1) is not a bijection on 1..2"),
+    "event lists": (built(2, (1, 2), (), ((),)),
+                    "1 strand event lists, expected 2"),
+    "chord twice": (built(1, (1,), ((1, 1), (1, 1)), ((O1, U1),)),
+                    "chord 1 listed twice"),
+    "chord sign": (built(1, (1,), ((1, 0),), ((O1, U1),)),
+                   "chord 1 has sign 0, expected +1 or -1"),
+    "diamond sign": (built(1, (1,), (), ((("D", 2),),)),
+                     "diamond on strand 1 has sign 2"),
+    "unknown kind": (built(1, (1,), (), ((("X", 1),),)),
+                     "unknown event kind 'X'"),
+    "dangling end": (built(1, (1,), (), ((O1,),)),
+                     "dangling chord end: unknown chord 1"),
+    "duplicate over": (built(1, (1,), ((1, 1),), ((O1, O1, U1),)),
+                       "duplicate over endpoint for chord 1"),
+    "duplicate under": (built(1, (1,), ((1, 1),), ((O1, U1, U1),)),
+                        "duplicate under endpoint for chord 1"),
+    "no over": (built(1, (1,), ((1, 1),), ((U1,),)),
+                "chord 1 has no over endpoint"),
+    "no under": (built(1, (1,), ((1, 1),), ((O1,),)),
+                 "chord 1 has no under endpoint"),
+    # the first violation in reading order wins
+    "strand 1 first": (built(2, (1, 2), (), (((OVER, 5),), (("D", 3),))),
+                       "dangling chord end: unknown chord 5"),
+    "chord 1 first": (built(1, (1,), ((1, 1), (2, 1)),
+                            (((OVER, 2), U1),)),
+                      "chord 1 has no over endpoint"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATE_CASES))
+def test_validate_messages(case):
+    d, message = VALIDATE_CASES[case]
+    with pytest.raises(ValidationError) as err:
+        validate(d)
+    assert str(err.value) == message
+
+
+def test_built_diagram_equals_the_constructed_one():
+    d = XCGaussDiagram(2, [2, 1], [(2, -1), (1, 1)],
+                       [[("O", 1), ("D", 1)], [("U", 2), ("U", 1), ("O", 2)]])
+    b = built(d.n, d.top, d.chords, d.events)
+    assert type(b) is XCGaussDiagram
+    assert b == d and d == b and hash(b) == hash(d)
+    assert (b.n, b.top, b.chords, b.events) == (d.n, d.top, d.chords,
+                                                d.events)
+    for back in (pickle.loads(pickle.dumps(b)), copy.copy(b),
+                 copy.deepcopy(b)):
+        assert type(back) is XCGaussDiagram and back == d
+    with pytest.raises(AttributeError):
+        b.n = 3
 
 
 def test_compose_stacks_events():

@@ -13,7 +13,13 @@ from xctangle.errors import (
     StaleSiteError,
     ValidationError,
 )
-from xctangle.gauss import XCGaussDiagram, canonical_key, identity
+from xctangle import gauss as G
+from xctangle.gauss import (
+    XCGaussDiagram,
+    canonical_key,
+    identity,
+    parse_diagram,
+)
 from xctangle.invariant import iota_realize, zeval
 from xctangle.randomgen import random_diagram
 
@@ -259,6 +265,65 @@ def test_orbit_equals_reference_loop():
     assert M.orbit(d, 2, 6) == reference_orbit(d, 2, 6)
 
 
+# the two shapes whose orbits take most of the benchmark's calculus pass,
+# with their member counts at the budget of `xct moves orbit`
+CLI_BUDGET_SHAPES = {
+    "U1 O1": ("strands: 2\ntop: 1 2\nchords: 1:-\nstrand 1:\n"
+              "strand 2: U1 O1\n", 3826),
+    "D- D+": ("strands: 2\ntop: 1 2\nchords:\nstrand 1: D-\n"
+              "strand 2: D+\n", 6700),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(CLI_BUDGET_SHAPES))
+def test_orbit_equals_reference_at_the_cli_budget(shape):
+    text, members = CLI_BUDGET_SHAPES[shape]
+    d = parse_diagram(text)
+    got = M.orbit(d, 2, 6)
+    assert len(got.keys) == members and got.truncated
+    assert got == reference_orbit(d, 2, 6)
+
+
+def test_orbit_validates_the_seed_and_each_new_member_once(monkeypatch):
+    d = parse_diagram(CLI_BUDGET_SHAPES["U1 O1"][0])
+    validated = []
+
+    def counted(diagram):
+        validated.append(diagram)
+        real(diagram)
+
+    real = G.validate
+    monkeypatch.setattr(G, "validate", counted)
+    monkeypatch.setattr(M, "validate", counted)
+    res = M.orbit(d, 2, 6)
+    assert len(validated) == len(res.keys)
+    # the seed, canonical already, then every other member
+    assert set(validated) == res.keys
+
+
+def test_signature_skip_is_sound():
+    # a match side skipped for a diagram's kind signature has no site there
+    rng = random.Random(5)
+    pairs = skipped = sited = 0
+    for _ in range(300):
+        d = random_diagram(rng, n=rng.choice((1, 2, 3)), max_chords=3,
+                           max_diamonds=3)
+        signature = M._signature(d)
+        for pattern in M.builtin_patterns():
+            for side in pattern.sides.values():
+                if side.inserts:
+                    continue
+                pairs += 1
+                sites = list(side.sites(d))
+                sited += bool(sites)
+                if side.cannot_match(signature):
+                    skipped += 1
+                    assert sites == [], (pattern.kind, side.name, d)
+    # the skip fires on most pairs, and sites are common enough to catch
+    # a skip that should not fire
+    assert skipped > pairs / 2 and sited > 100
+
+
 def test_orbit_members_share_rows_and_chords():
     # one object per row value and per chord tuple value across the
     # members, spliced and renumbered alike
@@ -283,15 +348,20 @@ def test_splice_equals_apply_at_every_insertion_site():
     for i in range(30):
         d = canonical_key(random_diagram(rng, n=1 + i % 3, max_chords=3,
                                          max_diamonds=2))
-        ids_before, rows = M._ids_before(d), {}
+        ids_before = M._ids_before(d)
         for pattern in M.builtin_patterns():
             for side in pattern.sides.values():
                 if not side.inserts:
                     continue
-                memo = {}
-                for site in _side_sites(d, side):
-                    got = M._spliced(d, site.locs, site.eps, side,
-                                     ids_before, rows, memo)
+                # the splices come slot tuple by slot tuple, one per sign
+                splices = list(M._splices(d, side, ids_before, {}, {}))
+                order = [(locs, eps) for locs in side.slot_tuples(d)
+                         for eps in side.eps_choices]
+                sites = _side_sites(d, side)
+                assert len(splices) == len(order) == len(sites)
+                spliced = dict(zip(order, splices))
+                for site in sites:
+                    got = spliced[site.locs, site.eps]
                     assert got == canonical_key(M.apply(d, site)), site
                     slots = set(site.locs)
                     shared += len(slots) < len(site.locs)
