@@ -119,24 +119,21 @@ class RingMatrix:
 
 
 def mat_mul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
-    """Exact matrix product."""
+    """Exact matrix product, multiplying only by the nonzero entries of
+    ``b``'s rows."""
     if a.cols != b.rows:
         raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    bt = list(zip(*b.entries)) if b.entries else []
+    bnz = [[(j, y) for j, y in enumerate(row) if not y.is_zero()] for row in b.entries]
     out = []
     for row in a.entries:
-        orow = []
-        for col in bt:
-            acc = None
-            for x, y in zip(row, col):
-                if x.is_zero() or y.is_zero():
-                    continue
-                t = x * y
-                acc = t if acc is None else acc + t
-            if acc is None:
-                acc = Coefficient.zero(row[0].variant if row else LAURENT)
-            orow.append(acc)
-        out.append(orow)
+        acc: list = [None] * b.cols
+        for x, pairs in zip(row, bnz):
+            if not x.is_zero():
+                for j, y in pairs:
+                    t = x * y
+                    acc[j] = t if acc[j] is None else acc[j] + t
+        zero = Coefficient.zero(row[0].variant if row else LAURENT)
+        out.append([zero if s is None else s for s in acc])
     return RingMatrix(out)
 
 
@@ -209,22 +206,11 @@ def check_axioms(a: MatrixXCAlgebra) -> dict:
     report: dict[str, dict] = {}
 
     def record(name: str, lhs: RingMatrix, rhs: RingMatrix) -> None:
-        diff = lhs - rhs
-        if diff.is_zero():
-            report[name] = {"ok": True}
-        else:
-            where = next(
-                (i, j)
-                for i in range(diff.rows)
-                for j in range(diff.cols)
-                if not diff[(i, j)].is_zero()
-            )
-            report[name] = {
-                "ok": False,
-                "entry": where,
-                "lhs": str(lhs[where]),
-                "rhs": str(rhs[where]),
-            }
+        rows = zip(lhs.entries, rhs.entries)
+        where = next(((i, j) for i, (lrow, rrow) in enumerate(rows)
+                      for j, (x, y) in enumerate(zip(lrow, rrow)) if x != y), None)
+        report[name] = {"ok": True} if where is None else {
+            "ok": False, "entry": where, "lhs": str(lhs[where]), "rhs": str(rhs[where])}
 
     for name, lhs, rhs in _axiom_diagrams():
         record(name, zeval(lhs, a).value, zeval(rhs, a).value)

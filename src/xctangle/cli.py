@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import moves as M
-from .acceptance import DEFAULT_SEED, run_all, run_criterion
+from .acceptance import CRITERIA, DEFAULT_SEED, run_all, run_criterion
 from .algebra import builtin_uqsl2, check_axioms, parse_algebra
 from .errors import DomainError, ParseError
 from .gauss import (
@@ -143,14 +143,12 @@ def cmd_zeval(args) -> int:
     alg = _load_algebra(args)
     v = (zeval(d, alg) if args.guardrail is None
          else zeval(d, alg, guardrail=args.guardrail))
-    lines = ["sigma: " + " ".join(str(s) for s in v.sigma)]
-    lines += _matrix_lines(v.value)
+    record = {"sigma": list(v.sigma), "matrix": _matrix_lines(v.value)}
+    lines = ["sigma: " + " ".join(str(s) for s in v.sigma), *record["matrix"]]
     if args.realize:
-        lines.append("realized:")
-        lines += _matrix_lines(iota_realize(v))
-    text = "\n".join(lines) + "\n"
-    _emit(args, {"sigma": list(v.sigma),
-                 "matrix": _matrix_lines(v.value)}, text)
+        record["realized"] = _matrix_lines(iota_realize(v))
+        lines += ["realized:", *record["realized"]]
+    _emit(args, record, "\n".join(lines) + "\n")
     return 0
 
 
@@ -356,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("selftest", cmd_selftest, help="run the acceptance suite")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--only", type=int, default=None,
-                   choices=range(1, 12), metavar="N",
+                   choices=range(1, len(CRITERIA) + 1), metavar="N",
                    help="run a single criterion")
 
     return ap

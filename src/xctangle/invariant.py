@@ -29,13 +29,14 @@ product is zero, so no product is scanned for zeros afterwards.
 
 Values compose by the twisted law of the virtual category of elements:
 ``(u, sigma) o (v, tau) = (tau^-1-permuted u . v, sigma o tau)``, and the
-realization map sends ``(u, sigma)`` to ``perm_matrix(sigma) . u``.
+realization map sends ``(u, sigma)`` to ``sigma . u``.  A permutation acts
+on V^{(x)n} by moving tensor factors, which relabels basis indices, so it
+is applied by reindexing rows and columns, never as a matrix product.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
 from . import gauss
 from .algebra import MatrixXCAlgebra, RingMatrix, mat_mul, mat_tensor
@@ -69,23 +70,15 @@ def perm_block(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return a + tuple(v + n for v in b)
 
 
-def perm_matrix(sigma: tuple[int, ...], d: int, variant: str) -> RingMatrix:
-    """The operator sending e_{k_1} (x) ... (x) e_{k_n} to the tensor with
-    factor i replaced by factor sigma^-1(i) (i.e. factor i moves to position
-    sigma(i))."""
-    n = len(sigma)
-    inv = perm_inverse(sigma)
-    size = d**n
-    one, zero = Coefficient.one(variant), Coefficient.zero(variant)
-    out = [[zero] * size for _ in range(size)]
-    for col in product(range(d), repeat=n):
-        row = tuple(col[inv[i] - 1] for i in range(n))
-        r = c = 0
-        for i in range(n):
-            r = r * d + row[i]
-            c = c * d + col[i]
-        out[r][c] = one
-    return RingMatrix(out)
+def _index_map(sigma: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """Where sigma sends each basis vector of V^{(x)n} (first factor
+    major): factor i of basis vector c moves to position sigma(i) of basis
+    vector f[c]."""
+    n, f = len(sigma), [0]
+    for s in sigma:
+        w = d ** (n - s)
+        f = [r + k * w for r in f for k in range(d)]
+    return tuple(f)
 
 
 class InvariantValue(FrozenRecord):
@@ -247,10 +240,9 @@ def ve_compose(u: InvariantValue, v: InvariantValue) -> InvariantValue:
     """Compose values: u after v."""
     if u.n != v.n or u.d != v.d:
         raise DimensionError("value size mismatch")
-    tau = v.sigma
-    taum = perm_matrix(tau, u.d, u.variant)
-    tauim = perm_matrix(perm_inverse(tau), u.d, u.variant)
-    value = mat_mul(mat_mul(mat_mul(tauim, u.value), taum), v.value)
+    f, e = _index_map(v.sigma, u.d), u.value.entries
+    conj = RingMatrix([[e[r][c] for c in f] for r in f])  # tau^-1 . u . tau
+    value = mat_mul(conj, v.value)
     return InvariantValue(u.n, value, perm_compose(u.sigma, v.sigma), u.d, u.variant)
 
 
@@ -267,8 +259,11 @@ def ve_tensor(u: InvariantValue, v: InvariantValue) -> InvariantValue:
 
 
 def iota_realize(u: InvariantValue) -> RingMatrix:
-    """Realize (value, sigma) as the single matrix perm(sigma) . value."""
-    return mat_mul(perm_matrix(u.sigma, u.d, u.variant), u.value)
+    """Realize (value, sigma) as the single matrix sigma . value: row f[c]
+    of the result is row c of the value, so row r is row f^-1(r), and
+    f^-1 is the index map of sigma^-1."""
+    rows = u.value.entries
+    return RingMatrix([rows[c] for c in _index_map(perm_inverse(u.sigma), u.d)])
 
 
 def long_knot_scalar(u: InvariantValue) -> Coefficient:

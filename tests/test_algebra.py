@@ -1,6 +1,8 @@
 """Matrix algebra layer: axiom checking through zeval, the axioms' match
 with the move table, matrix arithmetic, and the algebra text format."""
 
+import random
+
 import pytest
 
 from xctangle.algebra import (
@@ -75,6 +77,28 @@ def test_matrix_dimension_errors():
     with pytest.raises(DimensionError):
         RingMatrix([[Coefficient.one()], [Coefficient.one(),
                                           Coefficient.one()]])
+
+
+def test_mat_mul_matches_the_plain_product():
+    rng = random.Random(61)
+
+    def matrix(rows, cols):
+        return RingMatrix([[Coefficient.rational(rng.choice((0, 0, 1, -1, 3)),
+                                                 rng.randint(1, 2))
+                            for _ in range(cols)] for _ in range(rows)])
+
+    for _ in range(40):
+        i, j, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a, b = matrix(i, j), matrix(j, k)
+        want = [[sum((a[(r, m)] * b[(m, c)] for m in range(j)),
+                     Coefficient.zero(RATIONAL)) for c in range(k)] for r in range(i)]
+        assert mat_mul(a, b) == RingMatrix(want)
+
+
+def test_mat_mul_rejects_mixed_variants():
+    half = RingMatrix([[Coefficient.rational(1, 2)]])
+    with pytest.raises(VariantMismatchError):
+        mat_mul(RingMatrix.identity(1), half)
 
 
 def test_algebra_text_round_trip():

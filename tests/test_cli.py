@@ -284,6 +284,24 @@ def test_zeval_identity(files, capsys):
     assert code == 0 and out.splitlines()[0] == "sigma: 1"
 
 
+CYCLE = "strands: 3\ntop: 2 3 1\nchords: 1:+\nstrand 1: O1\nstrand 2: U1\nstrand 3:\n"
+
+
+@pytest.mark.parametrize("fmt, realize, golden", [
+    ("text", False, "zeval_cycle.txt"),
+    ("text", True, "zeval_cycle_realize.txt"),
+    ("json-lines", False, "zeval_cycle.jsonl"),
+    ("json-lines", True, "zeval_cycle_realize.jsonl"),
+])
+def test_zeval_golden(tmp_path, capsys, fmt, realize, golden):
+    path = tmp_path / "cycle.txt"
+    path.write_text(CYCLE)
+    code, out, _ = run(capsys, "zeval", str(path), "--format", fmt,
+                       *(["--realize"] if realize else []))
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / golden).read_text()
+
+
 def test_compose_tensor(files, capsys):
     _, idf, _ = files
     code, out, _ = run(capsys, "tensor", str(idf), str(idf))

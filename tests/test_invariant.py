@@ -1,6 +1,8 @@
 """Universal evaluation: functoriality, monoidality, permutation
 realization, scalar extraction, the size guardrail, and agreement of the
-depth-first walk with a plain loop over all assignments."""
+depth-first walk with a plain loop over all assignments.  Composition and
+realization are also checked against the dense permutation-matrix
+formulas."""
 
 import gc
 import random
@@ -33,11 +35,13 @@ from xctangle.invariant import (
     identity_value,
     iota_realize,
     long_knot_scalar,
+    perm_compose,
+    perm_inverse,
     ve_compose,
     ve_tensor,
     zeval,
 )
-from xctangle.randomgen import random_diagram
+from xctangle.randomgen import random_diagram, random_permutation
 from xctangle.ring import Coefficient
 from xctangle.virtualt import lift
 
@@ -80,6 +84,85 @@ def test_functoriality_randomized():
         d2 = random_diagram(rng, n=n, max_chords=2, max_diamonds=2)
         assert zeval(compose(d2, d1), ALG) == \
             ve_compose(zeval(d2, ALG), zeval(d1, ALG))
+
+
+def _cycle_lengths(sigma):
+    seen, lengths = set(), []
+    for start in sigma:
+        k = 0
+        while start not in seen:
+            seen.add(start)
+            start, k = sigma[start - 1], k + 1
+        if k:
+            lengths.append(k)
+    return sorted(lengths)
+
+
+def test_functoriality_on_three_and_four_strands():
+    # With one or two strands every permutation is its own inverse, so only
+    # here would composition with sigma and sigma^-1 swapped be caught.
+    rng = random.Random(47)
+    cycles = set()
+    for k in range(120):
+        n = 3 + k % 2
+        d1 = random_diagram(rng, n=n, max_chords=2, max_diamonds=2)
+        d2 = random_diagram(rng, n=n, max_chords=2, max_diamonds=2)
+        cycles.add(tuple(_cycle_lengths(d1.top)))
+        assert zeval(compose(d2, d1), ALG) == \
+            ve_compose(zeval(d2, ALG), zeval(d1, ALG))
+    assert {(3,), (1, 3), (4,)} <= cycles
+
+
+def _dense_mul(a, b):
+    """The plain triple-loop product."""
+    return RingMatrix([[sum((x * y for x, y in zip(row, col)),
+                            Coefficient.zero(row[0].variant))
+                        for col in zip(*b.entries)] for row in a.entries])
+
+
+def _perm_matrix(sigma, d, variant):
+    """The dense operator on V^{(x)n} moving tensor factor i to position
+    sigma(i)."""
+    n, inv = len(sigma), perm_inverse(sigma)
+    one, zero = Coefficient.one(variant), Coefficient.zero(variant)
+    out = [[zero] * d**n for _ in range(d**n)]
+    for col in product(range(d), repeat=n):
+        row = [col[inv[i] - 1] for i in range(n)]
+        r = c = 0
+        for i in range(n):
+            r, c = r * d + row[i], c * d + col[i]
+        out[r][c] = one
+    return RingMatrix(out)
+
+
+def _random_value(rng, n, d):
+    entries = [[Coefficient.rational(rng.choice((0, 0, 1, -1, 2)), rng.randint(1, 3))
+                for _ in range(d**n)] for _ in range(d**n)]
+    return InvariantValue(n, RingMatrix(entries), random_permutation(rng, n), d,
+                          "rational")
+
+
+def test_compose_and_realize_match_dense_permutation_matrices():
+    rng = random.Random(53)
+    pairs = []
+    for n in (1, 2, 3, 4):
+        for _ in range(4):
+            d1 = random_diagram(rng, n=n, max_chords=3, max_diamonds=2)
+            d2 = random_diagram(rng, n=n, max_chords=3, max_diamonds=2)
+            pairs.append((zeval(d2, ALG), zeval(d1, ALG)))
+    for n, d, count in ((1, 2, 3), (2, 2, 3), (3, 2, 3), (4, 2, 3), (1, 3, 3),
+                        (2, 3, 3), (3, 3, 1)):
+        for _ in range(count):
+            pairs.append((_random_value(rng, n, d), _random_value(rng, n, d)))
+    for u, v in pairs:
+        p_tau = _perm_matrix(v.sigma, v.d, v.variant)
+        p_tau_inv = _perm_matrix(perm_inverse(v.sigma), v.d, v.variant)
+        want = _dense_mul(_dense_mul(_dense_mul(p_tau_inv, u.value), p_tau), v.value)
+        assert ve_compose(u, v) == InvariantValue(
+            u.n, want, perm_compose(u.sigma, v.sigma), u.d, u.variant)
+        for w in (u, v):
+            assert iota_realize(w) == \
+                _dense_mul(_perm_matrix(w.sigma, w.d, w.variant), w.value)
 
 
 def test_monoidality_randomized():
