@@ -13,12 +13,13 @@ language over the diagram event syntax:
 
 Each pattern reads each of its sides once (:attr:`MovePattern.sides`):
 the side object holds its source and target runs, whether it only
-inserts, its sign choices, its letter count, its decoration change and
-the kind signatures of its source runs, and its one site walk yields
-plain ``(locs, assign, eps)`` tuples.  :func:`find_sites` wraps them in
+inserts, whether it is literal (its source runs hold no chord letter),
+its sign choices, its letter count, its decoration change and the kind
+signatures of its source runs, and its one site walk yields plain
+``(locs, assign, eps)`` tuples.  :func:`find_sites` wraps them in
 :class:`MoveSite`, :func:`apply` rewrites through the same side, and
-:func:`orbit` walks the match sites' tuples and the insertion sides'
-slot tuples without building a :class:`MoveSite`.
+:func:`orbit` walks the chord sides' sites and the literal sides'
+placements without building a :class:`MoveSite`.
 
 ``validate_pattern`` is the binding correctness gate: it opens both sides
 of a pattern (:func:`open_sides`, fragment i alone on strand i) and checks
@@ -95,10 +96,10 @@ class MoveSite(FrozenRecord):
 
     ``side`` names the matched side ("L" or "R"); applying the site
     rewrites it to the other side.  ``locs`` gives one (strand, position)
-    per fragment: the start of the matched run, or the insertion slot when
-    the matched side's fragments are all empty.  ``assign`` maps chord
-    variables to concrete chord ids (empty for insertion sites) and
-    ``eps`` fixes the shared sign choice.
+    per fragment: the start of the matched run, or the insertion slot of
+    an empty fragment.  ``assign`` maps chord variables to concrete chord
+    ids (empty when the matched side's source runs hold no chord letter)
+    and ``eps`` fixes the shared sign choice.
     """
 
     pattern: MovePattern
@@ -290,8 +291,16 @@ class _Side:
     """One side of a pattern read as a rewrite to the other side, made
     once per pattern (:attr:`MovePattern.sides`).  It holds the source and
     target runs, whether it only inserts (every source fragment empty),
-    the sign choices, the number ``k`` of chord letters it writes and the
-    decoration change of a rewrite, the same at every site.
+    whether it is literal, the sign choices, the number ``k`` of chord
+    letters it writes and the decoration change of a rewrite, the same at
+    every site.
+
+    A side is *literal* when its source runs hold no chord letter, only
+    diamonds or nothing: ``G0r`` read either way, and ``G2`` and the four
+    ``G2p`` patterns read right to left.  A rewrite from a literal side
+    binds no chord, adds its k letters as fresh chords and moves no chord
+    of the diagram, so :func:`orbit` splices it (:func:`_splices`), and
+    its sites are its placements (:meth:`placements`).
 
     ``kinds`` holds the kind signature of each nonempty source fragment,
     one character per token as in :func:`_signature`.  A run matches a
@@ -303,6 +312,14 @@ class _Side:
         self.src, self.dst = ((pattern.left, pattern.right) if name == "L"
                               else (pattern.right, pattern.left))
         self.inserts = not any(self.src)
+        self.literal = not _letters(self.src)
+        self.widths = tuple(len(frag) for frag in self.src)
+        # two runs can collide only when both are nonempty, or when a slot
+        # can fall strictly inside a run of two or more diamonds; no
+        # shipped literal side has such a pair
+        widths = sorted(self.widths)
+        self.can_collide = len(widths) > 1 and (widths[-2] > 0
+                                                or widths[-1] > 1)
         self.eps_choices = (1, -1) if pattern.uses_eps() else (1,)
         self.signs = pattern._signs
         self.k = len(_letters(self.dst))
@@ -318,22 +335,37 @@ class _Side:
         source runs, so that the side has no site in it."""
         return any(frag not in signature for frag in self.kinds)
 
-    def slot_tuples(self, d: XCGaussDiagram):
-        """For an insertion side: every combination of one slot of ``d``
-        per fragment, as (strand, position) pairs."""
-        slots = [(s, p) for s, row in enumerate(d.events)
-                 for p in range(len(row) + 1)]
-        return product(slots, repeat=len(self.src))
+    def placements(self, d: XCGaussDiagram):
+        """For a literal side: every placement of its source runs in
+        ``d``, one (strand, position) per fragment.  Each fragment takes
+        every slot of ``d`` when it is empty, and otherwise every position
+        where its diamond run occurs; the combinations come in product
+        order, the first fragment varying slowest, and those whose runs
+        collide (:func:`_runs_conflict`) are dropped.  This is the order
+        of the match walk of :meth:`sites`."""
+        spots = [[(s, p) for s, row in enumerate(d.events)
+                  for p in range(len(row) - len(frag) + 1)
+                  if not frag or row[p:p + len(frag)] == frag]
+                 for frag in self.src]
+        if not self.can_collide:
+            return product(*spots)
+        return (locs for locs in product(*spots)
+                if not self._collides(locs))
+
+    def _collides(self, locs):
+        """Whether two source runs placed at ``locs`` collide."""
+        runs = [(s, p, width) for (s, p), width in zip(locs, self.widths)]
+        return any(_runs_conflict(runs[:i], run) for i, run in enumerate(runs))
 
     def sites(self, d: XCGaussDiagram):
         """The sites of this side in the valid diagram ``d``, in the order
         of :func:`find_sites`, as (locs, assign, eps): under each sign
         choice, every non-overlapping binding of the source runs, with
-        ``assign`` sorted by letter, or for an insertion side every
-        slot tuple (:meth:`slot_tuples`), with ``assign`` empty."""
-        if self.inserts:
+        ``assign`` sorted by letter, or for a literal side every placement
+        (:meth:`placements`), with ``assign`` empty."""
+        if self.literal:
             return ((locs, (), eps) for eps in self.eps_choices
-                    for locs in self.slot_tuples(d))
+                    for locs in self.placements(d))
         frags, sign, out = self.src, d.chord_sign, []
 
         def rec(i, locs, runs, assign, eps):
@@ -390,20 +422,26 @@ class _Side:
         return sign, ev
 
     def plan(self, locs, memo):
-        """For an insertion side: the index of the first nonempty target
-        run in reading order (at one slot the later fragment comes first),
-        :meth:`order`, and whether each fragment has a strand of its own.
-        ``memo`` holds them by slot tuple."""
+        """For a literal side: the index of the first nonempty target run
+        in reading order, :meth:`order`, and whether each fragment has a
+        strand of its own.  ``memo`` holds them by placement.
+
+        The first run is the least by (strand, position); at one position
+        an inserted run comes before a replaced one, which :meth:`order`
+        writes first, and of the runs inserted at one slot the later
+        fragment comes first.  With every target run empty it is 0: such
+        a side has no letter to number."""
         plan = memo.get(locs)
         if plan is None:
             first = min((i for i, f in enumerate(self.dst) if f),
-                        key=lambda i: (locs[i], -i))
+                        key=lambda i: (locs[i], self.widths[i] > 0, -i),
+                        default=0)
             apart = len({s for s, _ in locs}) == len(locs)
             plan = memo[locs] = (first, self.order(locs), apart)
         return plan
 
     def runs(self, first, m, memo):
-        """For an insertion side: the target runs with the letters of
+        """For a literal side: the target runs with the letters of
         fragment ``first`` as chords m+1..m+k in order of first occurrence,
         which do not depend on the sign choice, and those fresh chords
         under each sign choice of ``eps_choices``.  ``memo`` holds them by
@@ -507,48 +545,56 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     decorations; flags truncation instead of erroring.
 
     Each (pattern, side) is walked through its side object
-    (:attr:`MovePattern.sides`): a match side through its sites, which
-    are (locs, assign, eps) tuples, and an insertion side through its
-    slot tuples, so no :class:`MoveSite` is built.  Each member's kind
-    signature (:func:`_signature`) is computed once, and a match side
-    with a source fragment whose signature is not a substring of it has
-    no site there (:meth:`_Side.cannot_match`), so it is skipped before
-    its site walk.  A rewrite from one side changes the decoration count
-    by the same amount at every site (``change``), so a member of size s
-    skips a whole side when s plus that change exceeds ``max_size``; the
-    search is then truncated if the side has a site, and no diagram is
-    built.  Every other site is rewritten straight to its canonical
-    diagram.
+    (:attr:`MovePattern.sides`): a chord side through its sites, which
+    are (locs, assign, eps) tuples, and a literal side through its
+    placements (:meth:`_Side.placements`), so no :class:`MoveSite` is
+    built.  Each member's kind signature (:func:`_signature`) is computed
+    once, and a side with a source fragment whose signature is not a
+    substring of it has no site there (:meth:`_Side.cannot_match`), so it
+    is skipped before its site walk.  A rewrite from one side changes the
+    decoration count by the same amount at every site (``change``), so a
+    member of size s skips a whole side when s plus that change exceeds
+    ``max_size``; the search is then truncated if the side has a site,
+    and no diagram is built.  Every other site is rewritten straight to
+    its canonical diagram.
 
     Members share their storage.  One dict per call maps each row tuple
     and each chord tuple, by value, to one object, and every candidate
     is built from those objects: the rows of :func:`gauss.raised`, each
     spliced row and chord tuple, and the rows and chords of each
-    renumbered match-site result.  The events and chords inside them were
+    renumbered chord-side result.  The events and chords inside them were
     shared already: the tables of :func:`gauss.renumbered`, or a side's
     runs, kept for the call.  A diagram keeps its fields in slots, with
     no instance dict.  Equal tuples are interchangeable and the dict
     lives for one call only, so the members are the same values as
     without it.
 
-    A match site is rewritten and renumbered (:func:`gauss.renumbered`).
-    An insertion site (G0r and G2 read right to left: every source
-    fragment empty) is spliced into the member's rows instead.  Let m be
-    the number of chords met before the first nonempty target run in
-    reading order; in a canonical member that is the largest chord id met
-    there.  Chords 1..m keep their ids, the side's k chord letters become
-    m+1..m+k in order of first occurrence in that run, and every other
-    chord c becomes c + k.  This is the renumbered diagram because every
-    nonempty target fragment of a shipped insertion side holds every
-    letter.  The rows with ids above m raised by k come from
-    :func:`gauss.raised`, and the runs are sliced in; runs at one slot go
-    in the order :func:`apply` gives them, the later fragment first.
-    The rows of a slot tuple do not depend on the sign choice, so
+    A site of a chord side (``G0``, ``G1f``, ``G3``, and ``G2`` and
+    ``G2p`` read left to right: a source run holds a chord letter) is
+    rewritten and renumbered (:func:`gauss.renumbered`).  A site of a
+    literal side (``G0r`` read either way, ``G2`` and ``G2p`` read right
+    to left: every source run empty or diamonds only) is spliced into the
+    member's rows instead: each empty source run is a slot that the
+    target run is inserted at, and each nonempty one is replaced by its
+    target run.  No chord of the member moves.  Let m be the number of
+    chords met before the first nonempty target run in reading order; in
+    a canonical member that is the largest chord id met there.  Chords
+    1..m keep their ids, the side's k chord letters become m+1..m+k in
+    order of first occurrence in that run, and every other chord c
+    becomes c + k.  This is the renumbered diagram because every nonempty
+    target fragment of a shipped literal side holds every letter.  The
+    first run is found as :meth:`_Side.plan` says: by strand and
+    position, an inserted run before a replaced run at one position, and
+    at one slot the later fragment first, which is the order
+    :func:`apply` leaves them in.  A side with no letters (``G0r``)
+    keeps the member's chords.  The rows with ids above m raised by k
+    come from :func:`gauss.raised`, and the runs are sliced in.  The rows
+    of a placement do not depend on the sign choice, so
     :func:`_splices` builds them once and each sign choice adds only its
     chord tuple.  Per member and side, the raised rows and the chord
     tuples are kept by the first run and m, and when each run has a
     strand of its own, each row with one run placed in it is kept too,
-    for every slot tuple that places that run there.  A splice looks up
+    for every placement that puts that run there.  A splice looks up
     only the rows it builds in the dict.  The plans and runs of a side
     are kept for one call only.
 
@@ -577,7 +623,7 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
                     # a site is a nonempty tuple
                     truncated = truncated or any(side.sites(cur))
                     continue
-                if side.inserts:
+                if side.literal:
                     keys = _splices(cur, side, ids_before, memo, share)
                 else:
                     keys = (_shared(renumbered(cur.n, cur.top, *side.rewrite(
@@ -607,20 +653,20 @@ def _shared(d, share):
 
 
 def _splices(cur, side, ids_before, memo, share):
-    """The canonical diagrams of inserting the target runs of the
-    insertion side ``side`` into the canonical member ``cur``: for each
-    slot tuple of :meth:`_Side.slot_tuples` in turn, one diagram per sign
-    choice of ``side.eps_choices``.  The diagrams of one slot tuple share
+    """The canonical diagrams of rewriting the literal side ``side`` at
+    each of its placements in the canonical member ``cur``: for each
+    placement of :meth:`_Side.placements` in turn, one diagram per sign
+    choice of ``side.eps_choices``.  The diagrams of one placement share
     their row tuple and differ in their chords only.
 
     ``memo`` holds the side's plans and runs, and ``share`` the orbit's
     row and chord tuples by value, which every row and chord tuple here
     is taken from.  For this member alone, the raised rows, the runs and
     the chord tuple of each sign choice are kept by (first, m), and so is
-    each row with one fragment's run placed at one slot: a slot tuple with
+    each row with one fragment's run placed at one spot: a placement with
     each fragment on a strand of its own takes its rows from there."""
-    n, top, k, made = cur.n, cur.top, side.k, {}
-    for locs in side.slot_tuples(cur):
+    n, top, k, widths, made = cur.n, cur.top, side.k, side.widths, {}
+    for locs in side.placements(cur):
         first, order, apart = side.plan(locs, memo)
         s, p = locs[first]
         m = ids_before[s][p]
@@ -635,18 +681,18 @@ def _splices(cur, side, ids_before, memo, share):
         ev, runs, chord_choices, placed = got
         ev = list(ev)
         if apart:
-            for i, slot in enumerate(locs):
-                row = placed[i].get(slot)
+            for i, spot in enumerate(locs):
+                row = placed[i].get(spot)
                 if row is None:
-                    s, p = slot
-                    row = ev[s][:p] + runs[i] + ev[s][p:]
-                    row = placed[i][slot] = share.setdefault(row, row)
-                ev[slot[0]] = row
+                    s, p = spot
+                    row = ev[s][:p] + runs[i] + ev[s][p + widths[i]:]
+                    row = placed[i][spot] = share.setdefault(row, row)
+                ev[spot[0]] = row
         else:
             for i in order:
                 s, p = locs[i]
                 row = ev[s]
-                ev[s] = row[:p] + runs[i] + row[p:]
+                ev[s] = row[:p] + runs[i] + row[p + widths[i]:]
             for s, _ in locs:
                 ev[s] = share.setdefault(ev[s], ev[s])
         ev = tuple(ev)

@@ -17,6 +17,8 @@
   planar lift and is unchanged by all certified moves.
 * :func:`check_formula_invariance` falsifies candidate formulas against
   randomized move-related diagram pairs.
+* every subset walk counts its subsets first and raises
+  :class:`~xctangle.errors.GuardrailError` above :data:`SUBSET_MAX`.
 * :func:`print_formula` and :func:`parse_formula` write and read a formula
   as ``term <coefficient>`` lines, each followed by its template in the
   diagram stanza of :mod:`~xctangle.gauss`; ``<id>:?`` in the ``chords:``
@@ -28,9 +30,9 @@ from __future__ import annotations
 import random
 from functools import cache
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 
-from .errors import ParseError, ValidationError
+from .errors import GuardrailError, ParseError, ValidationError
 from .gauss import (
     DIAMOND,
     OVER,
@@ -88,21 +90,35 @@ def _induced(rows, mask: int):
     return [[e for e, w in row if mask & w] for row in rows]
 
 
+#: The most decoration subsets one walk of :func:`_subsets` visits:
+#: 2^22 subsets, about 4.2 million, take about half a minute in
+#: :func:`map_I`.
+SUBSET_MAX = 1 << 22
+
+
 def _subsets(d: XCGaussDiagram, sizes=None):
     """Every decoration subset of ``d`` as ``(mask, event lists)``, in
     ascending mask order, with the event bits computed once.  Given a set
     of ``sizes``, only the subsets with one of those decoration counts are
-    walked, size by size.  ``d`` is valid: its callers validate it."""
-    rows = _event_bits(d)
+    walked, size by size.  ``d`` is valid: its callers validate it.
+
+    The subsets are counted first, 2^k for k decorations or the sum of
+    C(k, s) over the sizes s, and more than :data:`SUBSET_MAX` of them
+    raise :class:`GuardrailError` before the walk."""
     k = d.decoration_count()
     if sizes is None:
-        masks = range(1 << k)
+        count, masks = 1 << k, range(1 << k)
     else:
+        sizes = sorted(sizes)
         bits = [1 << i for i in range(k)]
-        masks = (sum(c) for size in sorted(sizes)
-                 for c in combinations(bits, size))
-    for mask in masks:
-        yield mask, _induced(rows, mask)
+        count = sum(comb(k, size) for size in sizes)
+        masks = (sum(c) for size in sizes for c in combinations(bits, size))
+    if count > SUBSET_MAX:
+        raise GuardrailError(
+            f"subset walk over {k} decorations visits {count} subsets, "
+            f"more than {SUBSET_MAX}")
+    rows = _event_bits(d)
+    return ((mask, _induced(rows, mask)) for mask in masks)
 
 
 def _chords_in(d: XCGaussDiagram, mask: int):
@@ -111,7 +127,8 @@ def _chords_in(d: XCGaussDiagram, mask: int):
 
 def subdiagrams(d: XCGaussDiagram):
     """All 2^k induced subdiagrams, in deterministic order (subsets as
-    ascending bitmasks over the decoration list)."""
+    ascending bitmasks over the decoration list).  More than
+    :data:`SUBSET_MAX` of them raise GuardrailError before the first."""
     validate(d)
     for mask, events in _subsets(d):
         yield XCGaussDiagram(d.n, d.top, _chords_in(d, mask), events)
@@ -177,6 +194,7 @@ def map_I(d: XCGaussDiagram) -> FormalDiagramSum:
     of :func:`_event_bits`, computed once per diagram; each subset is
     renumbered into its canonical diagram (:func:`gauss.renumbered`) as it
     is built, and stored without calling :func:`canonical_key` again.
+    More than :data:`SUBSET_MAX` subsets raise GuardrailError first.
     """
     validate(d)
     out = FormalDiagramSum()
@@ -224,7 +242,9 @@ def map_I_inverse(s: FormalDiagramSum) -> FormalDiagramSum:
     subdiagrams, where expanding every input term by inclusion-exclusion
     builds 3^k.  The trade-off is a single diagram with k decorations,
     whose inverse has every subdiagram as a term: it costs up to 3^k here
-    and 2^k by expansion.
+    and 2^k by expansion.  A term with more than :data:`SUBSET_MAX`
+    subdiagrams raises GuardrailError before they are walked; the largest
+    term comes first.
 
     The terms come out sorted by decoration count, then by ``n``, ``top``,
     ``chords`` and ``events`` of their canonical diagrams.
@@ -326,7 +346,9 @@ def pairing(formula, d: XCGaussDiagram) -> int:
     """The pairing <F, I(d)> of a formula F with :func:`map_I` of a
     one-strand diagram d: each canonical subdiagram of d with as many
     decorations as some template adds its weight in the signed templates
-    of F.  A template that is not a valid diagram raises ValidationError.
+    of F.  A template that is not a valid diagram raises ValidationError,
+    and more than :data:`SUBSET_MAX` subsets of d of the template sizes
+    raise GuardrailError before they are walked.
     """
     _check_one_strand(d)
     return _pair(_signed_templates(formula).terms, d)

@@ -358,6 +358,24 @@ def test_moves_orbit_golden(tmp_path, capsys, fmt, golden):
     assert out == (Path(__file__).parent / "golden" / golden).read_text()
 
 
+PAIR = "strands: 2\ntop: 1 2\nchords:\nstrand 1: D-\nstrand 2: D+\n"
+
+
+@pytest.mark.parametrize("fmt, golden", [
+    ("text", "moves_orbit_pair.txt"),
+    ("json-lines", "moves_orbit_pair.jsonl"),
+])
+def test_moves_orbit_pair_golden(tmp_path, capsys, fmt, golden):
+    # opposite diamonds on two strands, where a G2p pair creation replaces
+    # a diamond on one strand and inserts a run on either strand
+    path = tmp_path / "pair.txt"
+    path.write_text(PAIR)
+    code, out, _ = run(capsys, "moves", "orbit", str(path), "--max-depth", "1",
+                       "--max-size", "4", "--format", fmt)
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / golden).read_text()
+
+
 TWO_STRANDS = ("strands: 2\ntop: 2 1\nchords: 1:+ 2:+ 3:+ 4:+\n"
                "strand 1: O2 O1 U3 U2 O4 D- U4\nstrand 2: O3 U1 D+ D-\n")
 # site indices applied per kind: first, last and a few between
@@ -409,6 +427,20 @@ def test_pair_rejects_invalid_template(files, capsys, tmp_path):
                          "--diagram", str(idf))
     assert (code, out) == (1, "")
     assert err == "error: dangling chord end: unknown chord 1\n"
+
+
+def test_pair_refuses_too_many_subsets(capsys, tmp_path):
+    # C(26, 13) = 10400600 subsets of the diagram have the template's size
+    half = " ".join(("D+", "D-")[i % 2] for i in range(13))
+    formula = tmp_path / "f.txt"
+    formula.write_text(f"term 1\nstrands: 1\nchords:\nstrand 1: {half}\n")
+    diagram = tmp_path / "d.txt"
+    diagram.write_text(f"strands: 1\nchords:\nstrand 1: {half} {half}\n")
+    code, out, err = run(capsys, "pair", "--formula", str(formula),
+                         "--diagram", str(diagram))
+    assert (code, out) == (1, "")
+    assert err == ("error: subset walk over 26 decorations visits 10400600 "
+                   "subsets, more than 4194304\n")
 
 
 def test_deterministic_output(files, capsys):

@@ -301,6 +301,24 @@ def test_orbit_validates_the_seed_and_each_new_member_once(monkeypatch):
     assert set(validated) == res.keys
 
 
+def test_orbit_validates_each_spliced_pair_member_once(monkeypatch):
+    # the G2p pair creations of this shape are spliced, not rewritten and
+    # renumbered
+    d = parse_diagram(CLI_BUDGET_SHAPES["D- D+"][0])
+    validated = []
+
+    def counted(diagram):
+        validated.append(diagram)
+        real(diagram)
+
+    real = G.validate
+    monkeypatch.setattr(G, "validate", counted)
+    monkeypatch.setattr(M, "validate", counted)
+    res = M.orbit(d, 2, 6)
+    assert len(validated) == len(res.keys) == CLI_BUDGET_SHAPES["D- D+"][1]
+    assert set(validated) == res.keys
+
+
 def test_signature_skip_is_sound():
     # a match side skipped for a diagram's kind signature has no site there
     rng = random.Random(5)
@@ -355,7 +373,7 @@ def test_splice_equals_apply_at_every_insertion_site():
                     continue
                 # the splices come slot tuple by slot tuple, one per sign
                 splices = list(M._splices(d, side, ids_before, {}, {}))
-                order = [(locs, eps) for locs in side.slot_tuples(d)
+                order = [(locs, eps) for locs in side.placements(d)
                          for eps in side.eps_choices]
                 sites = _side_sites(d, side)
                 assert len(splices) == len(order) == len(sites)
@@ -384,6 +402,121 @@ def test_insertion_targets_hold_every_letter():
                 assert {val for kind, val in frag if kind != "D"} == letters
             sides += 1
     assert sides == 3  # G0r twice and G2, each read right to left
+
+
+def _match_walk(d, side):
+    """The sites of any side by binding its source runs fragment by
+    fragment, as every side listed them before literal sides had a
+    placement walk: under each sign choice, every non-overlapping binding,
+    in (strand, position) order per fragment."""
+    frags, sign, out = side.src, d.chord_sign, []
+
+    def rec(i, locs, runs, assign, eps):
+        if i == len(frags):
+            out.append((locs, tuple(sorted(assign.items())), eps))
+            return
+        for s, row in enumerate(d.events):
+            for start in range(len(row) - len(frags[i]) + 1):
+                run = (s, start, len(frags[i]))
+                if M._runs_conflict(runs, run):
+                    continue
+                got = M._match_run(row, start, frags[i], assign, sign,
+                                   side.signs, eps)
+                if got is not None:
+                    rec(i + 1, locs + ((s, start),), runs + (run,), got,
+                        eps)
+
+    for eps in side.eps_choices:
+        rec(0, (), (), {}, eps)
+    return out
+
+
+# literal sides whose runs can collide, which no shipped side has: two
+# diamond runs, and a slot that may fall inside a run of two diamonds
+COLLIDING = M.parse_patterns("""
+pattern G0r
+frag 1: D+
+frag 2: D+ D-
+frag 3:
+to 1:
+to 2:
+to 3: D+ D-
+end
+""")
+
+
+def test_literal_sites_follow_the_match_walk():
+    rng = random.Random(23)
+    shared = apart = checked = 0
+    for _ in range(300):
+        d = random_diagram(rng, n=rng.choice((1, 2, 3)), max_chords=3,
+                           max_diamonds=4)
+        for pattern in M.builtin_patterns() + COLLIDING:
+            for side in pattern.sides.values():
+                if not side.literal:
+                    continue
+                got = list(side.sites(d))
+                assert got == _match_walk(d, side), (
+                    pattern.kind, pattern.variant, side.name, d)
+                checked += len(got)
+                if pattern.kind == "G2p":
+                    # the slot and the replaced diamond at one position,
+                    # and on different strands
+                    shared += sum(a == b for (a, b), _, _ in got)
+                    apart += sum(a[0] != b[0] for (a, b), _, _ in got)
+    assert shared > 500 and apart > 2000 and checked > 20000
+
+
+def test_literal_targets_hold_every_letter():
+    # a literal splice numbers the letters by the first run alone
+    sides = 0
+    for pattern in M.builtin_patterns():
+        for side in pattern.sides.values():
+            if not side.literal:
+                continue
+            assert not M._letters(side.src)
+            letters = set(M._letters(side.dst))
+            for frag in filter(None, side.dst):
+                assert set(M._letters((frag,))) == letters
+            sides += 1
+    # G0r either way; G2 and the four G2p read right to left
+    assert sides == 9
+
+
+def test_literal_splice_equals_apply():
+    rng = random.Random(31)
+    sites_of = {}
+    shared = 0
+    for i in range(40):
+        d = random_diagram(rng, n=1 + i % 3, max_chords=3, max_diamonds=2)
+        # and d with a diamond pair created, which G0r cancels again
+        pair = rng.choice([site for site in M.find_sites(d, "G0r")
+                           if site.side == "R"])
+        for d in (canonical_key(d), canonical_key(M.apply(d, pair))):
+            ids_before = M._ids_before(d)
+            for pattern in M.builtin_patterns():
+                for side in pattern.sides.values():
+                    if not side.literal:
+                        continue
+                    # the splices come placement by placement, one per sign
+                    splices = list(M._splices(d, side, ids_before, {}, {}))
+                    order = [(locs, eps) for locs in side.placements(d)
+                             for eps in side.eps_choices]
+                    sites = _side_sites(d, side)
+                    assert len(splices) == len(order) == len(sites)
+                    spliced = dict(zip(order, splices))
+                    for site in sites:
+                        got = spliced[site.locs, site.eps]
+                        assert got == canonical_key(M.apply(d, site)), site
+                        kind = pattern.kind + site.side
+                        sites_of[kind] = sites_of.get(kind, 0) + 1
+                        shared += (pattern.kind == "G2p"
+                                   and site.locs[0] == site.locs[1])
+    assert sites_of["G0rL"] + sites_of["G0rR"] + sites_of["G2pR"] > 1000
+    assert sites_of["G0rL"] > 30 and sites_of["G2pR"] > 1000
+    # G2p runs inserted and replaced at one position, which need the
+    # tie-break of _Side.plan
+    assert shared > 100
 
 
 def test_size_change_is_exact_at_every_site():

@@ -8,7 +8,7 @@ from math import prod
 import pytest
 
 from xctangle import polyak
-from xctangle.errors import ValidationError
+from xctangle.errors import GuardrailError, ValidationError
 from xctangle.gauss import (
     XCGaussDiagram,
     canonical_key,
@@ -446,3 +446,40 @@ def test_print_formula_golden():
 def test_formula_terms_must_be_one_strand():
     with pytest.raises(ValidationError):
         FormulaTerm(1, identity(2))
+
+
+def _diamonds(k: int) -> XCGaussDiagram:
+    """One strand with k diamonds of alternating sign."""
+    return XCGaussDiagram(1, (1,), [],
+                          [tuple(("D", (-1) ** i) for i in range(k))])
+
+
+# 2^23 subsets: one decoration more than the default admits
+TOO_MANY = _diamonds(23)
+
+
+def test_subdiagrams_refuse_too_many_subsets():
+    assert polyak.SUBSET_MAX == 1 << 22
+    with pytest.raises(GuardrailError, match="23 decorations visits 8388608"):
+        next(subdiagrams(TOO_MANY))
+
+
+def test_map_I_refuses_too_many_subsets():
+    with pytest.raises(GuardrailError, match=r"8388608 subsets, more than "
+                                             r"4194304"):
+        map_I(TOO_MANY)
+
+
+def test_map_I_inverse_refuses_too_many_subsets():
+    with pytest.raises(GuardrailError, match="8388608 subsets"):
+        map_I_inverse(FormalDiagramSum.of(TOO_MANY))
+
+
+def test_pairing_counts_only_the_subsets_of_its_sizes():
+    # the framing formula walks the 30 one-decoration subsets of 30
+    # diamonds, not all 2^30
+    assert pairing(framing_terms(), _diamonds(30)) == 0
+    # a 13-diamond template on 26 diamonds: C(26, 13) subsets
+    formula = [FormulaTerm(1, _diamonds(13))]
+    with pytest.raises(GuardrailError, match="26 decorations visits 10400600"):
+        pairing(formula, _diamonds(26))
