@@ -13,7 +13,9 @@ per chord.  ``zeval`` walks it depth first, strand by strand, so states
 that share a prefix of beads share its product, and it drops a branch as
 soon as its partial product is zero, since every later bead multiplies on
 the left.  The walk is still exponential in the chord count: about 2x per
-crossing on T(2,k) lifts, against 3x for the plain sum.
+crossing on T(2,k) lifts, against 3x for the plain sum.  So the plain
+sum's states are counted before the walk, and a diagram with more than
+:data:`STATE_MAX` of them raises :class:`GuardrailError`.
 
 Each bead (kappa, kappa^-1 and every Q_ac) is split once per call into
 sparse rows of its nonzero ``(column, payload)`` pairs, and a bead product
@@ -46,6 +48,13 @@ from .record import FrozenRecord
 from .ring import Coefficient, kernel
 
 DEFAULT_GUARDRAIL = 4096
+
+#: The most states one :func:`zeval` sums over: the product over the
+#: chords of the number of terms of R or R^-1 for each chord's sign, 3^c
+#: for c chords of the builtin algebra.  2^32 admits 3^20; the T(2,19)
+#: lift took 15 s on a 2-vCPU VM, so the 20 chords of T(2,20) take about
+#: half a minute, and each further crossing about doubles that.
+STATE_MAX = 1 << 32
 
 
 # -- permutation tuples (1-based) -------------------------------------
@@ -165,6 +174,11 @@ def zeval(
     product.  A branch stops as soon as its partial product is zero: later
     beads multiply on the left, and a left multiple of zero is zero.  Each
     completed state adds the tensor product of its words into the value.
+
+    Besides ``guardrail``, which bounds the d^n size of the value, the
+    states are counted before the walk: the product over the chords of
+    the number of terms of R or R^-1 for each chord's sign.  More than
+    :data:`STATE_MAX` of them raise :class:`GuardrailError`.
     """
     gauss.validate(d_)
     n = d_.n
@@ -184,6 +198,13 @@ def zeval(
             for aa, cc, q in _decompose_two_leg(a.R if s > 0 else a.Rinv, dim)]
         for s in set(sign.values())
     }
+    states = 1
+    for s in sign.values():
+        states *= len(decomp[s])
+    if states > STATE_MAX:
+        raise GuardrailError(
+            f"state sum over {len(sign)} chords has {states} states, "
+            f"more than {STATE_MAX}")
     kappa = _sparse_rows(a.kappa)
     kappainv = _sparse_rows(a.kappainv)
     unit = [[ops.one if i == j else pzero for j in range(dim)] for i in range(dim)]

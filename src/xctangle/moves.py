@@ -302,10 +302,11 @@ class _Side:
     of the diagram, so :func:`orbit` splices it (:func:`_splices`), and
     its sites are its placements (:meth:`placements`).
 
-    ``kinds`` holds the kind signature of each nonempty source fragment,
-    one character per token as in :func:`_signature`.  A run matches a
-    fragment only where the run's signature equals the fragment's, so the
-    side has no site in a diagram whose signature lacks one of them."""
+    ``kinds`` is the set of the kind signatures of its nonempty source
+    fragments, one character per token as in :func:`_signature`.  A run
+    matches a fragment only where the run's signature equals the
+    fragment's, so the side has no site in a diagram whose signature lacks
+    one of them."""
 
     def __init__(self, pattern: MovePattern, name: str):
         self.pattern, self.name = pattern, name
@@ -324,16 +325,10 @@ class _Side:
         self.signs = pattern._signs
         self.k = len(_letters(self.dst))
         self.change = _decorations(self.dst) - _decorations(self.src)
-        self.kinds = tuple(
+        self.kinds = frozenset(
             "".join(kind if kind != DIAMOND else "+" if val > 0 else "-"
                     for kind, val in frag)
             for frag in self.src if frag)
-
-    def cannot_match(self, signature: str) -> bool:
-        """Whether a diagram of kind signature ``signature``
-        (:func:`_signature`) lacks the signature of one of this side's
-        source runs, so that the side has no site in it."""
-        return any(frag not in signature for frag in self.kinds)
 
     def placements(self, d: XCGaussDiagram):
         """For a literal side: every placement of its source runs in
@@ -548,15 +543,21 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     (:attr:`MovePattern.sides`): a chord side through its sites, which
     are (locs, assign, eps) tuples, and a literal side through its
     placements (:meth:`_Side.placements`), so no :class:`MoveSite` is
-    built.  Each member's kind signature (:func:`_signature`) is computed
-    once, and a side with a source fragment whose signature is not a
-    substring of it has no site there (:meth:`_Side.cannot_match`), so it
-    is skipped before its site walk.  A rewrite from one side changes the
-    decoration count by the same amount at every site (``change``), so a
-    member of size s skips a whole side when s plus that change exceeds
-    ``max_size``; the search is then truncated if the side has a site,
-    and no diagram is built.  Every other site is rewritten straight to
-    its canonical diagram.
+    built.  The call builds one move table (:func:`_move_table`): the 22
+    (pattern, side) steps, each with the kind signatures of its source
+    runs as a set (:attr:`_Side.kinds`), and the union of those sets, 20
+    strings.  Each member's kind signature (:func:`_signature`) is
+    computed once, and each of the 20 strings is tested against it once
+    (:func:`_kinds_in`).  Then each step checks the decoration budget
+    first.  A rewrite from one side changes the decoration count by the
+    same amount at every site (``change``), so a member of size s skips a
+    whole side when s plus that change exceeds ``max_size``; while the
+    search is not yet truncated, it is truncated if the side has a site,
+    and no diagram is built.  A side within the budget is walked only
+    when its set is a subset of the member's strings: otherwise a source
+    run's signature is not a substring of the member's and the side has
+    no site there.  Every site walked is rewritten straight to its
+    canonical diagram.
 
     Members share their storage.  One dict per call maps each row tuple
     and each chord tuple, by value, to one object, and every candidate
@@ -605,8 +606,7 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     """
     if max_depth <= 0 or max_size <= 0:
         raise ValidationError("orbit budgets must be positive")
-    steps = [(side, {}) for p in builtin_patterns()
-             for side in p.sides.values()]
+    steps, runs = _move_table()
     share: dict[tuple, tuple] = {}
     frontier = [_shared(canonical_key(d), share)]
     seen = set(frontier)
@@ -615,13 +615,14 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
         nxt = []
         for cur in frontier:
             size = cur.decoration_count()
-            ids_before, sig = _ids_before(cur), _signature(cur)
-            for side, memo in steps:
-                if side.cannot_match(sig):
-                    continue
+            ids_before, present = _ids_before(cur), _kinds_in(runs, cur)
+            for side, kinds, memo in steps:
                 if size + side.change > max_size:
-                    # a site is a nonempty tuple
-                    truncated = truncated or any(side.sites(cur))
+                    if not truncated and kinds <= present:
+                        # a site is a nonempty tuple
+                        truncated = any(side.sites(cur))
+                    continue
+                if not kinds <= present:
                     continue
                 if side.literal:
                     keys = _splices(cur, side, ids_before, memo, share)
@@ -642,6 +643,24 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
         if frontier:
             truncated = True
     return OrbitResult(frozenset(seen), truncated)
+
+
+def _move_table():
+    """The steps of one :func:`orbit` call, as (side, kinds, memo) for
+    every side of every shipped pattern, with ``kinds`` the side's
+    :attr:`_Side.kinds` and ``memo`` a fresh dict for its plans and runs;
+    and the union of the ``kinds``."""
+    steps = [(side, side.kinds, {}) for p in builtin_patterns()
+             for side in p.sides.values()]
+    return steps, frozenset().union(*[kinds for _, kinds, _ in steps])
+
+
+def _kinds_in(runs, d):
+    """The strings of ``runs`` that are substrings of the kind signature
+    of ``d`` (:func:`_signature`); a side whose :attr:`_Side.kinds` is not
+    a subset of them has no site in ``d``."""
+    sig = _signature(d)
+    return {run for run in runs if run in sig}
 
 
 def _shared(d, share):

@@ -106,6 +106,18 @@ def test_bracket_guardrail_exit_1(tmp_path, capsys):
                    "2^26 = 67108864 states, more than 2^25\n")
 
 
+def test_zeval_state_guardrail_exit_1(tmp_path, capsys):
+    kinks = tmp_path / "kinks.txt"
+    kinks.write_text(
+        "strands: 1\ntop: 1\nchords: "
+        + " ".join(f"{c}:+" for c in range(1, 22)) + "\nstrand 1: "
+        + " ".join(f"O{c} U{c}" for c in range(1, 22)) + "\n")
+    code, out, err = run(capsys, "zeval", str(kinks))
+    assert code == 1 and out == ""
+    assert err == ("error: state sum over 21 chords has 10460353203 "
+                   "states, more than 4294967296\n")
+
+
 def test_axioms_ok(capsys):
     code, out, _ = run(capsys, "axioms")
     assert code == 0 and "all: ok" in out

@@ -30,6 +30,7 @@ from xctangle.gauss import (
     tensor,
 )
 from xctangle.invariant import (
+    STATE_MAX,
     InvariantValue,
     _decompose_two_leg,
     identity_value,
@@ -178,6 +179,20 @@ def test_monoidality_randomized():
 def test_guardrail():
     with pytest.raises(GuardrailError):
         zeval(identity(3), ALG, guardrail=7)
+
+
+def test_state_guardrail():
+    # 21 kinks of either sign: 3^21 states of the builtin algebra, refused
+    # before the walk
+    kinks = XCGaussDiagram(
+        1, (1,), [(c, 1 if c % 2 else -1) for c in range(1, 22)],
+        [tuple(e for c in range(1, 22) for e in (("O", c), ("U", c)))])
+    with pytest.raises(GuardrailError) as exc:
+        zeval(kinks, ALG)
+    assert str(exc.value) == ("state sum over 21 chords has 10460353203 "
+                              "states, more than 4294967296")
+    # the lifts of T(2,k) have k chords: T(2,17) is admitted, T(2,25) not
+    assert 3**17 < 3**20 <= STATE_MAX < 3**21 < 3**25
 
 
 def test_long_knot_scalar_rejects_non_scalar():
