@@ -107,12 +107,6 @@ class InvariantValue(FrozenRecord):
             raise ValidationError("sigma is not a permutation")
 
 
-def identity_value(n: int, a: MatrixXCAlgebra) -> InvariantValue:
-    return InvariantValue(
-        n, RingMatrix.identity(a.d**n, a.variant), tuple(range(1, n + 1)), a.d, a.variant
-    )
-
-
 # -- R decomposition --------------------------------------------------
 
 

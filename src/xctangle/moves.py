@@ -12,12 +12,14 @@ language over the diagram event syntax:
   the right side, and applying a site rewrites to the other side.
 
 Each pattern reads each of its sides once (:attr:`MovePattern.sides`):
-the side object holds its source and target runs, whether it only
-inserts, whether it is literal (its source runs hold no chord letter),
-its sign choices, its letter count, its decoration change and the kind
-signatures of its source runs, and its one site walk yields plain
-``(locs, assign, eps)`` tuples.  :func:`find_sites` wraps them in
-:class:`MoveSite`, :func:`apply` rewrites through the same side, and
+the side object holds its source and target runs, whether it is literal
+(its source runs hold no chord letter), its sign choices, its letter
+count and its decoration change.  A source run is matched by one rule
+(:meth:`_Side.spots`): where its kind signature occurs in a row's, after
+which a chord side binds its letters fragment by fragment.  The side's
+one site walk yields plain ``(locs, assign, eps)`` tuples.
+:func:`find_sites` wraps them in :class:`MoveSite`, :func:`apply` checks
+a site by the same rule and rewrites through the same side, and
 :func:`orbit` walks the chord sides' sites and the literal sides'
 placements without building a :class:`MoveSite`.
 
@@ -108,17 +110,6 @@ class MoveSite(FrozenRecord):
     assign: tuple[tuple[str, int], ...]
     eps: int
 
-    # Thousands of sites are built per orbit or walk, so the constructor
-    # is spelled out: the generic one of FrozenRecord takes about 0.7 us
-    # more per site.
-    def __init__(self, pattern: MovePattern, side: str, locs, assign,
-                 eps: int):
-        object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "locs", locs)
-        object.__setattr__(self, "assign", assign)
-        object.__setattr__(self, "eps", eps)
-
 
 def _parse_token(tok: str, lineno: int, col: int) -> Token:
     if tok in ("D+", "D-"):
@@ -148,6 +139,8 @@ def parse_patterns(text: str) -> list[MovePattern]:
             if cur is None:
                 raise ParseError("'end' outside a pattern block", lineno, 1)
             ids = sorted(cur["left"])
+            if not ids and not cur["right"]:
+                raise ParseError("pattern block has no fragment", lineno, 1)
             if ids != sorted(cur["right"]) or ids != list(range(1, len(ids) + 1)):
                 raise ParseError("fragment ids must be 1..k on both sides", lineno, 1)
             declared = {letter for letter, _ in cur["vars"]}
@@ -246,22 +239,36 @@ def _decorations(frags):
                                       for kind, _ in f)
 
 
-def _match_run(row, start, frag, assign, sign, signs, eps):
-    """The bindings ``assign`` extended by matching a fragment at
-    ``row[start:]``, or None when it does not match there."""
-    if start + len(frag) > len(row):
-        return None
-    out = dict(assign)
-    for (kind, val), got in zip(frag, row[start:]):
-        if kind == DIAMOND:
-            ok = got == (DIAMOND, val)
-        elif val in out:
-            ok = got == (kind, out[val])
-        else:
-            ok = (got[0] == kind and got[1] not in out.values()
-                  and sign[got[1]] == signs[val, eps])
-            out[val] = got[1]
-        if not ok:
+def _kind_signature(events):
+    """The kind signature of a run of events or of pattern tokens: one
+    character per event, ``O``, ``U``, or ``+`` and ``-`` for a diamond
+    of that sign."""
+    return "".join([kind if kind != DIAMOND else "+" if val > 0 else "-"
+                    for kind, val in events])
+
+
+def _row_signatures(d):
+    """The kind signature of each row of the diagram ``d``."""
+    return [_kind_signature(row) for row in d.events]
+
+
+def _bind(row, p, letters, assign, sign, signs, eps):
+    """The bindings ``assign`` extended by the letters of a fragment whose
+    kind signature occurs at ``row[p:]``, ``letters`` holding (offset,
+    letter) per chord token, or None when one fails: a bound letter must
+    meet its chord again, a new one an unbound chord of its sign under
+    ``eps``.  ``assign`` itself is never changed."""
+    out = assign
+    for offset, letter in letters:
+        cid = row[p + offset][1]
+        bound = out.get(letter)
+        if bound is None:
+            if cid in out.values() or sign[cid] != signs[letter, eps]:
+                return None
+            if out is assign:
+                out = dict(assign)
+            out[letter] = cid
+        elif bound != cid:
             return None
     return out
 
@@ -277,42 +284,32 @@ def _runs_conflict(runs, new):
     return False
 
 
-def _signature(d):
-    """The kind signature of the diagram ``d``: one character per event,
-    ``O``, ``U``, or ``+`` and ``-`` for a diamond of that sign, with the
-    rows joined by ``|``.  A source run of a pattern side matches only
-    where its own signature (:attr:`_Side.kinds`) is a substring."""
-    return "|".join(["".join([kind if kind != DIAMOND else
-                              "+" if val > 0 else "-" for kind, val in row])
-                     for row in d.events])
-
-
 class _Side:
     """One side of a pattern read as a rewrite to the other side, made
     once per pattern (:attr:`MovePattern.sides`).  It holds the source and
-    target runs, whether it only inserts (every source fragment empty),
-    whether it is literal, the sign choices, the number ``k`` of chord
-    letters it writes and the decoration change of a rewrite, the same at
-    every site.
+    target runs, whether it is literal, the sign choices, the number ``k``
+    of chord letters it writes and the decoration change of a rewrite,
+    the same at every site.
+
+    A source run is matched in one way only: a fragment's spots
+    (:meth:`spots`) are the positions where its kind signature
+    (:func:`_kind_signature`, ``sigs`` per fragment) occurs in a row's,
+    every slot when it is empty.  A chord side then binds its letters
+    fragment by fragment at those spots (:meth:`bindings`).  ``kinds`` is
+    the set of the nonempty signatures: the side has no site in a diagram
+    where one of them occurs in no row.
 
     A side is *literal* when its source runs hold no chord letter, only
     diamonds or nothing: ``G0r`` read either way, and ``G2`` and the four
     ``G2p`` patterns read right to left.  A rewrite from a literal side
     binds no chord, adds its k letters as fresh chords and moves no chord
     of the diagram, so :func:`orbit` splices it (:func:`_splices`), and
-    its sites are its placements (:meth:`placements`).
-
-    ``kinds`` is the set of the kind signatures of its nonempty source
-    fragments, one character per token as in :func:`_signature`.  A run
-    matches a fragment only where the run's signature equals the
-    fragment's, so the side has no site in a diagram whose signature lacks
-    one of them."""
+    its sites are its placements (:meth:`placements`)."""
 
     def __init__(self, pattern: MovePattern, name: str):
         self.pattern, self.name = pattern, name
         self.src, self.dst = ((pattern.left, pattern.right) if name == "L"
                               else (pattern.right, pattern.left))
-        self.inserts = not any(self.src)
         self.literal = not _letters(self.src)
         self.widths = tuple(len(frag) for frag in self.src)
         # two runs can collide only when both are nonempty, or when a slot
@@ -325,23 +322,34 @@ class _Side:
         self.signs = pattern._signs
         self.k = len(_letters(self.dst))
         self.change = _decorations(self.dst) - _decorations(self.src)
-        self.kinds = frozenset(
-            "".join(kind if kind != DIAMOND else "+" if val > 0 else "-"
-                    for kind, val in frag)
-            for frag in self.src if frag)
+        self.sigs = tuple(_kind_signature(frag) for frag in self.src)
+        self.kinds = frozenset(filter(None, self.sigs))
+        self.chord_tokens = tuple(
+            tuple((i, val) for i, (kind, val) in enumerate(frag)
+                  if kind != DIAMOND)
+            for frag in self.src)
 
-    def placements(self, d: XCGaussDiagram):
-        """For a literal side: every placement of its source runs in
-        ``d``, one (strand, position) per fragment.  Each fragment takes
-        every slot of ``d`` when it is empty, and otherwise every position
-        where its diamond run occurs; the combinations come in product
-        order, the first fragment varying slowest, and those whose runs
-        collide (:func:`_runs_conflict`) are dropped.  This is the order
-        of the match walk of :meth:`sites`."""
-        spots = [[(s, p) for s, row in enumerate(d.events)
-                  for p in range(len(row) - len(frag) + 1)
-                  if not frag or row[p:p + len(frag)] == frag]
-                 for frag in self.src]
+    def spots(self, rows):
+        """Per fragment, every (strand, position) where its kind signature
+        occurs in ``rows``, the signatures of a diagram's rows
+        (:func:`_row_signatures`), in (strand, position) order: every slot
+        when the fragment is empty."""
+        out = []
+        for sig in self.sigs:
+            spots = []
+            for s, row in enumerate(rows):
+                p = row.find(sig)
+                while p >= 0:
+                    spots.append((s, p))
+                    p = row.find(sig, p + 1)
+            out.append(spots)
+        return out
+
+    def placements(self, spots):
+        """Every combination of one spot per fragment, in product order,
+        the first fragment varying slowest, with those whose runs collide
+        (:func:`_runs_conflict`) dropped.  For a literal side these are
+        its sites."""
         if not self.can_collide:
             return product(*spots)
         return (locs for locs in product(*spots)
@@ -352,42 +360,43 @@ class _Side:
         runs = [(s, p, width) for (s, p), width in zip(locs, self.widths)]
         return any(_runs_conflict(runs[:i], run) for i, run in enumerate(runs))
 
-    def sites(self, d: XCGaussDiagram):
+    def bindings(self, d, spots, eps):
+        """The placements of :meth:`placements` at which the chord letters
+        bind under ``eps`` (:func:`_bind`), in the same order, as (locs,
+        assign).  Each fragment extends the partial placements of the
+        fragments before it, and a partial placement whose run fails is
+        dropped there.  ``assign`` may be shared between results."""
+        events, sign, signs = d.events, d.chord_sign, self.signs
+        partial = [((), (), {})]  # locs, runs, assign
+        for fspots, letters, width in zip(spots, self.chord_tokens,
+                                          self.widths):
+            nxt = []
+            for locs, runs, assign in partial:
+                for s, p in fspots:
+                    run = (s, p, width)
+                    if self.can_collide and _runs_conflict(runs, run):
+                        continue
+                    got = _bind(events[s], p, letters, assign, sign, signs,
+                                eps)
+                    if got is not None:
+                        nxt.append((locs + ((s, p),), runs + (run,), got))
+            partial = nxt
+        return [(locs, assign) for locs, _, assign in partial]
+
+    def sites(self, d: XCGaussDiagram, spots=None):
         """The sites of this side in the valid diagram ``d``, in the order
         of :func:`find_sites`, as (locs, assign, eps): under each sign
-        choice, every non-overlapping binding of the source runs, with
-        ``assign`` sorted by letter, or for a literal side every placement
-        (:meth:`placements`), with ``assign`` empty."""
+        choice, every binding (:meth:`bindings`), with ``assign`` sorted by
+        letter, or for a literal side every placement, with ``assign``
+        empty.  ``spots`` are the side's spots in ``d`` when known."""
+        if spots is None:
+            spots = self.spots(_row_signatures(d))
         if self.literal:
             return ((locs, (), eps) for eps in self.eps_choices
-                    for locs in self.placements(d))
-        frags, sign, out = self.src, d.chord_sign, []
-
-        def rec(i, locs, runs, assign, eps):
-            if i == len(frags):
-                out.append((locs, tuple(sorted(assign.items())), eps))
-                return
-            frag = frags[i]
-            # a run starts with the diamond itself or an end of this kind
-            head = frag[0] if frag else None
-            for s, row in enumerate(d.events):
-                for start in range(len(row) - len(frag) + 1):
-                    if head is not None and (
-                            row[start] != head if head[0] == DIAMOND
-                            else row[start][0] != head[0]):
-                        continue
-                    run = (s, start, len(frag))
-                    if _runs_conflict(runs, run):
-                        continue
-                    got = _match_run(row, start, frag, assign, sign,
-                                     self.signs, eps)
-                    if got is not None:
-                        rec(i + 1, locs + ((s, start),), runs + (run,),
-                            got, eps)
-
-        for eps in self.eps_choices:
-            rec(0, (), (), {}, eps)
-        return out
+                    for locs in self.placements(spots))
+        return [(locs, tuple(sorted(assign.items())), eps)
+                for eps in self.eps_choices
+                for locs, assign in self.bindings(d, spots, eps)]
 
     def order(self, locs):
         """The fragment indices in the order a rewrite at ``locs`` writes
@@ -459,40 +468,35 @@ def find_sites(d: XCGaussDiagram, kind: str) -> list[MoveSite]:
     validate(d)
     if kind not in KINDS:
         raise ValidationError(f"unknown move kind {kind!r}")
-    out: list[MoveSite] = []
+    rows, out = _row_signatures(d), []
     for pattern in builtin_patterns():
         if pattern.kind == kind:
             for side in pattern.sides.values():
-                out.extend(MoveSite(pattern, side.name, locs, assign, eps)
-                           for locs, assign, eps in side.sites(d))
+                out.extend(MoveSite(pattern, side.name, *site)
+                           for site in side.sites(d, side.spots(rows)))
     return out
 
 
 def apply(d: XCGaussDiagram, site: MoveSite) -> XCGaussDiagram:
     """Rewrite the matched side of ``site`` to the other side of its
-    pattern.  Raises StaleSiteError when the site no longer matches ``d``."""
+    pattern.  Raises StaleSiteError when the site is out of range or no
+    longer matches ``d``."""
     validate(d)
     side = site.pattern.sides.get(site.side)
     if side is None or len(site.locs) != len(side.src) or any(
             s < 0 or s >= d.n or p < 0 for s, p in site.locs):
         raise StaleSiteError("site out of range")
+    # the runs must sit at spots of their fragments, tested at the site's
+    # own positions, and bind each letter that ``site.assign`` names to
+    # the chord it names there
+    rows = _row_signatures(d)
+    spots = [[(s, p)] if rows[s].startswith(sig, p) else []
+             for (s, p), sig in zip(site.locs, side.sigs)]
+    bound = side.bindings(d, spots, site.eps)
     assign = dict(site.assign)
-    if side.inserts:
-        if any(p > len(d.events[s]) for s, p in site.locs):
-            raise StaleSiteError("insertion slot out of range")
-    else:
-        sign, runs, rebind = d.chord_sign, [], {}
-        for (s, p), frag in zip(site.locs, side.src):
-            if _runs_conflict(runs, (s, p, len(frag))):
-                raise StaleSiteError("site fragments overlap")
-            runs.append((s, p, len(frag)))
-            rebind = _match_run(d.events[s], p, frag, rebind, sign,
-                                side.signs, site.eps)
-            if rebind is None:
-                raise StaleSiteError("site no longer matches the diagram")
-        if any(rebind.get(k, v) != v for k, v in assign.items()):
-            raise StaleSiteError("site variables no longer match the diagram")
-        assign.update(rebind)
+    if not bound or any(assign.setdefault(letter, cid) != cid
+                        for letter, cid in bound[0][1].items()):
+        raise StaleSiteError("site no longer matches the diagram")
     sign, ev = side.rewrite(d, site.locs, assign, site.eps)
     present = {v for e in ev for k, v in e if k != DIAMOND}
     out = XCGaussDiagram(d.n, d.top, [(c, sign[c]) for c in present],
@@ -546,18 +550,18 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     built.  The call builds one move table (:func:`_move_table`): the 22
     (pattern, side) steps, each with the kind signatures of its source
     runs as a set (:attr:`_Side.kinds`), and the union of those sets, 20
-    strings.  Each member's kind signature (:func:`_signature`) is
-    computed once, and each of the 20 strings is tested against it once
+    strings.  Each member's row signatures (:func:`_row_signatures`) are
+    computed once, and each of the 20 strings is tested against them once
     (:func:`_kinds_in`).  Then each step checks the decoration budget
     first.  A rewrite from one side changes the decoration count by the
     same amount at every site (``change``), so a member of size s skips a
     whole side when s plus that change exceeds ``max_size``; while the
     search is not yet truncated, it is truncated if the side has a site,
-    and no diagram is built.  A side within the budget is walked only
-    when its set is a subset of the member's strings: otherwise a source
-    run's signature is not a substring of the member's and the side has
-    no site there.  Every site walked is rewritten straight to its
-    canonical diagram.
+    and no diagram is built.  A side is walked only when its set is a
+    subset of the member's strings: otherwise one of its fragments has no
+    spot, so the side has no site.  The walk reads the side's spots
+    (:meth:`_Side.spots`) from the member's row signatures, and every
+    site walked is rewritten straight to its canonical diagram.
 
     Members share their storage.  One dict per call maps each row tuple
     and each chord tuple, by value, to one object, and every candidate
@@ -614,22 +618,23 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     for _ in range(max_depth):
         nxt = []
         for cur in frontier:
-            size = cur.decoration_count()
-            ids_before, present = _ids_before(cur), _kinds_in(runs, cur)
+            size, rows = cur.decoration_count(), _row_signatures(cur)
+            ids_before, present = _ids_before(cur), _kinds_in(runs, rows)
             for side, kinds, memo in steps:
-                if size + side.change > max_size:
-                    if not truncated and kinds <= present:
-                        # a site is a nonempty tuple
-                        truncated = any(side.sites(cur))
+                over = size + side.change > max_size
+                if (over and truncated) or not kinds <= present:
                     continue
-                if not kinds <= present:
+                spots = side.spots(rows)
+                if over:
+                    # a site is a nonempty tuple
+                    truncated = any(side.sites(cur, spots))
                     continue
                 if side.literal:
-                    keys = _splices(cur, side, ids_before, memo, share)
+                    keys = _splices(cur, side, spots, ids_before, memo, share)
                 else:
                     keys = (_shared(renumbered(cur.n, cur.top, *side.rewrite(
                                 cur, locs, dict(assign), eps)), share)
-                            for locs, assign, eps in side.sites(cur))
+                            for locs, assign, eps in side.sites(cur, spots))
                 for key in keys:
                     known = len(seen)
                     seen.add(key)
@@ -655,11 +660,11 @@ def _move_table():
     return steps, frozenset().union(*[kinds for _, kinds, _ in steps])
 
 
-def _kinds_in(runs, d):
-    """The strings of ``runs`` that are substrings of the kind signature
-    of ``d`` (:func:`_signature`); a side whose :attr:`_Side.kinds` is not
-    a subset of them has no site in ``d``."""
-    sig = _signature(d)
+def _kinds_in(runs, rows):
+    """The strings of ``runs`` that occur in some row signature of
+    ``rows`` (:func:`_row_signatures`); a side whose :attr:`_Side.kinds`
+    is not a subset of them has a fragment with no spot, so no site."""
+    sig = "|".join(rows)
     return {run for run in runs if run in sig}
 
 
@@ -671,10 +676,10 @@ def _shared(d, share):
                  tuple([share.setdefault(row, row) for row in d.events]))
 
 
-def _splices(cur, side, ids_before, memo, share):
+def _splices(cur, side, spots, ids_before, memo, share):
     """The canonical diagrams of rewriting the literal side ``side`` at
-    each of its placements in the canonical member ``cur``: for each
-    placement of :meth:`_Side.placements` in turn, one diagram per sign
+    each of its placements in the canonical member ``cur``, whose spots
+    are ``spots``: for each placement in turn, one diagram per sign
     choice of ``side.eps_choices``.  The diagrams of one placement share
     their row tuple and differ in their chords only.
 
@@ -685,7 +690,7 @@ def _splices(cur, side, ids_before, memo, share):
     each row with one fragment's run placed at one spot: a placement with
     each fragment on a strand of its own takes its rows from there."""
     n, top, k, widths, made = cur.n, cur.top, side.k, side.widths, {}
-    for locs in side.placements(cur):
+    for locs in side.placements(spots):
         first, order, apart = side.plan(locs, memo)
         s, p = locs[first]
         m = ids_before[s][p]

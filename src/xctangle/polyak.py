@@ -52,23 +52,11 @@ from .gauss import (
 )
 from .record import FrozenRecord
 
-Decoration = tuple  # ("c", chord_id) or ("d", strand, event_index)
-
-
-def decorations(d: XCGaussDiagram) -> list[Decoration]:
-    """The diagram's decorations in deterministic order: chords by id,
-    then diamond occurrences by position."""
-    out: list[Decoration] = [("c", cid) for cid, _ in d.chords]
-    for s, ev in enumerate(d.events):
-        for i, (kind, _) in enumerate(ev):
-            if kind == DIAMOND:
-                out.append(("d", s, i))
-    return out
-
 
 def _event_bits(d: XCGaussDiagram):
-    """Each strand's events paired with the bit of their decoration: bit i
-    stands for the i-th entry of :func:`decorations`."""
+    """Each strand's events paired with the bit of their decoration: the
+    chords take bits 0..c-1 by id, then the diamonds the next bits in
+    reading order."""
     bit = {cid: 1 << i for i, (cid, _) in enumerate(d.chords)}
     j = len(d.chords)
     rows = []
@@ -85,8 +73,8 @@ def _event_bits(d: XCGaussDiagram):
 
 
 def _induced(rows, mask: int):
-    """The event lists of the subset ``mask`` (a bitmask over
-    :func:`decorations`), given the rows of :func:`_event_bits`."""
+    """The event lists of the subset ``mask`` (a bitmask over the
+    decorations), given the rows of :func:`_event_bits`."""
     return [[e for e, w in row if mask & w] for row in rows]
 
 

@@ -1,6 +1,7 @@
 """Code hygiene of the package: no private helper without a caller, no
-module importing another module's private name, no import that a module
-does not use, and no slow standard module loaded by importing the CLI."""
+public function or class that is neither exported nor used, no module
+importing another module's private name, no import that a module does
+not use, and no slow standard module loaded by importing the CLI."""
 
 import ast
 import os
@@ -33,22 +34,41 @@ def _names(node, skip=None):
     return out
 
 
-def test_every_private_helper_has_a_caller():
+def _imported(tree):
+    """Every name that ``tree`` imports from a module."""
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _unnamed(private):
+    """The module-level functions and classes, private or public ones,
+    that no module names outside their own definition.  A name imported
+    by another module counts as named, so an export from __init__.py
+    does."""
     modules = _modules()
     unused = []
     for name, tree in modules.items():
         others = set()
         for other, t in modules.items():
             if other != name:
-                others |= _names(t)
+                others |= _names(t) | _imported(t)
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if not node.name.startswith("_") or node.name.startswith("__"):
+            if node.name.startswith("__") or \
+                    node.name.startswith("_") != private:
                 continue
             if node.name not in others | _names(tree, skip=node):
                 unused.append(f"{name}: {node.name}")
-    assert unused == []
+    return unused
+
+
+def test_every_private_helper_has_a_caller():
+    assert _unnamed(private=True) == []
+
+
+def test_every_public_name_is_exported_or_used():
+    assert _unnamed(private=False) == []
 
 
 def test_no_module_imports_a_private_name():

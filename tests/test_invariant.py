@@ -33,7 +33,6 @@ from xctangle.invariant import (
     STATE_MAX,
     InvariantValue,
     _decompose_two_leg,
-    identity_value,
     iota_realize,
     long_knot_scalar,
     perm_compose,
@@ -51,7 +50,8 @@ ALG = builtin_uqsl2()
 
 def test_identity_evaluates_to_identity():
     v = zeval(identity(2), ALG)
-    assert v == identity_value(2, ALG)
+    assert v == InvariantValue(2, RingMatrix.identity(ALG.d**2, ALG.variant),
+                               (1, 2), ALG.d, ALG.variant)
     assert long_knot_scalar(zeval(identity(1), ALG)).is_one()
 
 

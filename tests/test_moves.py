@@ -157,6 +157,11 @@ def test_stale_site_detected():
         M.apply(other, sites[0])
 
 
+PAIR = XCGaussDiagram(1, (1,), [], [(("D", 1), ("D", -1))])
+KINKS = XCGaussDiagram(1, (1,), [(1, 1), (2, 1)],
+                       [(("O", 1), ("D", -1), ("U", 1), ("O", 2), ("U", 2))])
+
+
 def test_apply_rejects_out_of_range_sites():
     two = XCGaussDiagram(2, (1, 2), [(1, 1)],
                          [(), (("O", 1), ("D", -1), ("U", 1))])
@@ -173,6 +178,12 @@ def test_apply_rejects_out_of_range_sites():
         (KINK, M.MoveSite(g0r.pattern, "X", ((0, 0),), (), g0r.eps)),
         (KINK, M.MoveSite(g0r.pattern, "R", (), (), g0r.eps)),
         (KINK, M.MoveSite(g0r.pattern, "R", ((0, 0), (0, 0)), (), g0r.eps)),
+        # both diamond runs of COLLIDING on the one at (0, 0)
+        (PAIR, M.MoveSite(COLLIDING[0], "L", ((0, 0), (0, 0), (0, 2)), (),
+                          1)),
+        # the kink's letter bound to the other chord
+        (KINKS, M.MoveSite(kink.pattern, "L", kink.locs, (("c", 2),),
+                           kink.eps)),
     ]
     for d, site in stale:
         with pytest.raises(StaleSiteError):
@@ -333,12 +344,12 @@ def test_signature_skip_is_sound():
     for _ in range(300):
         d = random_diagram(rng, n=rng.choice((1, 2, 3)), max_chords=3,
                            max_diamonds=3)
-        present = M._kinds_in(runs, d)
+        present = M._kinds_in(runs, M._row_signatures(d))
         for side, kinds, _ in steps:
             sites = list(side.sites(d))
             if not kinds <= present:
                 assert sites == [], (side.pattern.kind, side.name, d)
-            if side.inserts:
+            if not side.kinds:  # every source run empty
                 continue
             pairs += 1
             sited += bool(sites)
@@ -366,11 +377,32 @@ def _side_sites(d, side):
             for site in side.sites(d)]
 
 
+def _match_run(row, start, frag, assign, sign, signs, eps):
+    """The bindings ``assign`` extended by matching a fragment at
+    ``row[start:]`` token by token, or None when it does not match
+    there."""
+    if start + len(frag) > len(row):
+        return None
+    out = dict(assign)
+    for (kind, val), got in zip(frag, row[start:]):
+        if kind == "D":
+            ok = got == ("D", val)
+        elif val in out:
+            ok = got == (kind, out[val])
+        else:
+            ok = (got[0] == kind and got[1] not in out.values()
+                  and sign[got[1]] == signs[val, eps])
+            out[val] = got[1]
+        if not ok:
+            return None
+    return out
+
+
 def _match_walk(d, side):
-    """The sites of any side by binding its source runs fragment by
-    fragment, as every side listed them before literal sides had a
-    placement walk: under each sign choice, every non-overlapping binding,
-    in (strand, position) order per fragment."""
+    """The sites of any side by matching its source runs token by token,
+    fragment by fragment at every position: under each sign choice,
+    every non-overlapping binding, in (strand, position) order per
+    fragment."""
     frags, sign, out = side.src, d.chord_sign, []
 
     def rec(i, locs, runs, assign, eps):
@@ -382,8 +414,8 @@ def _match_walk(d, side):
                 run = (s, start, len(frags[i]))
                 if M._runs_conflict(runs, run):
                     continue
-                got = M._match_run(row, start, frags[i], assign, sign,
-                                   side.signs, eps)
+                got = _match_run(row, start, frags[i], assign, sign,
+                                 side.signs, eps)
                 if got is not None:
                     rec(i + 1, locs + ((s, start),), runs + (run,), got,
                         eps)
@@ -393,8 +425,9 @@ def _match_walk(d, side):
     return out
 
 
-# literal sides whose runs can collide, which no shipped side has: two
-# diamond runs, and a slot that may fall inside a run of two diamonds
+# sides whose runs can collide where no shipped side's can: two diamond
+# runs, a slot that may fall inside a run of two diamonds, and two chord
+# runs that bind the same letters around one diamond
 COLLIDING = M.parse_patterns("""
 pattern G0r
 frag 1: D+
@@ -404,29 +437,51 @@ to 1:
 to 2:
 to 3: D+ D-
 end
+
+pattern G1f
+var a: +
+frag 1: Oa D+
+frag 2: D+ Ua
+to 1: Oa
+to 2: Ua
+end
 """)
 
 
-def test_literal_sites_follow_the_match_walk():
+def test_sites_follow_the_match_walk():
+    # random diagrams, each after one random move too, and the opened
+    # sides of every shipped pattern, where each of its sides has a site
     rng = random.Random(23)
-    shared = apart = checked = 0
+    diagrams = [d for p in M.builtin_patterns() for eps in (1, -1)
+                for d in M.open_sides(p, eps)]
     for _ in range(300):
         d = random_diagram(rng, n=rng.choice((1, 2, 3)), max_chords=3,
                            max_diamonds=4)
+        diagrams.append(d)
+        sites = M.find_sites(d, rng.choice(M.KINDS))
+        if sites:
+            diagrams.append(M.apply(d, rng.choice(sites)))
+    shared = apart = 0
+    sites_of = {}
+    for d in diagrams:
         for pattern in M.builtin_patterns() + COLLIDING:
             for side in pattern.sides.values():
-                if not side.literal:
-                    continue
                 got = list(side.sites(d))
                 assert got == _match_walk(d, side), (
                     pattern.kind, pattern.variant, side.name, d)
-                checked += len(got)
-                if pattern.kind == "G2p":
+                if pattern in COLLIDING:
+                    continue
+                key = pattern.kind, pattern.variant, side.name
+                sites_of[key] = sites_of.get(key, 0) + len(got)
+                if pattern.kind == "G2p" and side.literal:
                     # the slot and the replaced diamond at one position,
                     # and on different strands
                     shared += sum(a == b for (a, b), _, _ in got)
                     apart += sum(a[0] != b[0] for (a, b), _, _ in got)
-    assert shared > 500 and apart > 2000 and checked > 20000
+    assert shared > 500 and apart > 2000
+    # every shipped side has sites to compare
+    assert len(sites_of) == 22 and min(sites_of.values()) > 0
+    assert sum(sites_of.values()) > 100000
 
 
 def test_literal_targets_hold_every_letter():
@@ -461,8 +516,10 @@ def test_literal_splice_equals_apply():
                     if not side.literal:
                         continue
                     # the splices come placement by placement, one per sign
-                    splices = list(M._splices(d, side, ids_before, {}, {}))
-                    order = [(locs, eps) for locs in side.placements(d)
+                    spots = side.spots(M._row_signatures(d))
+                    splices = list(M._splices(d, side, spots, ids_before,
+                                              {}, {}))
+                    order = [(locs, eps) for locs in side.placements(spots)
                              for eps in side.eps_choices]
                     sites = _side_sites(d, side)
                     assert len(splices) == len(order) == len(sites)
@@ -515,6 +572,9 @@ def test_pattern_parse_errors():
         M.parse_patterns("pattern G2\nfrag 1: Oa\nend\n")
     with pytest.raises(ParseError):
         M.parse_patterns("pattern G2\nfrag 1: Qa\nto 1:\nend\n")
+    with pytest.raises(ParseError) as err:
+        M.parse_patterns("pattern G0r\nend\n")
+    assert err.value.line == 2
 
 
 @pytest.mark.parametrize("text,where", [

@@ -22,7 +22,6 @@ from xctangle.polyak import (
     FormalDiagramSum,
     FormulaTerm,
     check_formula_invariance,
-    decorations,
     framing_formula,
     framing_terms,
     map_I,
@@ -68,6 +67,15 @@ def test_keys_are_canonical_diagrams():
         texts = {print_diagram(renumber_canonically(x))
                  for x in subdiagrams(d)}
         assert len(s) == len(texts)
+
+
+def reference_decorations(d):
+    """The decorations of ``d`` in the order of the subset walk's bits:
+    chords by id, then diamond occurrences by position."""
+    out = [("c", cid) for cid, _ in d.chords]
+    for s, ev in enumerate(d.events):
+        out += [("d", s, i) for i, (kind, _) in enumerate(ev) if kind == "D"]
+    return out
 
 
 def reference_subdiagram(d, subset):
@@ -116,7 +124,7 @@ def test_subset_walk_equals_reference():
         if k > 9:
             continue
         sizes.add(k)
-        decs = decorations(d)
+        decs = reference_decorations(d)
         assert list(subdiagrams(d)) == [
             reference_subdiagram(d, [x for j, x in enumerate(decs)
                                      if mask >> j & 1])
