@@ -141,11 +141,11 @@ def criterion_3(seed: int) -> tuple[str, bool, str]:
     while checked < 1000:
         d = random_diagram(rng, n=rng.randrange(1, 4),
                            max_chords=4, max_diamonds=4)
-        kind = rng.choice(M.KINDS)
-        sites = M.find_sites(d, kind)
-        if not sites:
+        try:
+            site = M.random_site(d, rng.choice(M.KINDS), rng)
+        except NoSiteError:
             continue
-        d2 = M.apply(d, sites[rng.randrange(len(sites))])
+        d2 = M.apply(d, site)
         if len(d2.chords) > 6 or d2.decoration_count() - len(d2.chords) > 6:
             continue
         checked += 1

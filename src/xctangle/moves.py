@@ -18,10 +18,15 @@ count and its decoration change.  A source run is matched by one rule
 (:meth:`_Side.spots`): where its kind signature occurs in a row's, after
 which a chord side binds its letters fragment by fragment.  The side's
 one site walk yields plain ``(locs, assign, eps)`` tuples.
-:func:`find_sites` wraps them in :class:`MoveSite`, :func:`apply` checks
-a site by the same rule and rewrites through the same side, and
-:func:`orbit` walks the chord sides' sites and the literal sides'
-placements without building a :class:`MoveSite`.
+:func:`find_sites` builds each into a :class:`MoveSite` directly
+(:func:`_site`), :func:`apply` checks a site by the same rule and
+rewrites through the same side, and :func:`orbit` walks the chord sides'
+sites and the literal sides' placements without building a
+:class:`MoveSite`.
+
+:func:`random_site` lists the same tuples, side by side in
+:func:`find_sites` order, draws ``rng.randrange(total)`` as from the
+whole list, and builds only the drawn site.
 
 ``validate_pattern`` is the binding correctness gate: it opens both sides
 of a pattern (:func:`open_sides`, fragment i alone on strand i) and checks
@@ -102,13 +107,43 @@ class MoveSite(FrozenRecord):
     an empty fragment.  ``assign`` maps chord variables to concrete chord
     ids (empty when the matched side's source runs hold no chord letter)
     and ``eps`` fixes the shared sign choice.
+
+    Its fields are slots, as a diagram's are; :func:`find_sites` builds
+    each site through :func:`_site`, and the generic constructor serves
+    keyword calls.
     """
+
+    __slots__ = ("pattern", "side", "locs", "assign", "eps")
 
     pattern: MovePattern
     side: str
     locs: tuple[tuple[int, int], ...]
     assign: tuple[tuple[str, int], ...]
     eps: int
+
+    def __reduce__(self):
+        return self.__class__, (self.pattern, self.side, self.locs,
+                                self.assign, self.eps)
+
+
+_set_pattern = MoveSite.pattern.__set__
+_set_side = MoveSite.side.__set__
+_set_locs = MoveSite.locs.__set__
+_set_assign = MoveSite.assign.__set__
+_set_eps = MoveSite.eps.__set__
+
+
+def _site(pattern, side, locs, assign, eps) -> MoveSite:
+    """The site with exactly these fields, built as :func:`gauss.built`
+    builds a diagram: nothing is converted or checked, and each field is
+    set by its slot descriptor's own setter."""
+    site = object.__new__(MoveSite)
+    _set_pattern(site, pattern)
+    _set_side(site, side)
+    _set_locs(site, locs)
+    _set_assign(site, assign)
+    _set_eps(site, eps)
+    return site
 
 
 def _parse_token(tok: str, lineno: int, col: int) -> Token:
@@ -462,18 +497,27 @@ class _Side:
         return made
 
 
-def find_sites(d: XCGaussDiagram, kind: str) -> list[MoveSite]:
-    """Every applicable site of the given move kind, either direction, in
-    deterministic order."""
+def _kind_sides(d: XCGaussDiagram, kind: str) -> list[_Side]:
+    """The sides of the shipped patterns of ``kind``, in the order of
+    :func:`find_sites`, once ``d`` is valid and ``kind`` is known."""
     validate(d)
     if kind not in KINDS:
         raise ValidationError(f"unknown move kind {kind!r}")
-    rows, out = _row_signatures(d), []
-    for pattern in builtin_patterns():
-        if pattern.kind == kind:
-            for side in pattern.sides.values():
-                out.extend(MoveSite(pattern, side.name, *site)
-                           for site in side.sites(d, side.spots(rows)))
+    return [side for pattern in builtin_patterns() if pattern.kind == kind
+            for side in pattern.sides.values()]
+
+
+def find_sites(d: XCGaussDiagram, kind: str) -> list[MoveSite]:
+    """Every applicable site of the given move kind, either direction, in
+    deterministic order: pattern by pattern in table order, its left side
+    before its right, and each side's sites in the order of
+    :meth:`_Side.sites`.  Each site is built once, through :func:`_site`."""
+    sides, out = _kind_sides(d, kind), []
+    rows = _row_signatures(d)
+    for side in sides:
+        pattern, name = side.pattern, side.name
+        out += [_site(pattern, name, locs, assign, eps)
+                for locs, assign, eps in side.sites(d, side.spots(rows))]
     return out
 
 
@@ -506,10 +550,23 @@ def apply(d: XCGaussDiagram, site: MoveSite) -> XCGaussDiagram:
 
 
 def random_site(d: XCGaussDiagram, kind: str, rng) -> MoveSite:
-    sites = find_sites(d, kind)
-    if not sites:
+    """``find_sites(d, kind)[rng.randrange(total)]``, the same draw from
+    the same count, with only the drawn site built.  Each side lists its
+    sites as (locs, assign, eps) tuples, in :func:`find_sites` order, and
+    the drawn tuple alone becomes a :class:`MoveSite`.  A diagram with no
+    site raises NoSiteError and makes no draw."""
+    sides = _kind_sides(d, kind)
+    rows = _row_signatures(d)
+    listed = [(side, list(side.sites(d, side.spots(rows))))
+              for side in sides]
+    total = sum(len(sites) for _, sites in listed)
+    if not total:
         raise NoSiteError(f"no {kind} site in the diagram")
-    return sites[rng.randrange(len(sites))]
+    index = rng.randrange(total)
+    for side, sites in listed:
+        if index < len(sites):
+            return _site(side.pattern, side.name, *sites[index])
+        index -= len(sites)
 
 
 # -- orbit search ------------------------------------------------------

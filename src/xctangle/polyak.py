@@ -32,7 +32,12 @@ from functools import cache
 from itertools import combinations, product
 from math import comb, prod
 
-from .errors import GuardrailError, ParseError, ValidationError
+from .errors import (
+    GuardrailError,
+    NoSiteError,
+    ParseError,
+    ValidationError,
+)
 from .gauss import (
     DIAMOND,
     OVER,
@@ -381,10 +386,10 @@ def check_formula_invariance(formula, samples: int, seed: int = 0) -> dict:
     while checked < samples:
         d = random_diagram(rng, n=1, max_chords=3, max_diamonds=3)
         kind = rng.choice(M.KINDS)
-        sites = M.find_sites(d, kind)
-        if not sites:
+        try:
+            site = M.random_site(d, kind, rng)
+        except NoSiteError:
             continue
-        site = sites[rng.randrange(len(sites))]
         d2 = M.apply(d, site)
         if d2.decoration_count() > 9:
             continue

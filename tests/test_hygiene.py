@@ -7,6 +7,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "xctangle"
@@ -44,21 +45,29 @@ def _unnamed(private):
     """The module-level functions and classes, private or public ones,
     that no module names outside their own definition.  A name imported
     by another module counts as named, so an export from __init__.py
-    does."""
+    does.  Each module is walked once: the names each of its top-level
+    statements reads, and the number of its statements that read each
+    name, which tell whether a statement other than a definition names
+    it."""
     modules = _modules()
+    read = {name: [_names(node) for node in tree.body]
+            for name, tree in modules.items()}
+    counts = {name: Counter(n for got in stmts for n in got)
+              for name, stmts in read.items()}
+    named = {name: set(counts[name]) | _imported(tree)
+             for name, tree in modules.items()}
     unused = []
     for name, tree in modules.items():
-        others = set()
-        for other, t in modules.items():
-            if other != name:
-                others |= _names(t) | _imported(t)
-        for node in tree.body:
+        others = set().union(*[got for other, got in named.items()
+                               if other != name])
+        for node, got in zip(tree.body, read[name]):
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if node.name.startswith("__") or \
                     node.name.startswith("_") != private:
                 continue
-            if node.name not in others | _names(tree, skip=node):
+            if node.name not in others and \
+                    counts[name][node.name] == (node.name in got):
                 unused.append(f"{name}: {node.name}")
     return unused
 

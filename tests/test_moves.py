@@ -218,8 +218,33 @@ def test_runs_conflict_is_one_interval_test():
 
 
 def test_random_site_raises_without_sites():
+    rng = random.Random(0)
+    state = rng.getstate()
     with pytest.raises(NoSiteError):
-        M.random_site(identity(1), "G3", random.Random(0))
+        M.random_site(identity(1), "G3", rng)
+    assert rng.getstate() == state  # no draw
+
+
+def test_random_site_is_the_drawn_site():
+    # the same site as a draw from the whole list, and the same draws
+    rng = random.Random(41)
+    drawn = empty = 0
+    for i in range(90):
+        d = random_diagram(rng, n=1 + i % 3, max_chords=4, max_diamonds=4)
+        for kind in M.KINDS:
+            seed = rng.random()
+            ours, theirs = random.Random(seed), random.Random(seed)
+            sites = M.find_sites(d, kind)
+            if not sites:
+                with pytest.raises(NoSiteError):
+                    M.random_site(d, kind, ours)
+                empty += 1
+            else:
+                assert M.random_site(d, kind, ours) == \
+                    sites[theirs.randrange(len(sites))]
+                drawn += 1
+            assert ours.getstate() == theirs.getstate()
+    assert drawn > 300 and empty > 50
 
 
 def test_orbit_contains_seed_and_flags_truncation():

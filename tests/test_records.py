@@ -116,6 +116,14 @@ def test_diagram_fields_are_slots():
         XCGaussDiagram(1, (1,), ())
 
 
+def test_site_fields_are_slots():
+    site = find_sites(CURL, "G2")[0]
+    assert not hasattr(site, "__dict__")
+    assert MoveSite._defaults == {}
+    with pytest.raises(TypeError):
+        MoveSite(site.pattern, site.side, site.locs, site.assign)
+
+
 def test_construction_by_keyword_and_bad_arguments():
     term = FormulaTerm(coefficient=2, template=CURL,
                        unsigned_chords=frozenset({1}))
