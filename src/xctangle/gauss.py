@@ -154,34 +154,37 @@ def validate(d: XCGaussDiagram) -> None:
                 raise ValidationError(f"chord {cid} has no under endpoint")
 
 
-def compose(d2: XCGaussDiagram, d1: XCGaussDiagram) -> XCGaussDiagram:
-    """Stack d2 on top of d1 (first d1, then d2)."""
-    if d1.n != d2.n:
-        raise ValidationError(f"strand-count mismatch: {d1.n} vs {d2.n}")
+def _shifted(d1: XCGaussDiagram, d2: XCGaussDiagram):
+    """The rows of ``d2`` with each chord id raised past every id of
+    ``d1``, and the chords of ``d1`` followed by those of ``d2`` raised
+    alike: the parts of ``d2`` that :func:`compose` and :func:`tensor`
+    join to ``d1``."""
     shift = 1 + max((c for c, _ in d1.chords), default=0)
     ev2 = [
         tuple((k, v + shift if k in (OVER, UNDER) else v) for k, v in ev)
         for ev in d2.events
     ]
+    return ev2, list(d1.chords) + [(c + shift, s) for c, s in d2.chords]
+
+
+def compose(d2: XCGaussDiagram, d1: XCGaussDiagram) -> XCGaussDiagram:
+    """Stack d2 on top of d1 (first d1, then d2)."""
+    if d1.n != d2.n:
+        raise ValidationError(f"strand-count mismatch: {d1.n} vs {d2.n}")
+    ev2, chords = _shifted(d1, d2)
     events = []
     top = []
     for i in range(d1.n):
         j = d1.top[i]  # 1-based position where strand i enters d2
         events.append(tuple(d1.events[i]) + tuple(ev2[j - 1]))
         top.append(d2.top[j - 1])
-    chords = list(d1.chords) + [(c + shift, s) for c, s in d2.chords]
     return XCGaussDiagram(d1.n, top, chords, events)
 
 
 def tensor(d1: XCGaussDiagram, d2: XCGaussDiagram) -> XCGaussDiagram:
     """Place d2 to the right of d1 (strand positions shifted by d1.n)."""
-    shift = 1 + max((c for c, _ in d1.chords), default=0)
-    ev2 = [
-        tuple((k, v + shift if k in (OVER, UNDER) else v) for k, v in ev)
-        for ev in d2.events
-    ]
+    ev2, chords = _shifted(d1, d2)
     top = list(d1.top) + [t + d1.n for t in d2.top]
-    chords = list(d1.chords) + [(c + shift, s) for c, s in d2.chords]
     return XCGaussDiagram(d1.n + d2.n, top, chords, list(d1.events) + ev2)
 
 

@@ -13,11 +13,12 @@ language over the diagram event syntax:
 
 Each pattern reads each of its sides once (:attr:`MovePattern.sides`):
 the side object holds its source and target runs, whether it is literal
-(its source runs hold no chord letter), its sign choices, its letter
-count and its decoration change.  A source run is matched by one rule
-(:meth:`_Side.spots`): where its kind signature occurs in a row's, after
-which a chord side binds its letters fragment by fragment.  The side's
-one site walk yields plain ``(locs, assign, eps)`` tuples.
+(its source runs hold no chord letter and cannot collide), its sign
+choices, its letter count and its decoration change.  A source run is
+matched by one rule (:meth:`_Side.spots`): where its kind signature
+occurs in a row's, after which a side that is not literal binds its
+letters fragment by fragment.  The side's one site walk yields plain
+``(locs, assign, eps)`` tuples.
 :func:`find_sites` builds each into a :class:`MoveSite` directly
 (:func:`_site`), :func:`apply` checks a site by the same rule and
 rewrites through the same side, and :func:`orbit` walks the chord sides'
@@ -212,7 +213,11 @@ def parse_patterns(text: str) -> list[MovePattern]:
         elif line.startswith("frag ") or line.startswith("to "):
             side = "left" if line.startswith("frag ") else "right"
             keyword, body = line.split(" ", 1)
-            idx_s, _, rest = body.partition(":")
+            idx_s, colon, rest = body.partition(":")
+            lead = len(raw) - len(raw.lstrip())  # where ``line`` starts
+            if not colon:
+                raise ParseError(f"missing ':' in {line!r}", lineno,
+                                 lead + len(line) + 1)
             idx_s = idx_s.strip()
             if not is_decimal(idx_s):
                 raise ParseError(f"bad fragment index in {line!r}", lineno, 1)
@@ -221,7 +226,7 @@ def parse_patterns(text: str) -> list[MovePattern]:
                 raise ParseError(f"duplicate '{keyword} {idx_s}' line",
                                  lineno, col)
             toks = []
-            after_colon = raw.index(":") + 2  # 1-based column
+            after_colon = lead + line.index(":") + 2  # 1-based column
             for m in re.finditer(r"\S+", rest):
                 col = after_colon + m.start()
                 toks.append(_parse_token(m.group(), lineno, col))
@@ -322,43 +327,49 @@ def _runs_conflict(runs, new):
 class _Side:
     """One side of a pattern read as a rewrite to the other side, made
     once per pattern (:attr:`MovePattern.sides`).  It holds the source and
-    target runs, whether it is literal, the sign choices, the number ``k``
-    of chord letters it writes and the decoration change of a rewrite,
-    the same at every site.
+    target runs, the chord letters its source runs bind, whether it is
+    literal, the sign choices, the number ``k`` of chord letters it writes
+    and the decoration change of a rewrite, the same at every site.
 
     A source run is matched in one way only: a fragment's spots
     (:meth:`spots`) are the positions where its kind signature
     (:func:`_kind_signature`, ``sigs`` per fragment) occurs in a row's,
-    every slot when it is empty.  A chord side then binds its letters
-    fragment by fragment at those spots (:meth:`bindings`).  ``kinds`` is
-    the set of the nonempty signatures: the side has no site in a diagram
-    where one of them occurs in no row.
+    every slot when it is empty.  A side whose runs can collide, or whose
+    source runs hold a chord letter, then binds its letters fragment by
+    fragment at those spots (:meth:`bindings`), dropping a partial
+    placement whose run collides with one placed before it or fails to
+    bind.
 
     A side is *literal* when its source runs hold no chord letter, only
-    diamonds or nothing: ``G0r`` read either way, and ``G2`` and the four
-    ``G2p`` patterns read right to left.  A rewrite from a literal side
-    binds no chord, adds its k letters as fresh chords and moves no chord
-    of the diagram, so :func:`orbit` splices it (:func:`_splices`), and
-    its sites are its placements (:meth:`placements`)."""
+    diamonds or nothing, and no two of them can collide (``can_collide``):
+    ``G0r`` read either way, and ``G2`` and the four ``G2p`` patterns read
+    right to left.  Such a side has no letter to bind and no run to drop,
+    so its sites are its *placements*: every combination of one spot per
+    fragment, in product order, the first fragment varying slowest.  A
+    rewrite from a literal side binds no chord, adds its k letters as
+    fresh chords and moves no chord of the diagram, so :func:`orbit`
+    splices it (:func:`_splices`).  A letterless side whose runs can
+    collide (no shipped side) is walked through :meth:`bindings`, the one
+    walk that drops colliding runs, and rewritten as a chord side is."""
 
     def __init__(self, pattern: MovePattern, name: str):
         self.pattern, self.name = pattern, name
         self.src, self.dst = ((pattern.left, pattern.right) if name == "L"
                               else (pattern.right, pattern.left))
-        self.literal = not _letters(self.src)
+        self.letters = _letters(self.src)
         self.widths = tuple(len(frag) for frag in self.src)
         # two runs can collide only when both are nonempty, or when a slot
         # can fall strictly inside a run of two or more diamonds; no
-        # shipped literal side has such a pair
+        # shipped letterless side has such a pair
         widths = sorted(self.widths)
         self.can_collide = len(widths) > 1 and (widths[-2] > 0
                                                 or widths[-1] > 1)
+        self.literal = not self.letters and not self.can_collide
         self.eps_choices = (1, -1) if pattern.uses_eps() else (1,)
         self.signs = pattern._signs
         self.k = len(_letters(self.dst))
         self.change = _decorations(self.dst) - _decorations(self.src)
         self.sigs = tuple(_kind_signature(frag) for frag in self.src)
-        self.kinds = frozenset(filter(None, self.sigs))
         self.chord_tokens = tuple(
             tuple((i, val) for i, (kind, val) in enumerate(frag)
                   if kind != DIAMOND)
@@ -368,35 +379,27 @@ class _Side:
         """Per fragment, every (strand, position) where its kind signature
         occurs in ``rows``, the signatures of a diagram's rows
         (:func:`_row_signatures`), in (strand, position) order: every slot
-        when the fragment is empty."""
+        when the fragment is empty.  The list stops at the first fragment
+        with no spot, and the later fragments are not searched: every site
+        places each fragment at one of its spots, so a side whose list
+        ends empty has no site, and :func:`orbit` skips it."""
         out = []
         for sig in self.sigs:
             spots = []
             for s, row in enumerate(rows):
-                p = row.find(sig)
+                # ``in`` settles the common miss without a method call
+                p = row.find(sig) if sig in row else -1
                 while p >= 0:
                     spots.append((s, p))
                     p = row.find(sig, p + 1)
             out.append(spots)
+            if not spots:
+                break
         return out
 
-    def placements(self, spots):
-        """Every combination of one spot per fragment, in product order,
-        the first fragment varying slowest, with those whose runs collide
-        (:func:`_runs_conflict`) dropped.  For a literal side these are
-        its sites."""
-        if not self.can_collide:
-            return product(*spots)
-        return (locs for locs in product(*spots)
-                if not self._collides(locs))
-
-    def _collides(self, locs):
-        """Whether two source runs placed at ``locs`` collide."""
-        runs = [(s, p, width) for (s, p), width in zip(locs, self.widths)]
-        return any(_runs_conflict(runs[:i], run) for i, run in enumerate(runs))
-
     def bindings(self, d, spots, eps):
-        """The placements of :meth:`placements` at which the chord letters
+        """The placements (``product(*spots)``) whose runs do not
+        collide (:func:`_runs_conflict`) and at which the chord letters
         bind under ``eps`` (:func:`_bind`), in the same order, as (locs,
         assign).  Each fragment extends the partial placements of the
         fragments before it, and a partial placement whose run fails is
@@ -428,7 +431,7 @@ class _Side:
             spots = self.spots(_row_signatures(d))
         if self.literal:
             return ((locs, (), eps) for eps in self.eps_choices
-                    for locs in self.placements(spots))
+                    for locs in product(*spots))
         return [(locs, tuple(sorted(assign.items())), eps)
                 for eps in self.eps_choices
                 for locs, assign in self.bindings(d, spots, eps)]
@@ -462,8 +465,10 @@ class _Side:
 
     def plan(self, locs, memo):
         """For a literal side: the index of the first nonempty target run
-        in reading order, :meth:`order`, and whether each fragment has a
-        strand of its own.  ``memo`` holds them by placement.
+        in reading order, and :meth:`order`.  ``memo`` holds them by
+        placement for a whole :func:`orbit` call: its members are small,
+        so their placements repeat, and the sort and the search for the
+        first run are paid once per distinct placement.
 
         The first run is the least by (strand, position); at one position
         an inserted run comes before a replaced one, which :meth:`order`
@@ -475,8 +480,7 @@ class _Side:
             first = min((i for i, f in enumerate(self.dst) if f),
                         key=lambda i: (locs[i], self.widths[i] > 0, -i),
                         default=0)
-            apart = len({s for s, _ in locs}) == len(locs)
-            plan = memo[locs] = (first, self.order(locs), apart)
+            plan = memo[locs] = (first, self.order(locs))
         return plan
 
     def runs(self, first, m, memo):
@@ -523,12 +527,15 @@ def find_sites(d: XCGaussDiagram, kind: str) -> list[MoveSite]:
 
 def apply(d: XCGaussDiagram, site: MoveSite) -> XCGaussDiagram:
     """Rewrite the matched side of ``site`` to the other side of its
-    pattern.  Raises StaleSiteError when the site is out of range or no
-    longer matches ``d``."""
+    pattern.  Raises StaleSiteError when the site is out of range (its
+    side, slot count, positions, sign choice, or a letter of ``assign``
+    that the side does not bind) or no longer matches ``d``."""
     validate(d)
     side = site.pattern.sides.get(site.side)
     if side is None or len(site.locs) != len(side.src) or any(
-            s < 0 or s >= d.n or p < 0 for s, p in site.locs):
+            s < 0 or s >= d.n or p < 0 for s, p in site.locs) or \
+            site.eps not in side.eps_choices or \
+            any(letter not in side.letters for letter, _ in site.assign):
         raise StaleSiteError("site out of range")
     # the runs must sit at spots of their fragments, tested at the site's
     # own positions, and bind each letter that ``site.assign`` names to
@@ -600,25 +607,23 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     ``max_depth`` rewrites, skipping diagrams with more than ``max_size``
     decorations; flags truncation instead of erroring.
 
-    Each (pattern, side) is walked through its side object
-    (:attr:`MovePattern.sides`): a chord side through its sites, which
-    are (locs, assign, eps) tuples, and a literal side through its
-    placements (:meth:`_Side.placements`), so no :class:`MoveSite` is
-    built.  The call builds one move table (:func:`_move_table`): the 22
-    (pattern, side) steps, each with the kind signatures of its source
-    runs as a set (:attr:`_Side.kinds`), and the union of those sets, 20
-    strings.  Each member's row signatures (:func:`_row_signatures`) are
-    computed once, and each of the 20 strings is tested against them once
-    (:func:`_kinds_in`).  Then each step checks the decoration budget
-    first.  A rewrite from one side changes the decoration count by the
-    same amount at every site (``change``), so a member of size s skips a
-    whole side when s plus that change exceeds ``max_size``; while the
-    search is not yet truncated, it is truncated if the side has a site,
-    and no diagram is built.  A side is walked only when its set is a
-    subset of the member's strings: otherwise one of its fragments has no
-    spot, so the side has no site.  The walk reads the side's spots
-    (:meth:`_Side.spots`) from the member's row signatures, and every
-    site walked is rewritten straight to its canonical diagram.
+    Each side of each shipped pattern (:attr:`MovePattern.sides`) is one
+    step, walked with a memo of its own for the call: a chord side
+    through its sites, which are (locs, assign, eps) tuples, and a
+    literal side through its placements (``product(*spots)``), so no
+    :class:`MoveSite` is built.  Each member's row signatures
+    (:func:`_row_signatures`) are computed once, and each step reads its
+    side's spots (:meth:`_Side.spots`) from them.  A side with a fragment
+    that has no spot has no site, so the spot list stops at the first
+    such fragment, and a list that ends empty skips the side.
+
+    Each step checks the decoration budget first.  A rewrite from one side
+    changes the decoration count by the same amount at every site
+    (``change``), so a member of size s skips a whole side when s plus
+    that change exceeds ``max_size``; while the search is not yet
+    truncated, it is truncated if the side has a site, and no diagram is
+    built.  Every other site is rewritten straight to its canonical
+    diagram.
 
     Members share their storage.  One dict per call maps each row tuple
     and each chord tuple, by value, to one object, and every candidate
@@ -635,30 +640,19 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     ``G2p`` read left to right: a source run holds a chord letter) is
     rewritten and renumbered (:func:`gauss.renumbered`).  A site of a
     literal side (``G0r`` read either way, ``G2`` and ``G2p`` read right
-    to left: every source run empty or diamonds only) is spliced into the
-    member's rows instead: each empty source run is a slot that the
-    target run is inserted at, and each nonempty one is replaced by its
-    target run.  No chord of the member moves.  Let m be the number of
-    chords met before the first nonempty target run in reading order; in
-    a canonical member that is the largest chord id met there.  Chords
-    1..m keep their ids, the side's k chord letters become m+1..m+k in
-    order of first occurrence in that run, and every other chord c
-    becomes c + k.  This is the renumbered diagram because every nonempty
-    target fragment of a shipped literal side holds every letter.  The
-    first run is found as :meth:`_Side.plan` says: by strand and
-    position, an inserted run before a replaced run at one position, and
-    at one slot the later fragment first, which is the order
-    :func:`apply` leaves them in.  A side with no letters (``G0r``)
-    keeps the member's chords.  The rows with ids above m raised by k
-    come from :func:`gauss.raised`, and the runs are sliced in.  The rows
-    of a placement do not depend on the sign choice, so
-    :func:`_splices` builds them once and each sign choice adds only its
-    chord tuple.  Per member and side, the raised rows and the chord
-    tuples are kept by the first run and m, and when each run has a
-    strand of its own, each row with one run placed in it is kept too,
-    for every placement that puts that run there.  A splice looks up
-    only the rows it builds in the dict.  The plans and runs of a side
-    are kept for one call only.
+    to left: every source run empty or diamonds only, and no two that can
+    collide) is spliced into the member's rows instead (:func:`_splices`):
+    each empty source run is a slot that the target run is inserted at,
+    and each nonempty one is replaced by its target run.  No chord of the
+    member moves.  Let m be the number of chords met before the first
+    nonempty target run in reading order; in a canonical member that is
+    the largest chord id met there.  Chords 1..m keep their ids, the
+    side's k chord letters become m+1..m+k in order of first occurrence
+    in that run, and every other chord c becomes c + k.  This is the
+    renumbered diagram because every nonempty target fragment of a
+    shipped literal side holds every letter.  The first run is found as
+    :meth:`_Side.plan` says, which is the order :func:`apply` leaves the
+    runs in.  A side with no letters (``G0r``) keeps the member's chords.
 
     Each candidate is hashed once, by adding it to the members; each new
     member is validated once, and a duplicate equals a member already
@@ -667,7 +661,8 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     """
     if max_depth <= 0 or max_size <= 0:
         raise ValidationError("orbit budgets must be positive")
-    steps, runs = _move_table()
+    steps = [(side, {}) for pattern in builtin_patterns()
+             for side in pattern.sides.values()]
     share: dict[tuple, tuple] = {}
     frontier = [_shared(canonical_key(d), share)]
     seen = set(frontier)
@@ -676,12 +671,14 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
         nxt = []
         for cur in frontier:
             size, rows = cur.decoration_count(), _row_signatures(cur)
-            ids_before, present = _ids_before(cur), _kinds_in(runs, rows)
-            for side, kinds, memo in steps:
+            ids_before = _ids_before(cur)
+            for side, memo in steps:
                 over = size + side.change > max_size
-                if (over and truncated) or not kinds <= present:
+                if over and truncated:
                     continue
                 spots = side.spots(rows)
+                if not spots[-1]:
+                    continue
                 if over:
                     # a site is a nonempty tuple
                     truncated = any(side.sites(cur, spots))
@@ -707,24 +704,6 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     return OrbitResult(frozenset(seen), truncated)
 
 
-def _move_table():
-    """The steps of one :func:`orbit` call, as (side, kinds, memo) for
-    every side of every shipped pattern, with ``kinds`` the side's
-    :attr:`_Side.kinds` and ``memo`` a fresh dict for its plans and runs;
-    and the union of the ``kinds``."""
-    steps = [(side, side.kinds, {}) for p in builtin_patterns()
-             for side in p.sides.values()]
-    return steps, frozenset().union(*[kinds for _, kinds, _ in steps])
-
-
-def _kinds_in(runs, rows):
-    """The strings of ``runs`` that occur in some row signature of
-    ``rows`` (:func:`_row_signatures`); a side whose :attr:`_Side.kinds`
-    is not a subset of them has a fragment with no spot, so no site."""
-    sig = "|".join(rows)
-    return {run for run in runs if run in sig}
-
-
 def _shared(d, share):
     """``d`` built from the row and chord tuples that ``share`` holds for
     its values, adding the ones it lacks."""
@@ -738,17 +717,20 @@ def _splices(cur, side, spots, ids_before, memo, share):
     each of its placements in the canonical member ``cur``, whose spots
     are ``spots``: for each placement in turn, one diagram per sign
     choice of ``side.eps_choices``.  The diagrams of one placement share
-    their row tuple and differ in their chords only.
+    their row tuple and differ in their chords only, because the target
+    runs do not depend on the sign choice.
 
     ``memo`` holds the side's plans and runs, and ``share`` the orbit's
     row and chord tuples by value, which every row and chord tuple here
     is taken from.  For this member alone, the raised rows, the runs and
-    the chord tuple of each sign choice are kept by (first, m), and so is
-    each row with one fragment's run placed at one spot: a placement with
-    each fragment on a strand of its own takes its rows from there."""
+    the chord tuple of each sign choice are kept by (first, m).  Each
+    placement's rows are built in one way:
+    its runs are sliced into the raised rows in the order of
+    :meth:`_Side.order`, higher positions first, so that a run does not
+    move the positions of the runs still to come."""
     n, top, k, widths, made = cur.n, cur.top, side.k, side.widths, {}
-    for locs in side.placements(spots):
-        first, order, apart = side.plan(locs, memo)
+    for locs in product(*spots):
+        first, order = side.plan(locs, memo)
         s, p = locs[first]
         m = ids_before[s][p]
         got = made.get((first, m))
@@ -757,25 +739,15 @@ def _splices(cur, side, spots, ids_before, memo, share):
             runs, fresh = side.runs(first, m, memo)
             choices = [chords[:m] + f + chords[m:] for f in fresh]
             got = made[first, m] = (
-                ev, runs, [share.setdefault(c, c) for c in choices],
-                [{} for _ in locs])
-        ev, runs, chord_choices, placed = got
+                ev, runs, [share.setdefault(c, c) for c in choices])
+        ev, runs, chord_choices = got
         ev = list(ev)
-        if apart:
-            for i, spot in enumerate(locs):
-                row = placed[i].get(spot)
-                if row is None:
-                    s, p = spot
-                    row = ev[s][:p] + runs[i] + ev[s][p + widths[i]:]
-                    row = placed[i][spot] = share.setdefault(row, row)
-                ev[spot[0]] = row
-        else:
-            for i in order:
-                s, p = locs[i]
-                row = ev[s]
-                ev[s] = row[:p] + runs[i] + row[p + widths[i]:]
-            for s, _ in locs:
-                ev[s] = share.setdefault(ev[s], ev[s])
+        for i in order:
+            s, p = locs[i]
+            row = ev[s]
+            ev[s] = row[:p] + runs[i] + row[p + widths[i]:]
+        for s, _ in locs:
+            ev[s] = share.setdefault(ev[s], ev[s])
         ev = tuple(ev)
         for chords in chord_choices:
             yield built(n, top, chords, ev)

@@ -1,7 +1,8 @@
-"""Code hygiene of the package: no private helper without a caller, no
-public function or class that is neither exported nor used, no module
-importing another module's private name, no import that a module does
-not use, and no slow standard module loaded by importing the CLI."""
+"""Code hygiene of the package: no private helper or private method
+without a caller, no public function or class that is neither exported
+nor used, no module importing another module's private name, no import
+that a module does not use, and no slow standard module loaded by
+importing the CLI."""
 
 import ast
 import os
@@ -72,8 +73,44 @@ def _unnamed(private):
     return unused
 
 
+def _uncalled_methods():
+    """The methods that nothing in the package reads outside their own
+    definition: each one with one leading underscore, and each one of a
+    class with one, such as ``moves._Side``.  A method is read as an
+    attribute (``self.spots``, ``Coefficient._normal``), so only attribute
+    reads count, and a local variable of the same name does not.  The
+    reads are counted once per module, and a method is uncalled when all
+    of them fall inside its own definition."""
+    def reads(node):
+        return Counter(sub.attr for sub in ast.walk(node)
+                       if isinstance(sub, ast.Attribute)
+                       and isinstance(sub.ctx, ast.Load))
+
+    modules = _modules()
+    total = sum((reads(tree) for tree in modules.values()), Counter())
+    uncalled = []
+    for name, tree in modules.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or \
+                        node.name.startswith("__"):
+                    continue
+                if not (node.name.startswith("_") or
+                        cls.name.startswith("_")):
+                    continue
+                if total[node.name] == reads(node)[node.name]:
+                    uncalled.append(f"{name}: {cls.name}.{node.name}")
+    return uncalled
+
+
 def test_every_private_helper_has_a_caller():
     assert _unnamed(private=True) == []
+
+
+def test_every_private_method_has_a_caller():
+    assert _uncalled_methods() == []
 
 
 def test_every_public_name_is_exported_or_used():

@@ -2,6 +2,7 @@
 orbit search, and the open-fragment validator."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -160,6 +161,8 @@ def test_stale_site_detected():
 PAIR = XCGaussDiagram(1, (1,), [], [(("D", 1), ("D", -1))])
 KINKS = XCGaussDiagram(1, (1,), [(1, 1), (2, 1)],
                        [(("O", 1), ("D", -1), ("U", 1), ("O", 2), ("U", 2))])
+PAIRS = XCGaussDiagram(1, (1,), [(1, 1), (2, -1)],
+                       [(("O", 1), ("O", 2), ("U", 1), ("U", 2))])
 
 
 def test_apply_rejects_out_of_range_sites():
@@ -169,6 +172,7 @@ def test_apply_rejects_out_of_range_sites():
     assert on_strand_2.locs == ((1, 0),)
     kink = next(s for s in M.find_sites(KINK, "G1f") if s.side == "L")
     g0r = next(s for s in M.find_sites(KINK, "G0r") if s.side == "R")
+    g2 = next(s for s in M.find_sites(PAIRS, "G2") if s.side == "L")
     stale = [
         (identity(1), on_strand_2),
         (KINK, M.MoveSite(kink.pattern, "L", ((0, -3),), kink.assign,
@@ -184,6 +188,14 @@ def test_apply_rejects_out_of_range_sites():
         # the kink's letter bound to the other chord
         (KINKS, M.MoveSite(kink.pattern, "L", kink.locs, (("c", 2),),
                            kink.eps)),
+        # a sign choice that the side does not have
+        (PAIRS, M.MoveSite(g2.pattern, "L", g2.locs, g2.assign, 2)),
+        (KINK, M.MoveSite(g0r.pattern, "R", g0r.locs, (), 0)),
+        # a letter that the matched side does not bind
+        (PAIRS, M.MoveSite(g2.pattern, "L", g2.locs,
+                           g2.assign + (("z", 7),), g2.eps)),
+        (KINK, M.MoveSite(g2.pattern, "R", ((0, 0), (0, 0)), (("a", 1),),
+                          g2.eps)),
     ]
     for d, site in stale:
         with pytest.raises(StaleSiteError):
@@ -360,25 +372,30 @@ def test_orbit_validates_each_spliced_pair_member_once(monkeypatch):
 
 
 def test_signature_skip_is_sound():
-    # a side that the orbit's move table skips for a diagram has no site
-    # there
+    # a side whose spot list ends empty, which the orbit skips for a
+    # diagram, has no site there by the token-by-token walk either
     rng = random.Random(5)
-    steps, runs = M._move_table()
-    assert len(steps) == 22 and len(runs) == 20
+    sides = [side for p in M.builtin_patterns() for side in p.sides.values()]
+    assert len(sides) == 22
     pairs = skipped = sited = 0
     for _ in range(300):
         d = random_diagram(rng, n=rng.choice((1, 2, 3)), max_chords=3,
                            max_diamonds=3)
-        present = M._kinds_in(runs, M._row_signatures(d))
-        for side, kinds, _ in steps:
+        rows = M._row_signatures(d)
+        for side in sides:
+            spots = side.spots(rows)
             sites = list(side.sites(d))
-            if not kinds <= present:
-                assert sites == [], (side.pattern.kind, side.name, d)
-            if not side.kinds:  # every source run empty
+            ends_empty = not spots[-1]
+            # the list stops at the first fragment with no spot
+            assert len(spots) == len(side.src) or ends_empty
+            if ends_empty:
+                assert sites == [] == _match_walk(d, side), (
+                    side.pattern.kind, side.name, d)
+            if not any(side.sigs):  # every source run empty
                 continue
             pairs += 1
             sited += bool(sites)
-            skipped += not kinds <= present
+            skipped += ends_empty
     # the skip fires on most match-side pairs, and sites are common enough
     # to catch a skip that should not fire
     assert skipped > pairs / 2 and sited > 100
@@ -544,7 +561,7 @@ def test_literal_splice_equals_apply():
                     spots = side.spots(M._row_signatures(d))
                     splices = list(M._splices(d, side, spots, ids_before,
                                               {}, {}))
-                    order = [(locs, eps) for locs in side.placements(spots)
+                    order = [(locs, eps) for locs in product(*spots)
                              for eps in side.eps_choices]
                     sites = _side_sites(d, side)
                     assert len(splices) == len(order) == len(sites)
@@ -600,6 +617,12 @@ def test_pattern_parse_errors():
     with pytest.raises(ParseError) as err:
         M.parse_patterns("pattern G0r\nend\n")
     assert err.value.line == 2
+    # a fragment line with no colon, also where its comment has one
+    for text in ("pattern G0r\nfrag 1: D+ D-\nto 1\nend\n",
+                 "pattern G0r\nfrag 1: D+ D-\nto 1 # note: empty\nend\n"):
+        with pytest.raises(ParseError) as err:
+            M.parse_patterns(text)
+        assert (err.value.line, err.value.column) == (3, 5)
 
 
 @pytest.mark.parametrize("text,where", [
