@@ -14,11 +14,20 @@ language over the diagram event syntax:
 Each pattern reads each of its sides once (:attr:`MovePattern.sides`):
 the side object holds its source and target runs, whether it is literal
 (its source runs hold no chord letter and cannot collide), its sign
-choices, its letter count and its decoration change.  A source run is
-matched by one rule (:meth:`_Side.spots`): where its kind signature
-occurs in a row's, after which a side that is not literal binds its
-letters fragment by fragment.  The side's one site walk yields plain
-``(locs, assign, eps)`` tuples.
+choices, its letter count, its decoration change, and whether it is
+balanced: each chord letter has as many over and under ends in the
+source runs as in the target runs, or (1, 1) on one side and (0, 0) on
+the other, a chord deleted or created whole.  Rewriting a valid diagram
+at a site of a balanced side gives a valid diagram, because bound letters
+bind distinct chords, the runs do not overlap, fresh letters take fresh
+ids and the strands do not change, so every chord keeps one over and one
+under end; :func:`orbit` checks each side once and validates no member
+but its seed.
+
+A source run is matched by one rule (:meth:`_Side.spots`): where its
+kind signature occurs in a row's, after which a side that is not literal
+binds its letters fragment by fragment.  The side's one site walk yields
+plain ``(locs, assign, eps)`` tuples.
 :func:`find_sites` builds each into a :class:`MoveSite` directly
 (:func:`_site`), :func:`apply` checks a site by the same rule and
 rewrites through the same side, and :func:`orbit` walks the chord sides'
@@ -279,6 +288,13 @@ def _decorations(frags):
                                       for kind, _ in f)
 
 
+def _ends(frags, letter):
+    """The (over, under) ends of the chord letter ``letter`` in some
+    fragments."""
+    toks = [tok for f in frags for tok in f]
+    return toks.count((OVER, letter)), toks.count((UNDER, letter))
+
+
 def _kind_signature(events):
     """The kind signature of a run of events or of pattern tokens: one
     character per event, ``O``, ``U``, or ``+`` and ``-`` for a diamond
@@ -329,7 +345,9 @@ class _Side:
     once per pattern (:attr:`MovePattern.sides`).  It holds the source and
     target runs, the chord letters its source runs bind, whether it is
     literal, the sign choices, the number ``k`` of chord letters it writes
-    and the decoration change of a rewrite, the same at every site.
+    and the decoration change of a rewrite, the same at every site, and
+    whether its chord ends balance (``balanced``), the rule under which
+    :func:`orbit` builds only valid members.
 
     A source run is matched in one way only: a fragment's spots
     (:meth:`spots`) are the positions where its kind signature
@@ -370,6 +388,11 @@ class _Side:
         self.k = len(_letters(self.dst))
         self.change = _decorations(self.dst) - _decorations(self.src)
         self.sigs = tuple(_kind_signature(frag) for frag in self.src)
+        # see :func:`orbit` for why this makes every member valid
+        self.balanced = all(
+            a == b or {a, b} == {(0, 0), (1, 1)}
+            for a, b in ((_ends(self.src, x), _ends(self.dst, x))
+                         for x in _letters(self.src + self.dst)))
         self.chord_tokens = tuple(
             tuple((i, val) for i, (kind, val) in enumerate(frag)
                   if kind != DIAMOND)
@@ -654,15 +677,39 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     :meth:`_Side.plan` says, which is the order :func:`apply` leaves the
     runs in.  A side with no letters (``G0r``) keeps the member's chords.
 
-    Each candidate is hashed once, by adding it to the members; each new
-    member is validated once, and a duplicate equals a member already
-    validated.  Members are valid canonical diagrams, so they are searched
-    for sites without being validated again.
+    Members are valid by construction, so only the seed is validated
+    (through :func:`gauss.canonical_key`), and each side is checked once,
+    before any member is built: it must be balanced (``_Side.balanced``).
+    For every chord letter, its (over, under) end counts in the source
+    runs and in the target runs are equal, or one side has (1, 1) and the
+    other (0, 0), a chord deleted or created whole.  That is enough: take
+    a valid member and a site.  Bound letters bind distinct chords
+    (:func:`_bind`), and the runs do not overlap (:func:`_runs_conflict`,
+    or a literal side, which cannot collide), so each chord end in the
+    runs is one token of its chord's letter.  Fresh letters take fresh
+    ids, and ``n`` and ``top`` do not change.  So every chord of the
+    result keeps exactly one over end and one under end; diamonds and
+    signs are ±1 by the parser.  A side that is not balanced raises
+    ValidationError naming its kind, variant and side.  Each candidate is
+    hashed once, by adding it to the members, and members are searched
+    for sites without being validated.
+
+    Both budgets must be ints (not bools) and positive, or ValidationError
+    is raised.
     """
+    for budget in (max_depth, max_size):
+        if not isinstance(budget, int) or isinstance(budget, bool):
+            raise ValidationError(f"orbit budget {budget!r} is not an int")
     if max_depth <= 0 or max_size <= 0:
         raise ValidationError("orbit budgets must be positive")
-    steps = [(side, {}) for pattern in builtin_patterns()
-             for side in pattern.sides.values()]
+    steps = []
+    for pattern in builtin_patterns():
+        for side in pattern.sides.values():
+            if not side.balanced:
+                raise ValidationError(
+                    f"{pattern.kind} variant {pattern.variant} side "
+                    f"{side.name}: chord ends do not balance")
+            steps.append((side, {}))
     share: dict[tuple, tuple] = {}
     frontier = [_shared(canonical_key(d), share)]
     seen = set(frontier)
@@ -693,7 +740,6 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
                     known = len(seen)
                     seen.add(key)
                     if len(seen) > known:
-                        validate(key)
                         nxt.append(key)
         frontier = nxt
         if not frontier:

@@ -90,11 +90,15 @@ def test_validator_rejects_every_diamond_flip():
         assert counterexample in [M.open_sides(m, e) for e in (1, -1)], m
 
 
+DANGLING = "pattern G1f\nvar a: +\nfrag 1: Oa\nto 1: Ua\nend\n"
+
+
 def test_validator_rejects_dangling_chord():
-    (dangling,) = M.parse_patterns(
-        "pattern G1f\nvar a: +\nfrag 1: Oa\nto 1: Ua\nend\n")
+    (dangling,) = M.parse_patterns(DANGLING)
     with pytest.raises(ValidationError):
         M.validate_pattern(dangling, ALG)
+    # and neither of its sides balances, so orbit refuses it
+    assert not any(side.balanced for side in dangling.sides.values())
 
 
 def test_find_sites_deterministic():
@@ -336,8 +340,13 @@ def test_orbit_equals_reference_at_the_cli_budget(shape):
     assert got == reference_orbit(d, 2, 6)
 
 
-def test_orbit_validates_the_seed_and_each_new_member_once(monkeypatch):
-    d = parse_diagram(CLI_BUDGET_SHAPES["U1 O1"][0])
+@pytest.mark.parametrize("shape", ["U1 O1", "D- D+"])
+def test_orbit_validates_only_its_seed_and_builds_valid_members(
+        monkeypatch, shape):
+    # "D- D+" has G2p pair creations, which are spliced, not rewritten
+    # and renumbered
+    text, members = CLI_BUDGET_SHAPES[shape]
+    d = parse_diagram(text)
     validated = []
 
     def counted(diagram):
@@ -348,27 +357,61 @@ def test_orbit_validates_the_seed_and_each_new_member_once(monkeypatch):
     monkeypatch.setattr(G, "validate", counted)
     monkeypatch.setattr(M, "validate", counted)
     res = M.orbit(d, 2, 6)
-    assert len(validated) == len(res.keys)
-    # the seed, canonical already, then every other member
-    assert set(validated) == res.keys
+    monkeypatch.undo()
+    assert validated == [d]
+    assert len(res.keys) == members
+    for key in res.keys:
+        G.validate(key)
 
 
-def test_orbit_validates_each_spliced_pair_member_once(monkeypatch):
-    # the G2p pair creations of this shape are spliced, not rewritten and
-    # renumbered
-    d = parse_diagram(CLI_BUDGET_SHAPES["D- D+"][0])
-    validated = []
+def _chord_mutants(p):
+    """``p`` with one chord token of one side flipped O<->U, then ``p``
+    with that token dropped, for every chord token."""
+    for which in ("left", "right"):
+        frags = getattr(p, which)
+        for i, frag in enumerate(frags):
+            for j, (kind, letter) in enumerate(frag):
+                if kind == "D":
+                    continue
+                flip = {"O": "U", "U": "O"}[kind]
+                for new in ((frag[:j] + ((flip, letter),) + frag[j + 1:]),
+                            frag[:j] + frag[j + 1:]):
+                    sides = {"left": p.left, "right": p.right}
+                    sides[which] = frags[:i] + (new,) + frags[i + 1:]
+                    yield M.MovePattern(p.kind, p.variant, p.vars,
+                                        sides["left"], sides["right"])
 
-    def counted(diagram):
-        validated.append(diagram)
-        real(diagram)
 
-    real = G.validate
-    monkeypatch.setattr(G, "validate", counted)
-    monkeypatch.setattr(M, "validate", counted)
-    res = M.orbit(d, 2, 6)
-    assert len(validated) == len(res.keys) == CLI_BUDGET_SHAPES["D- D+"][1]
-    assert set(validated) == res.keys
+def test_side_balance_check():
+    sides = [side for p in M.builtin_patterns() for side in p.sides.values()]
+    assert len(sides) == 22 and all(side.balanced for side in sides)
+    mutants = [m for p in M.builtin_patterns() for m in _chord_mutants(p)]
+    assert len(mutants) == 88
+    for m in mutants:
+        assert not any(side.balanced for side in m.sides.values()), m
+
+
+def test_orbit_refuses_an_unbalanced_side_before_building(monkeypatch):
+    (dangling,) = M.parse_patterns(DANGLING)
+    table = M.builtin_patterns() + [dangling]
+    monkeypatch.setattr(M, "builtin_patterns", lambda: table)
+
+    def no_member(*args):
+        raise AssertionError("a member was built")
+
+    for name in ("canonical_key", "renumbered", "built", "raised"):
+        monkeypatch.setattr(M, name, no_member)
+    with pytest.raises(ValidationError,
+                       match="G1f variant 1 side L: chord ends do not"):
+        M.orbit(identity(1), 2, 6)
+
+
+def test_orbit_budgets_must_be_ints():
+    # 6.5 ran as 6, and 2.0 and None raised a bare TypeError
+    for bad in (2.0, 6.5, "6", None, True):
+        for budgets in ((bad, 6), (2, bad)):
+            with pytest.raises(ValidationError, match="is not an int"):
+                M.orbit(identity(1), *budgets)
 
 
 def test_signature_skip_is_sound():
