@@ -34,6 +34,14 @@ rewrites through the same side, and :func:`orbit` walks the chord sides'
 sites and the literal sides' placements without building a
 :class:`MoveSite`.
 
+At its last level :func:`orbit` takes two commuting insertions in one
+order only.  A member made by a pure insertion (every source run empty)
+keeps a record of it, and a later pure insertion there is not built when
+it has a slot at or before the first recorded run, none inside one, and
+no two slots that fall on one slot once the runs are removed: the same
+leaf is built with the two insertions the other way round.  Each member's
+raised rows are made once for all of its literal sides.
+
 :func:`random_site` lists the same tuples, side by side in
 :func:`find_sites` order, draws ``rng.randrange(total)`` as from the
 whole list, and builds only the drawn site.
@@ -60,7 +68,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 
 from .errors import NoSiteError, ParseError, StaleSiteError, ValidationError
 from .gauss import (
@@ -363,7 +371,10 @@ class _Side:
     ``G0r`` read either way, and ``G2`` and the four ``G2p`` patterns read
     right to left.  Such a side has no letter to bind and no run to drop,
     so its sites are its *placements*: every combination of one spot per
-    fragment, in product order, the first fragment varying slowest.  A
+    fragment, in product order, the first fragment varying slowest.  It is
+    *pure* when every source run is empty and every target run is not, so
+    that each rewrite only inserts: ``G0r`` and ``G2`` read right to left
+    (``pure``, see :func:`orbit`).  A
     rewrite from a literal side binds no chord, adds its k letters as
     fresh chords and moves no chord of the diagram, so :func:`orbit`
     splices it (:func:`_splices`).  A letterless side whose runs can
@@ -383,6 +394,9 @@ class _Side:
         self.can_collide = len(widths) > 1 and (widths[-2] > 0
                                                 or widths[-1] > 1)
         self.literal = not self.letters and not self.can_collide
+        # every source run empty and every target run not: a side that
+        # only inserts, whose rewrites :func:`orbit` may take in one order
+        self.pure = not any(self.widths) and all(self.dst)
         self.eps_choices = (1, -1) if pattern.uses_eps() else (1,)
         self.signs = pattern._signs
         self.k = len(_letters(self.dst))
@@ -523,6 +537,18 @@ class _Side:
             made = memo[first, m] = (runs, fresh)
         return made
 
+    def inserted(self, locs):
+        """For a pure side: its target runs in the diagram that a rewrite
+        at the slots ``locs`` writes, as (strand, start, length) in
+        (strand, position) order.  A run is shifted by the runs inserted
+        before it on its strand: at lower slots, and at its own slot those
+        of later fragments (:meth:`order`)."""
+        widths = [len(f) for f in self.dst]
+        return sorted(
+            (s, p + sum(w for j, ((t, q), w) in enumerate(zip(locs, widths))
+                        if t == s and (q < p or q == p and j > i)), widths[i])
+            for i, (s, p) in enumerate(locs))
+
 
 def _kind_sides(d: XCGaussDiagram, kind: str) -> list[_Side]:
     """The sides of the shipped patterns of ``kind``, in the order of
@@ -625,6 +651,42 @@ def _ids_before(d):
     return out
 
 
+def _kept(slots, count, runs):
+    """The placements of a pure side with ``count`` fragments that
+    :func:`orbit` builds at a last-frontier member whose recorded
+    insertion has the runs ``runs`` (:meth:`_Side.inserted`) there;
+    ``slots`` are the member's slots in (strand, position) order.
+
+    With F the first run's start, a placement is skipped when some slot
+    is at or before F, none lies strictly inside a run, and no two
+    distinct slots fall on one slot once the runs are removed.  The kept
+    ones are listed directly, each once: for one fragment the slots after
+    F; for two, the pairs of slots after F, a slot at or before F paired
+    with a slot inside a run either way round, and F paired either way
+    round with each slot that ends a block of run tokens starting at F.
+    A side with more fragments keeps every placement."""
+    if count > 2:
+        return product(slots, repeat=count)
+    first = runs[0][:2]
+    cut = slots.index(first) + 1
+    early, late = slots[:cut], slots[cut:]
+    if count == 1:
+        return [(slot,) for slot in late]
+    inside = [(s, q) for s, start, width in runs
+              for q in range(start + 1, start + width)]
+    ends = []
+    s, end = first
+    for t, start, width in runs:
+        if (t, start) != (s, end):
+            break
+        end += width
+        ends.append((s, end))
+    return chain(product(late, repeat=2),
+                 [(e, i) for e in early for i in inside],
+                 [(i, e) for i in inside for e in early],
+                 [(first, j) for j in ends], [(j, first) for j in ends])
+
+
 def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     """Bounded breadth-first closure of ``d`` under all moves: explores to
     ``max_depth`` rewrites, skipping diagrams with more than ``max_size``
@@ -646,7 +708,36 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     that change exceeds ``max_size``; while the search is not yet
     truncated, it is truncated if the side has a site, and no diagram is
     built.  Every other site is rewritten straight to its canonical
-    diagram.
+    diagram, except the pure insertions that the order rule below skips
+    at the last level.
+
+    The order rule takes two commuting insertions in one order only.  A
+    pure side (``_Side.pure``: ``G0r`` and ``G2`` read right to left) has
+    empty source runs and nonempty target runs, so each of its rewrites
+    inserts runs at slots.  The expansion at depth ``max_depth - 2``
+    records, for each diagram that a pure insertion builds, the first
+    such insertion found, as (side, slots), when some pure insertion
+    still fits after it (``size + change + least pure change <=
+    max_size``).  At the last expansion, a member x with a record a
+    (x = p + a) finds a's runs in x once (:meth:`_Side.inserted`), F
+    being the start of the first.  It does not build a pure insertion L
+    when (1) some slot of L is at or before F in (strand, position)
+    order, (2) no slot of L lies strictly inside one of a's runs, and (3)
+    no two distinct slots of L fall on one slot once a's runs are
+    removed; the kept placements are listed directly (:func:`_kept`).
+
+    Nothing is lost.  Take a skipped leaf y = x + b.  By (2) and (3),
+    b's slots are slots of p, read in the same order.  p was expanded in
+    full one level earlier, and b fitted the budget there, since
+    insertions only add decorations; so x2 = p + b is a member and y =
+    x2 + a'.  If x2 belongs to an earlier level, it was expanded in full,
+    and y was built.  Otherwise a' is skipped at x2 only if it comes
+    before x2's own record, and the same step repeats on a path whose
+    last insertion starts strictly later in y, by (1).  y is finite, so
+    some path builds y.  Only placements within the budget are skipped,
+    so ``truncated`` does not change either.  Records are made only when
+    the budget leaves room for two insertions, so an orbit whose budget
+    does not records nothing and builds every leaf.
 
     Members share their storage.  One dict per call maps each row tuple
     and each chord tuple, by value, to one object, and every candidate
@@ -676,6 +767,9 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     shipped literal side holds every letter.  The first run is found as
     :meth:`_Side.plan` says, which is the order :func:`apply` leaves the
     runs in.  A side with no letters (``G0r``) keeps the member's chords.
+    The member's raised rows (:func:`gauss.raised`) depend on m and k
+    only, so they are made once per member for all of its literal sides:
+    the five sides with k = 2 share them.
 
     Members are valid by construction, so only the seed is validated
     (through :func:`gauss.canonical_key`), and each side is checked once,
@@ -710,15 +804,22 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
                     f"{pattern.kind} variant {pattern.variant} side "
                     f"{side.name}: chord ends do not balance")
             steps.append((side, {}))
+    # read only for a pure side, so only when there is one
+    least = min((side.change for side, _ in steps if side.pure), default=0)
     share: dict[tuple, tuple] = {}
     frontier = [_shared(canonical_key(d), share)]
     seen = set(frontier)
     truncated = False
-    for _ in range(max_depth):
+    records: dict[XCGaussDiagram, tuple] = {}
+    for depth in range(max_depth):
+        last, recording = depth == max_depth - 1, depth == max_depth - 2
         nxt = []
         for cur in frontier:
             size, rows = cur.decoration_count(), _row_signatures(cur)
             ids_before = _ids_before(cur)
+            found = records.get(cur) if last and records else None
+            runs = found[0].inserted(found[1]) if found else None
+            lifts = None
             for side, memo in steps:
                 over = size + side.change > max_size
                 if over and truncated:
@@ -731,7 +832,17 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
                     truncated = any(side.sites(cur, spots))
                     continue
                 if side.literal:
-                    keys = _splices(cur, side, spots, ids_before, memo, share)
+                    if lifts is None:
+                        lifts = {}
+                    kept = into = None
+                    if side.pure:
+                        if runs:
+                            kept = _kept(spots[0], len(spots), runs)
+                        elif recording and (size + side.change + least
+                                            <= max_size):
+                            into = records
+                    keys = _splices(cur, side, spots, ids_before, memo, share,
+                                    lifts=lifts, kept=kept, record=into)
                 else:
                     keys = (_shared(renumbered(cur.n, cur.top, *side.rewrite(
                                 cur, locs, dict(assign), eps)), share)
@@ -758,30 +869,40 @@ def _shared(d, share):
                  tuple([share.setdefault(row, row) for row in d.events]))
 
 
-def _splices(cur, side, spots, ids_before, memo, share):
+def _splices(cur, side, spots, ids_before, memo, share, *, lifts=None,
+             kept=None, record=None):
     """The canonical diagrams of rewriting the literal side ``side`` at
     each of its placements in the canonical member ``cur``, whose spots
     are ``spots``: for each placement in turn, one diagram per sign
     choice of ``side.eps_choices``.  The diagrams of one placement share
     their row tuple and differ in their chords only, because the target
-    runs do not depend on the sign choice.
+    runs do not depend on the sign choice.  ``kept`` replaces the
+    placements (``product(*spots)``) when given (:func:`_kept`), and
+    ``record``, when given, maps each diagram not in it yet to
+    ``(side, locs)``.
 
     ``memo`` holds the side's plans and runs, and ``share`` the orbit's
     row and chord tuples by value, which every row and chord tuple here
-    is taken from.  For this member alone, the raised rows, the runs and
-    the chord tuple of each sign choice are kept by (first, m).  Each
-    placement's rows are built in one way:
+    is taken from.  ``lifts`` holds the member's raised rows and chords
+    (:func:`gauss.raised`) by (m, k), for all of its literal sides; for
+    this side alone, the runs and the chord tuple of each sign choice are
+    kept by (first, m).  Each placement's rows are built in one way:
     its runs are sliced into the raised rows in the order of
     :meth:`_Side.order`, higher positions first, so that a run does not
     move the positions of the runs still to come."""
     n, top, k, widths, made = cur.n, cur.top, side.k, side.widths, {}
-    for locs in product(*spots):
+    if lifts is None:
+        lifts = {}
+    for locs in product(*spots) if kept is None else kept:
         first, order = side.plan(locs, memo)
         s, p = locs[first]
         m = ids_before[s][p]
         got = made.get((first, m))
         if got is None:
-            ev, chords = raised(cur, m, k, share)
+            lifted = lifts.get((m, k))
+            if lifted is None:
+                lifted = lifts[m, k] = raised(cur, m, k, share)
+            ev, chords = lifted
             runs, fresh = side.runs(first, m, memo)
             choices = [chords[:m] + f + chords[m:] for f in fresh]
             got = made[first, m] = (
@@ -796,7 +917,10 @@ def _splices(cur, side, spots, ids_before, memo, share):
             ev[s] = share.setdefault(ev[s], ev[s])
         ev = tuple(ev)
         for chords in chord_choices:
-            yield built(n, top, chords, ev)
+            key = built(n, top, chords, ev)
+            if record is not None:
+                record.setdefault(key, (side, locs))
+            yield key
 
 
 # -- the validator (binding oracle for pattern transcription) ----------

@@ -388,6 +388,24 @@ def test_moves_orbit_pair_golden(tmp_path, capsys, fmt, golden):
     assert out == (Path(__file__).parent / "golden" / golden).read_text()
 
 
+EMPTY = "strands: 1\nchords:\nstrand 1:\n"
+
+
+@pytest.mark.parametrize("fmt, golden", [
+    ("text", "moves_orbit_empty.txt"),
+    ("json-lines", "moves_orbit_empty.jsonl"),
+])
+def test_moves_orbit_empty_golden(tmp_path, capsys, fmt, golden):
+    # the empty strand at depth 2: its first level is pure insertions, so
+    # the last level skips insertions taken in the other order
+    path = tmp_path / "empty.txt"
+    path.write_text(EMPTY)
+    code, out, _ = run(capsys, "moves", "orbit", str(path), "--max-depth", "2",
+                       "--max-size", "4", "--format", fmt)
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / golden).read_text()
+
+
 TWO_STRANDS = ("strands: 2\ntop: 2 1\nchords: 1:+ 2:+ 3:+ 4:+\n"
                "strand 1: O2 O1 U3 U2 O4 D- U4\nstrand 2: O3 U1 D+ D-\n")
 # site indices applied per kind: first, last and a few between

@@ -340,6 +340,122 @@ def test_orbit_equals_reference_at_the_cli_budget(shape):
     assert got == reference_orbit(d, 2, 6)
 
 
+def _created_pairs(rng, d, count):
+    """``d`` with ``count`` diamond pairs created by ``G0r`` read right to
+    left, at sites drawn by ``rng``."""
+    for _ in range(count):
+        d = M.apply(d, rng.choice([site for site in M.find_sites(d, "G0r")
+                                   if site.side == "R"]))
+    return d
+
+
+def test_orbit_equals_reference_where_the_last_level_skips(monkeypatch):
+    # budgets at which a member of the last frontier can hold a recorded
+    # pure insertion that another pure insertion still fits after: at
+    # depth 2 any seed, and at depths 3 and 4 a seed with created pairs,
+    # whose cancellation gives an earlier member small enough
+    fired = {}
+    real = M._kept
+
+    def counted(slots, count, runs):
+        fired[depth] = fired.get(depth, 0) + 1
+        return real(slots, count, runs)
+
+    monkeypatch.setattr(M, "_kept", counted)
+    rng = random.Random(43)
+    for depth, extra, chords, pairs, strands in (
+            (2, 4, 1, 0, (1, 2)), (2, 5, 1, 0, (1, 2, 3)),
+            (3, 3, 0, 1, (1, 2)), (4, 1, 0, 2, (1, 2))):
+        for n in strands:
+            d = random_diagram(rng, n=n, max_chords=chords, max_diamonds=1)
+            d = _created_pairs(rng, d, pairs)
+            size = d.decoration_count() + extra
+            assert M.orbit(d, depth, size) == reference_orbit(d, depth, size), (
+                depth, size, d)
+    assert fired[2] > 100 and fired[3] > 10 and fired[4] > 10
+
+
+@pytest.mark.parametrize("shape, most", [("U1 O1", 4100), ("D- D+", 8100)])
+def test_orbit_builds_commuting_insertions_once(monkeypatch, shape, most):
+    # the order rule skips leaves that another path builds: 5412 and 9353
+    # diagrams are built without it
+    text, members = CLI_BUDGET_SHAPES[shape]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return G.built(*args)
+
+    monkeypatch.setattr(M, "built", counted)
+    res = M.orbit(parse_diagram(text), 2, 6)
+    assert len(res.keys) == members
+    assert members <= len(calls) <= most
+
+
+def _skipped(locs, runs):
+    """Whether the order rule skips the placement ``locs`` of a pure side
+    at a member whose recorded insertion has the runs ``runs``, read
+    straight from its three conditions."""
+    first = runs[0][:2]
+    if not any(slot <= first for slot in locs):
+        return False
+    if any(s == t and start < q < start + width
+           for s, q in locs for t, start, width in runs):
+        return False
+
+    def removed(slot):
+        s, q = slot
+        return s, q - sum(width for t, start, width in runs
+                          if t == s and start + width <= q)
+
+    return len({removed(slot) for slot in set(locs)}) == len(set(locs))
+
+
+def test_kept_placements_follow_the_order_rule():
+    # at every member that a pure insertion makes from a member of an
+    # orbit, for every insertion recorded there: the kept placements,
+    # listed directly, are the placements that the three conditions keep
+    pure = [side for p in M.builtin_patterns() for side in p.sides.values()
+            if side.pure]
+    assert [(s.pattern.kind, s.name, len(s.src)) for s in pure] == [
+        ("G0r", "R", 1), ("G0r", "R", 1), ("G2", "R", 2)]
+    rng = random.Random(47)
+    checked = skipped = early = joined = 0
+    for i in range(9):
+        d = random_diagram(rng, n=1 + i % 3, max_chords=2, max_diamonds=2)
+        for p in M.orbit(d, 1, d.decoration_count()).keys:
+            for a in pure:
+                for site in _side_sites(p, a):
+                    x = canonical_key(M.apply(p, site))
+                    runs = a.inserted(site.locs)
+                    # the runs hold the inserted tokens, and without them
+                    # x is p again
+                    assert sorted(M._kind_signature(x.events[s][q:q + w])
+                                  for s, q, w in runs) == sorted(
+                        M._kind_signature(frag) for frag in a.dst)
+                    rest = [list(row) for row in x.events]
+                    for s, q, w in reversed(runs):
+                        del rest[s][q:q + w]
+                    assert G.renumbered(x.n, x.top, x.chord_sign, rest) == p
+                    joined += runs[0][:2] == (runs[-1][0],
+                                              runs[-1][1] - runs[0][2])
+                    for b in pure:
+                        spots = b.spots(M._row_signatures(x))
+                        kept = list(M._kept(spots[0], len(spots), runs))
+                        assert len(kept) == len(set(kept))
+                        every = list(product(*spots))
+                        want = {locs for locs in every
+                                if not _skipped(locs, runs)}
+                        assert set(kept) == want, (x, runs)
+                        checked += 1
+                        skipped += len(every) - len(want)
+                        early += sum(min(locs) <= runs[0][:2]
+                                     for locs in kept)
+    # kept placements with a slot at or before F come from the inside and
+    # block-end cases; joined records are G2 runs inserted at one slot
+    assert checked > 1500 and skipped > 20000 and early > 5000 and joined > 50
+
+
 @pytest.mark.parametrize("shape", ["U1 O1", "D- D+"])
 def test_orbit_validates_only_its_seed_and_builds_valid_members(
         monkeypatch, shape):
