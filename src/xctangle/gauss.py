@@ -25,7 +25,6 @@ carries a line and a column.
 from __future__ import annotations
 
 import re
-import threading
 from collections.abc import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
@@ -78,9 +77,6 @@ class XCGaussDiagram(FrozenRecord):
 
     def __hash__(self) -> int:
         return hash((self.n, self.top, self.chords, self.events))
-
-    def __reduce__(self):
-        return self.__class__, (self.n, self.top, self.chords, self.events)
 
     # -- helpers ------------------------------------------------------
 
@@ -201,27 +197,6 @@ def is_pure(d: XCGaussDiagram) -> bool:
     return all(d.top[i] == i + 1 for i in range(d.n))
 
 
-#: The tuples that renumbered diagrams share, indexed by chord id ``c``:
-#: ``_SHARED_EVENTS[k][c] == (k, c)`` for k in O, U and
-#: ``_SHARED_CHORDS[s][c] == (c, s)`` for s = ±1.  The tables only grow,
-#: under ``_GROW_LOCK``, so an entry never changes once written.
-_SHARED_EVENTS: dict[str, list[Event]] = {OVER: [], UNDER: []}
-_SHARED_CHORDS: dict[int, list[tuple[int, int]]] = {1: [], -1: []}
-_GROW_LOCK = threading.Lock()
-
-
-def _grow_shared(size: int) -> None:
-    """Extend every shared table to at least ``size`` entries."""
-    with _GROW_LOCK:
-        for kind, table in _SHARED_EVENTS.items():
-            table.extend([(kind, c) for c in range(len(table), size)])
-        for s, table in _SHARED_CHORDS.items():
-            table.extend([(c, s) for c in range(len(table), size)])
-
-
-_grow_shared(64)
-
-
 def renumbered(n: int, top: tuple[int, ...], sign: dict[int, int],
                events) -> XCGaussDiagram:
     """The diagram on ``n`` strands with this ``top``, these event lists
@@ -231,13 +206,9 @@ def renumbered(n: int, top: tuple[int, ...], sign: dict[int, int],
     The renumbering and the construction are one pass.  Every value is
     taken as an int already, as in the fields of a built diagram, so
     nothing is converted or re-sorted: the chords come out in renumbered
-    order.  Chord events and ±1-signed chords are the shared tuples of
-    the module's tables, equal to the ones they stand for, so diagrams
-    built here hold one object per (kind, id) and per (id, sign); diamond
-    events are kept as given, and a chord of any other sign is a new tuple
-    that :func:`validate` rejects.
+    order.  Diamond events are kept as given, and a chord of a sign other
+    than ±1 is kept for :func:`validate` to reject.
     """
-    overs, unders = _SHARED_EVENTS[OVER], _SHARED_EVENTS[UNDER]
     mapping: dict[int, int] = {}
     rows = []
     for ev in events:
@@ -248,17 +219,11 @@ def renumbered(n: int, top: tuple[int, ...], sign: dict[int, int],
                 c = mapping.get(e[1])
                 if c is None:
                     c = mapping[e[1]] = len(mapping) + 1
-                    if c >= len(overs):
-                        _grow_shared(2 * c)
-                e = overs[c] if kind == OVER else unders[c]
+                e = (kind, c)
             row.append(e)
         rows.append(tuple(row))
-    chords = []
-    for old, new in mapping.items():
-        s = sign[old]
-        table = _SHARED_CHORDS.get(s)
-        chords.append(table[new] if table is not None else (new, s))
-    return built(n, top, tuple(chords), tuple(rows))
+    chords = tuple([(new, sign[old]) for old, new in mapping.items()])
+    return built(n, top, chords, tuple(rows))
 
 
 def built(n: int, top: tuple[int, ...], chords: tuple, events: tuple
@@ -266,8 +231,7 @@ def built(n: int, top: tuple[int, ...], chords: tuple, events: tuple
     """The diagram with exactly these fields: tuples of ints, the chords
     sorted by id.  Nothing is converted, sorted or checked, and the
     tuples are kept as given, so diagrams built from one set of row and
-    chord tuples share them: :func:`moves.orbit` builds its members from
-    one dict of them per call."""
+    chord tuples share them."""
     d = object.__new__(XCGaussDiagram)
     # the slot descriptors' own setters, bound below the class: four C
     # calls, where object.__setattr__ would look each name up
@@ -276,34 +240,6 @@ def built(n: int, top: tuple[int, ...], chords: tuple, events: tuple
     _set_chords(d, chords)
     _set_events(d, events)
     return d
-
-
-def raised(d: XCGaussDiagram, m: int, k: int, share: dict):
-    """The rows and the chords of the canonical diagram ``d`` with every
-    chord id above ``m`` raised by ``k``, as ``(events, chords)``.
-
-    Ids up to ``m`` keep their tuples; the raised chord events and
-    ±1-signed chords are the shared tuples of :func:`renumbered`.  Each
-    row is the object that ``share`` holds for its value, added there if
-    it is new.
-    """
-    if k == 0:
-        return d.events, d.chords
-    size = len(d.chords) + k + 1
-    if size > len(_SHARED_EVENTS[OVER]):
-        _grow_shared(2 * size)
-    overs, unders = _SHARED_EVENTS[OVER], _SHARED_EVENTS[UNDER]
-    rows = []
-    for row in d.events:
-        row = tuple([e if e[0] == DIAMOND or e[1] <= m
-                     else (overs if e[0] == OVER else unders)[e[1] + k]
-                     for e in row])
-        rows.append(share.setdefault(row, row))
-    rows = tuple(rows)
-    chords = d.chords[:m] + tuple(
-        _SHARED_CHORDS[s][c + k] if s in _SHARED_CHORDS else (c + k, s)
-        for c, s in d.chords[m:])
-    return rows, chords
 
 
 def renumber_canonically(d: XCGaussDiagram) -> XCGaussDiagram:

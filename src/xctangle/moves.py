@@ -42,10 +42,6 @@ no two slots that fall on one slot once the runs are removed: the same
 leaf is built with the two insertions the other way round.  Each member's
 raised rows are made once for all of its literal sides.
 
-:func:`random_site` lists the same tuples, side by side in
-:func:`find_sites` order, draws ``rng.randrange(total)`` as from the
-whole list, and builds only the drawn site.
-
 ``validate_pattern`` is the binding correctness gate: it opens both sides
 of a pattern (:func:`open_sides`, fragment i alone on strand i) and checks
 that their ``zeval`` values agree exactly for every sign choice.  A move is
@@ -79,7 +75,6 @@ from .gauss import (
     built,
     canonical_key,
     is_decimal,
-    raised,
     renumbered,
     validate,
 )
@@ -138,10 +133,6 @@ class MoveSite(FrozenRecord):
     locs: tuple[tuple[int, int], ...]
     assign: tuple[tuple[str, int], ...]
     eps: int
-
-    def __reduce__(self):
-        return self.__class__, (self.pattern, self.side, self.locs,
-                                self.assign, self.eps)
 
 
 _set_pattern = MoveSite.pattern.__set__
@@ -574,17 +565,40 @@ def find_sites(d: XCGaussDiagram, kind: str) -> list[MoveSite]:
     return out
 
 
+def _is_int(x) -> bool:
+    """Whether ``x`` is an int; a bool is not taken for one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_pair(x) -> bool:
+    """Whether ``x`` is a tuple or list of two items."""
+    return isinstance(x, (tuple, list)) and len(x) == 2
+
+
+def _in_range(site: MoveSite, side: _Side, n: int) -> bool:
+    """Whether ``site`` has the shape of a site of ``side`` on ``n``
+    strands: one (strand, position) pair of ints per fragment, the strand
+    below ``n`` and neither negative, an int sign choice of the side, and
+    ``assign`` entries that are (letter, id) pairs, each letter bound by
+    the side.  A bool is not taken for an int."""
+    return (len(site.locs) == len(side.src)
+            and all(_is_pair(loc) and _is_int(loc[0]) and _is_int(loc[1])
+                    and 0 <= loc[0] < n and loc[1] >= 0
+                    for loc in site.locs)
+            and _is_int(site.eps) and site.eps in side.eps_choices
+            and all(_is_pair(pair) and isinstance(pair[0], str)
+                    and pair[0] in side.letters and _is_int(pair[1])
+                    for pair in site.assign))
+
+
 def apply(d: XCGaussDiagram, site: MoveSite) -> XCGaussDiagram:
     """Rewrite the matched side of ``site`` to the other side of its
-    pattern.  Raises StaleSiteError when the site is out of range (its
-    side, slot count, positions, sign choice, or a letter of ``assign``
-    that the side does not bind) or no longer matches ``d``."""
+    pattern.  Raises StaleSiteError when the site is out of range
+    (:func:`_in_range`: its side, slot count, positions, sign choice or
+    ``assign`` entries) or no longer matches ``d``."""
     validate(d)
     side = site.pattern.sides.get(site.side)
-    if side is None or len(site.locs) != len(side.src) or any(
-            s < 0 or s >= d.n or p < 0 for s, p in site.locs) or \
-            site.eps not in side.eps_choices or \
-            any(letter not in side.letters for letter, _ in site.assign):
+    if side is None or not _in_range(site, side, d.n):
         raise StaleSiteError("site out of range")
     # the runs must sit at spots of their fragments, tested at the site's
     # own positions, and bind each letter that ``site.assign`` names to
@@ -606,23 +620,12 @@ def apply(d: XCGaussDiagram, site: MoveSite) -> XCGaussDiagram:
 
 
 def random_site(d: XCGaussDiagram, kind: str, rng) -> MoveSite:
-    """``find_sites(d, kind)[rng.randrange(total)]``, the same draw from
-    the same count, with only the drawn site built.  Each side lists its
-    sites as (locs, assign, eps) tuples, in :func:`find_sites` order, and
-    the drawn tuple alone becomes a :class:`MoveSite`.  A diagram with no
-    site raises NoSiteError and makes no draw."""
-    sides = _kind_sides(d, kind)
-    rows = _row_signatures(d)
-    listed = [(side, list(side.sites(d, side.spots(rows))))
-              for side in sides]
-    total = sum(len(sites) for _, sites in listed)
-    if not total:
+    """One site of :func:`find_sites`, drawn by ``rng.randrange``.  A
+    diagram with no site raises NoSiteError and makes no draw."""
+    sites = find_sites(d, kind)
+    if not sites:
         raise NoSiteError(f"no {kind} site in the diagram")
-    index = rng.randrange(total)
-    for side, sites in listed:
-        if index < len(sites):
-            return _site(side.pattern, side.name, *sites[index])
-        index -= len(sites)
+    return sites[rng.randrange(len(sites))]
 
 
 # -- orbit search ------------------------------------------------------
@@ -741,14 +744,12 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
 
     Members share their storage.  One dict per call maps each row tuple
     and each chord tuple, by value, to one object, and every candidate
-    is built from those objects: the rows of :func:`gauss.raised`, each
-    spliced row and chord tuple, and the rows and chords of each
-    renumbered chord-side result.  The events and chords inside them were
-    shared already: the tables of :func:`gauss.renumbered`, or a side's
-    runs, kept for the call.  A diagram keeps its fields in slots, with
-    no instance dict.  Equal tuples are interchangeable and the dict
-    lives for one call only, so the members are the same values as
-    without it.
+    is built from those objects: the raised rows and chords
+    (:func:`_raised`), each spliced row and chord tuple, and the rows and
+    chords of each renumbered chord-side result.  A diagram keeps its
+    fields in slots, with no instance dict.  Equal tuples are
+    interchangeable and the dict lives for one call only, so the members
+    are the same values as without it.
 
     A site of a chord side (``G0``, ``G1f``, ``G3``, and ``G2`` and
     ``G2p`` read left to right: a source run holds a chord letter) is
@@ -767,9 +768,9 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     shipped literal side holds every letter.  The first run is found as
     :meth:`_Side.plan` says, which is the order :func:`apply` leaves the
     runs in.  A side with no letters (``G0r``) keeps the member's chords.
-    The member's raised rows (:func:`gauss.raised`) depend on m and k
-    only, so they are made once per member for all of its literal sides:
-    the five sides with k = 2 share them.
+    The member's raised rows (:func:`_raised`) depend on m and k only,
+    so they are made once per member for all of its literal sides: the
+    five sides with k = 2 share them.
 
     Members are valid by construction, so only the seed is validated
     (through :func:`gauss.canonical_key`), and each side is checked once,
@@ -792,7 +793,7 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     is raised.
     """
     for budget in (max_depth, max_size):
-        if not isinstance(budget, int) or isinstance(budget, bool):
+        if not _is_int(budget):
             raise ValidationError(f"orbit budget {budget!r} is not an int")
     if max_depth <= 0 or max_size <= 0:
         raise ValidationError("orbit budgets must be positive")
@@ -869,6 +870,23 @@ def _shared(d, share):
                  tuple([share.setdefault(row, row) for row in d.events]))
 
 
+def _raised(d, m, k, share):
+    """The rows and the chords of the canonical diagram ``d`` with every
+    chord id above ``m`` raised by ``k``, as ``(events, chords)``.  Each
+    row is the object that ``share`` holds for its value, added there if
+    it is new; the chords only go into the chord tuples that
+    :func:`_splices` shares."""
+    if k == 0:
+        return d.events, d.chords
+    rows = []
+    for row in d.events:
+        row = tuple([e if e[0] == DIAMOND or e[1] <= m else (e[0], e[1] + k)
+                     for e in row])
+        rows.append(share.setdefault(row, row))
+    chords = d.chords[:m] + tuple([(c + k, s) for c, s in d.chords[m:]])
+    return tuple(rows), chords
+
+
 def _splices(cur, side, spots, ids_before, memo, share, *, lifts=None,
              kept=None, record=None):
     """The canonical diagrams of rewriting the literal side ``side`` at
@@ -884,7 +902,7 @@ def _splices(cur, side, spots, ids_before, memo, share, *, lifts=None,
     ``memo`` holds the side's plans and runs, and ``share`` the orbit's
     row and chord tuples by value, which every row and chord tuple here
     is taken from.  ``lifts`` holds the member's raised rows and chords
-    (:func:`gauss.raised`) by (m, k), for all of its literal sides; for
+    (:func:`_raised`) by (m, k), for all of its literal sides; for
     this side alone, the runs and the chord tuple of each sign choice are
     kept by (first, m).  Each placement's rows are built in one way:
     its runs are sliced into the raised rows in the order of
@@ -901,7 +919,7 @@ def _splices(cur, side, spots, ids_before, memo, share, *, lifts=None,
         if got is None:
             lifted = lifts.get((m, k))
             if lifted is None:
-                lifted = lifts[m, k] = raised(cur, m, k, share)
+                lifted = lifts[m, k] = _raised(cur, m, k, share)
             ev, chords = lifted
             runs, fresh = side.runs(first, m, memo)
             choices = [chords[:m] + f + chords[m:] for f in fresh]

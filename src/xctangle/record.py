@@ -6,8 +6,8 @@ The record is built from positional or keyword arguments, then its
 ``__post_init__`` runs.  Two records are equal when they are of the same
 class and their fields are equal, and a record hashes as the tuple of its
 fields.  Fields cannot be assigned or deleted.  Records pickle and copy
-through the default protocol, which restores the instance dict without
-calling ``__setattr__``.
+as a call of their class on their field values, so the copy is built and
+checked as the original was.
 
 The standard library's generated record classes would do the same, but
 importing them loads :mod:`inspect`, :mod:`ast`, :mod:`dis` and
@@ -26,9 +26,7 @@ class FrozenRecord:
     subclass may keep its fields in slots and carry no instance dict, as
     :class:`~xctangle.gauss.XCGaussDiagram` does.  Its slot descriptors
     are then class attributes named like the fields; they are not read
-    as defaults.  Python 3.10 cannot restore slots through the default
-    protocol without ``__setattr__``, so such a subclass pickles and
-    copies through its own ``__reduce__``.
+    as defaults.
     """
 
     __slots__ = ()
@@ -83,6 +81,9 @@ class FrozenRecord:
     def _values(self) -> tuple:
         """The field values, in field order."""
         return tuple([getattr(self, f) for f in self._fields])
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
     def __post_init__(self) -> None:
         """Check the fields; a subclass overrides this to validate."""

@@ -4,12 +4,9 @@ canonical forms and the text format."""
 import copy
 import pickle
 import random
-import sys
-import threading
 
 import pytest
 
-from xctangle import gauss as G
 from xctangle.errors import ParseError, ValidationError
 from xctangle.gauss import (
     OVER,
@@ -173,19 +170,7 @@ def test_canonical_key_ignores_chord_names():
     assert renumber_canonically(d) == renumber_canonically(e)
 
 
-def test_renumbered_diagrams_share_event_and_chord_tuples():
-    rng = random.Random(41)
-    first = {}
-    for _ in range(30):
-        key = canonical_key(random_diagram(
-            rng, n=rng.randrange(1, 3), max_chords=3, max_diamonds=2))
-        for t in [*key.chords,
-                  *(e for ev in key.events for e in ev if e[0] != "D")]:
-            assert first.setdefault(t, t) is t
-    assert len(first) > 6
-
-
-def test_renumbered_beyond_the_initial_tables():
+def test_renumbered_with_seventy_chords():
     ids = list(range(140, 0, -2))  # 70 chords, numbered high to low
     sign = {c: 1 if c % 4 else -1 for c in ids}
     d = XCGaussDiagram(1, (1,), sign.items(),
@@ -195,40 +180,6 @@ def test_renumbered_beyond_the_initial_tables():
     assert key.events == ((*((OVER, i) for i in range(1, 71)),
                            *((UNDER, i) for i in range(1, 71))),)
     assert key.chords == tuple((i, sign[c]) for i, c in enumerate(ids, 1))
-    for kind, table in G._SHARED_EVENTS.items():
-        assert len(table) > 70
-        assert all(e == (kind, c) for c, e in enumerate(table))
-    for s, table in G._SHARED_CHORDS.items():
-        assert len(table) > 70
-        assert all(e == (c, s) for c, e in enumerate(table))
-
-
-def test_shared_tables_grow_in_step_across_threads():
-    # a lost check-then-extend race would shift every later entry
-    def grow(gate, start, k):
-        gate.wait()
-        for size in range(start + k, start + 600, 6):
-            G._grow_shared(size)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(4):
-            gate = threading.Barrier(6, timeout=30)
-            start = len(G._SHARED_EVENTS[OVER])
-            workers = [threading.Thread(target=grow, args=(gate, start, k))
-                       for k in range(6)]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=30)
-            assert not any(w.is_alive() for w in workers)
-    finally:
-        sys.setswitchinterval(interval)
-    for kind, table in G._SHARED_EVENTS.items():
-        assert all(e == (kind, c) for c, e in enumerate(table))
-    for s, table in G._SHARED_CHORDS.items():
-        assert all(e == (c, s) for c, e in enumerate(table))
 
 
 def test_renumbering_keeps_a_bad_sign_for_validate():

@@ -161,13 +161,13 @@ def test_cli_import_does_not_load_resources():
     # importlib.resources loads pathlib, zipfile and tempfile; only the
     # shipped data files need it, so it is imported where they are read.
     # fractions loads decimal, and only the rational variant needs it;
-    # typing is not needed at all.  -S keeps site from loading these
-    # modules before the package does.
+    # typing and threading are not needed at all.  -S keeps site from
+    # loading these modules before the package does.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
     slow = ("importlib.resources", "pathlib", "tempfile", "fractions",
-            "decimal", "typing")
+            "decimal", "typing", "threading")
     code = ("import sys, xctangle.cli; "
             f"print([m for m in {slow!r} if m in sys.modules])")
     res = subprocess.run([sys.executable, "-S", "-c", code], env=env,

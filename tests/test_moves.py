@@ -200,9 +200,31 @@ def test_apply_rejects_out_of_range_sites():
                            g2.assign + (("z", 7),), g2.eps)),
         (KINK, M.MoveSite(g2.pattern, "R", ((0, 0), (0, 0)), (("a", 1),),
                           g2.eps)),
+        # a position that is not a pair of ints
+        (KINK, M.MoveSite(g0r.pattern, "R", ((0,),), (), g0r.eps)),
+        (KINK, M.MoveSite(g0r.pattern, "R", ((0, 1.5),), (), g0r.eps)),
+        (KINK, M.MoveSite(g0r.pattern, "R", (("0", 2),), (), g0r.eps)),
+        (KINK, M.MoveSite(g0r.pattern, "R", ((False, 0),), (), g0r.eps)),
+        (KINK, M.MoveSite(g0r.pattern, "R", ((0, 1, 2),), (), g0r.eps)),
+        # an assign entry that is not a (letter, id) pair
+        (KINK, M.MoveSite(kink.pattern, "L", kink.locs, (("c",),),
+                          kink.eps)),
+        (KINK, M.MoveSite(kink.pattern, "L", kink.locs, (("c", 1, 2),),
+                          kink.eps)),
+        (KINK, M.MoveSite(kink.pattern, "L", kink.locs, (("c", True),),
+                          kink.eps)),
+        (KINK, M.MoveSite(kink.pattern, "L", kink.locs, (("c", "1"),),
+                          kink.eps)),
+        (KINK, M.MoveSite(kink.pattern, "L", kink.locs, ((["c"], 1),),
+                          kink.eps)),
+        # a sign choice that is a bool
+        (KINK, M.MoveSite(g0r.pattern, "R", g0r.locs, (), True)),
     ]
     for d, site in stale:
         with pytest.raises(StaleSiteError):
+            M.apply(d, site)
+    for d, site in stale[-11:]:
+        with pytest.raises(StaleSiteError, match="site out of range"):
             M.apply(d, site)
 
 
@@ -515,7 +537,7 @@ def test_orbit_refuses_an_unbalanced_side_before_building(monkeypatch):
     def no_member(*args):
         raise AssertionError("a member was built")
 
-    for name in ("canonical_key", "renumbered", "built", "raised"):
+    for name in ("canonical_key", "renumbered", "built", "_raised"):
         monkeypatch.setattr(M, name, no_member)
     with pytest.raises(ValidationError,
                        match="G1f variant 1 side L: chord ends do not"):
