@@ -36,6 +36,7 @@ every entry of a :class:`MatrixXCAlgebra` must be of its ``variant``.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cached_property
 
 from .errors import DimensionError, ParseError, VariantMismatchError
 from .gauss import XCGaussDiagram, is_decimal
@@ -44,10 +45,13 @@ from .record import FrozenRecord
 from .ring import LAURENT, RATIONAL, Coefficient, parse_laurent
 
 
-class RingMatrix:
-    """Immutable dense matrix of :class:`Coefficient` entries."""
+class RingMatrix(FrozenRecord):
+    """Immutable dense matrix of :class:`Coefficient` entries: a record of
+    its ``entries``, with its shape in the non-field slots rows and cols."""
 
-    __slots__ = ("rows", "cols", "entries", "_hash")
+    __slots__ = ("entries", "rows", "cols")
+
+    entries: tuple[tuple[Coefficient, ...], ...]
 
     def __init__(self, entries: Sequence[Sequence[Coefficient]]):
         rows = tuple(tuple(row) for row in entries)
@@ -56,12 +60,6 @@ class RingMatrix:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
         object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("RingMatrix is immutable")
-
-    def __reduce__(self):
-        return (RingMatrix, (self.entries,))
 
     @staticmethod
     def identity(n: int, variant: str = LAURENT) -> "RingMatrix":
@@ -72,21 +70,6 @@ class RingMatrix:
 
     def __getitem__(self, rc: tuple[int, int]) -> Coefficient:
         return self.entries[rc[0]][rc[1]]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RingMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:  # first call: hash the entries once
-            object.__setattr__(self, "_hash", hash(self.entries))
-            return self._hash
 
     def __repr__(self) -> str:
         return f"RingMatrix({self.rows}x{self.cols})"
@@ -171,6 +154,25 @@ class MatrixXCAlgebra(FrozenRecord):
                         raise VariantMismatchError(
                             f"{name} has a {c.variant} entry in a "
                             f"{self.variant} algebra")
+
+    @cached_property
+    def _beads(self) -> tuple:
+        """``(kappa, kappainv, terms)``, split once per algebra: ``terms[s]``
+        lists the ``(a, c, Q_ac)`` of R^s = sum E_ac (x) Q_ac with Q_ac
+        nonzero, for s = 1 and -1.  A bead is a tuple of rows, each the
+        ``(column, payload)`` pairs of its nonzero entries."""
+        d = self.d
+
+        def block(m, r, c):  # the d x d block of m from entry (r, c)
+            return tuple([tuple([(j, x._payload) for j, x in enumerate(row[c:c + d])
+                                 if x._payload]) for row in m.entries[r:r + d]])
+
+        def terms(m):
+            split = [(a, c, block(m, a * d, c * d)) for a in range(d) for c in range(d)]
+            return tuple([t for t in split if any(t[2])])
+
+        return (block(self.kappa, 0, 0), block(self.kappainv, 0, 0),
+                {1: terms(self.R), -1: terms(self.Rinv)})
 
 
 # Each axiom is one shipped move (data/patterns.cfg) opened by

@@ -26,7 +26,6 @@ from .gauss import (
     print_diagram,
     renumber_canonically,
     tensor,
-    validate,
 )
 from .invariant import iota_realize, zeval
 from .polyak import framing_formula, pairing, parse_formula
@@ -35,7 +34,6 @@ from .tangle import (
     parse_tangle,
     print_tangle,
     to_gauss,
-    validate_tangle,
 )
 from .virtualt import (
     bracket_oracle,
@@ -43,7 +41,6 @@ from .virtualt import (
     lift,
     parse_code,
     print_code,
-    validate_code,
 )
 
 
@@ -71,18 +68,15 @@ def _matrix_lines(m) -> list[str]:
     return [", ".join(str(e) for e in row) for row in m.entries]
 
 
+#: The reader of each ``validate --type``; each reader validates what it
+#: reads.
+_READERS = {"diagram": parse_diagram, "code": parse_code,
+            "tangle": parse_tangle, "algebra": parse_algebra,
+            "formula": parse_formula}
+
+
 def cmd_validate(args) -> int:
-    text = _read(args.file)
-    if args.type == "diagram":
-        validate(parse_diagram(text))
-    elif args.type == "code":
-        validate_code(parse_code(text))
-    elif args.type == "tangle":
-        validate_tangle(parse_tangle(text))
-    elif args.type == "algebra":
-        parse_algebra(text)
-    elif args.type == "formula":
-        parse_formula(text)
+    _READERS[args.type](_read(args.file))
     _emit(args, {"valid": True, "type": args.type}, "valid\n")
     return 0
 
@@ -270,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "formulas.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    def add(name, fn, parent=sub, **kw):
+        p = parent.add_parser(name, **kw)
         p.set_defaults(fn=fn)
         p.add_argument("--format", choices=("text", "json-lines"),
                        default="text")
@@ -279,9 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("validate", cmd_validate, help="validate an input file")
     p.add_argument("file")
-    p.add_argument("--type", default="diagram",
-                   choices=("diagram", "code", "tangle", "algebra",
-                            "formula"))
+    p.add_argument("--type", default="diagram", choices=tuple(_READERS))
 
     p = add("canon", cmd_canon, help="canonical form of a diagram")
     p.add_argument("file")
@@ -330,23 +322,16 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("moves", help="local rewrite moves")
     msub = pm.add_subparsers(dest="subcommand", required=True)
 
-    def madd(name, fn, **kw):
-        p = msub.add_parser(name, **kw)
-        p.set_defaults(fn=fn)
-        p.add_argument("--format", choices=("text", "json-lines"),
-                       default="text")
-        return p
-
-    p = madd("list", cmd_moves_list, help="list applicable sites")
+    p = add("list", cmd_moves_list, parent=msub, help="list applicable sites")
     p.add_argument("file")
     p.add_argument("--kind", required=True, choices=M.KINDS)
 
-    p = madd("apply", cmd_moves_apply, help="apply a site by index")
+    p = add("apply", cmd_moves_apply, parent=msub, help="apply a site by index")
     p.add_argument("file")
     p.add_argument("--kind", required=True, choices=M.KINDS)
     p.add_argument("--index", type=int, required=True)
 
-    p = madd("orbit", cmd_moves_orbit, help="bounded move closure")
+    p = add("orbit", cmd_moves_orbit, parent=msub, help="bounded move closure")
     p.add_argument("file")
     p.add_argument("--max-depth", type=int, default=2)
     p.add_argument("--max-size", type=int, default=6)

@@ -17,9 +17,9 @@ crossing on T(2,k) lifts, against 3x for the plain sum.  So the plain
 sum's states are counted before the walk, and a diagram with more than
 :data:`STATE_MAX` of them raises :class:`GuardrailError`.
 
-Each bead (kappa, kappa^-1 and every Q_ac) is split once per call into
-sparse rows of its nonzero ``(column, payload)`` pairs, and a bead product
-multiplies only those pairs.  Bead products run on bare normal-form
+Each bead (kappa, kappa^-1 and every Q_ac) is split once per algebra
+into sparse rows of its nonzero ``(column, payload)`` pairs, and a bead
+product multiplies only those pairs.  Bead products run on bare normal-form
 payloads with the ring's payload kernel (:func:`~xctangle.ring.kernel`):
 the split beads, the walk's running product and its partial sums are
 payloads, and zero is the falsy payload.  A strand's word becomes a
@@ -37,8 +37,6 @@ is applied by reindexing rows and columns, never as a matrix product.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from . import gauss
 from .algebra import MatrixXCAlgebra, RingMatrix, mat_mul, mat_tensor
@@ -107,31 +105,6 @@ class InvariantValue(FrozenRecord):
             raise ValidationError("sigma is not a permutation")
 
 
-# -- R decomposition --------------------------------------------------
-
-
-@lru_cache(maxsize=64)
-def _decompose_two_leg(m: RingMatrix, d: int) -> tuple:
-    """Write a d^2 x d^2 operator as sum of E_ac (x) Q_ac, dropping zero Q.
-
-    Cached by matrix content (``RingMatrix`` hashes by its entries)."""
-    terms = []
-    for a in range(d):
-        for c in range(d):
-            q = [[m[(a * d + b, c * d + e)] for e in range(d)] for b in range(d)]
-            if all(x.is_zero() for row in q for x in row):
-                continue
-            terms.append((a, c, RingMatrix(q)))
-    return tuple(terms)
-
-
-def _sparse_rows(m: RingMatrix) -> tuple:
-    """Each row of a bead as the (column, payload) pairs of its nonzero
-    entries."""
-    return tuple([tuple([(j, x._payload) for j, x in enumerate(row) if x._payload])
-                  for row in m.entries])
-
-
 def _left_mul(k: tuple, acc: list, mul, add, zero) -> list | None:
     """k . acc for a bead ``k`` in sparse rows and ``acc`` as d rows of
     payloads, multiplying only nonzero pairs with the kernel's ``mul`` and
@@ -187,11 +160,7 @@ def zeval(
     ops = kernel(variant)
     mul, add, pzero = ops.mul, ops.add, ops.zero
     sign = d_.chord_sign
-    decomp = {
-        s: [(aa, cc, _sparse_rows(q))
-            for aa, cc, q in _decompose_two_leg(a.R if s > 0 else a.Rinv, dim)]
-        for s in set(sign.values())
-    }
+    kappa, kappainv, decomp = a._beads
     states = 1
     for s in sign.values():
         states *= len(decomp[s])
@@ -199,8 +168,6 @@ def zeval(
         raise GuardrailError(
             f"state sum over {len(sign)} chords has {states} states, "
             f"more than {STATE_MAX}")
-    kappa = _sparse_rows(a.kappa)
-    kappainv = _sparse_rows(a.kappainv)
     unit = [[ops.one if i == j else pzero for j in range(dim)] for i in range(dim)]
     # strand-major events, None closing each strand
     steps = [ev for strand in d_.events for ev in (*strand, None)]

@@ -968,13 +968,12 @@ def validate_pattern(pattern: MovePattern, algebra) -> tuple[bool, object]:
     evaluate identically for every sign choice; returns (ok,
     counterexample), the counterexample being the open pair.  Since ``zeval``
     is a strict monoidal functor, open equality gives equality in every
-    closure.  A side that is not a valid diagram raises ValidationError."""
+    closure.  A side that is not a valid diagram raises ValidationError
+    from ``zeval``."""
     from .invariant import zeval
 
     for eps in pattern.sides["L"].eps_choices:
         lhs, rhs = open_sides(pattern, eps)
-        validate(lhs)
-        validate(rhs)
         if zeval(lhs, algebra) != zeval(rhs, algebra):
             return False, (lhs, rhs)
     return True, None

@@ -274,7 +274,7 @@ def truncate_degree(s: FormalDiagramSum, n: int) -> FormalDiagramSum:
     out = FormalDiagramSum()
     for d, coeff in s.items():
         if d.decoration_count() < n:
-            out.add(d, coeff)
+            out._add_key(d, coeff)
     return out
 
 

@@ -137,10 +137,14 @@ def _exact_int(x, what: str) -> int:
     return int(x)
 
 
-class Coefficient:
-    """An immutable exact scalar tagged with its ring variant."""
+class Coefficient(FrozenRecord):
+    """An immutable exact scalar tagged with its ring variant: a record of
+    its variant and normal-form payload, hashed once, on first use."""
 
     __slots__ = ("variant", "_payload", "_hash")
+
+    variant: str
+    _payload: object
 
     def __init__(self, variant: str, payload):
         if variant not in _VARIANTS:
@@ -180,12 +184,6 @@ class Coefficient:
         # C calls, where object.__setattr__ would look each name up
         _set_variant(self, variant)
         _set_payload(self, payload)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("Coefficient is immutable")
-
-    def __reduce__(self):
-        return (Coefficient._normal, (self.variant, self._payload))
 
     # -- constructors -------------------------------------------------
 

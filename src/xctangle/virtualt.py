@@ -286,19 +286,19 @@ def bracket_oracle(g: SignedGaussCode) -> Coefficient:
             for j in range(n + 1):
                 e = 2 * a - k + 2 * n - 4 * j
                 total[e] = total.get(e, 0) + (-1) ** n * comb(n, j) * count
-    total = {e: c for e, c in total.items() if c}
-    # framing normalization (-A^3)^(-writhe)
+    # framing normalization (-A^3)^(-writhe), then A^2 = q^-1: all
+    # exponents are even after the normalization, and both maps are one
+    # to one on exponents
     w = writhe(g)
-    normalized: dict[int, int] = {}
-    neg = (-1) ** (abs(w) % 2)
-    for e, c in total.items():
-        normalized[e - 3 * w] = neg * c if w % 2 else c
-    # substitute A^2 = q^-1 (all exponents are even after normalization)
+    flip = -1 if w % 2 else 1
     out: dict[int, int] = {}
-    for e, c in normalized.items():
+    for e, c in total.items():
+        if not c:
+            continue
+        e -= 3 * w
         if e % 2:
             raise NonScalarError("bracket state sum produced an odd power")
-        out[-(e // 2)] = out.get(-(e // 2), 0) + c
+        out[-(e // 2)] = flip * c
     return Coefficient.laurent(out)
 
 

@@ -1,8 +1,8 @@
 """Code hygiene of the package: no private helper or private method
 without a caller, no public function or class that is neither exported
 nor used, no module importing another module's private name, no import
-that a module does not use, and no slow standard module loaded by
-importing the CLI."""
+that a module does not use, no attribute guard outside the record base,
+and no slow standard module loaded by importing the CLI."""
 
 import ast
 import os
@@ -143,6 +143,17 @@ def test_no_unused_imports():
                     if bound not in used:
                         unused.append(f"{name}: {bound}")
     assert unused == []
+
+
+def test_only_the_record_base_guards_its_fields():
+    # every immutable value type derives from record.FrozenRecord, the one
+    # class that refuses assignment to and deletion of its fields
+    guards = [f"{name}: {cls.name}.{node.name}"
+              for name, tree in _modules().items() if name != "record.py"
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for node in cls.body if isinstance(node, ast.FunctionDef)
+              and node.name in ("__setattr__", "__delattr__")]
+    assert guards == []
 
 
 def test_cli_import_does_not_load_dataclasses():

@@ -32,7 +32,6 @@ from xctangle.gauss import (
 from xctangle.invariant import (
     STATE_MAX,
     InvariantValue,
-    _decompose_two_leg,
     iota_realize,
     long_knot_scalar,
     perm_compose,
@@ -226,6 +225,32 @@ def test_decomposition_cache_follows_matrix_content():
         assert evaluate(k) == ALG.R.scale(Coefficient.q_power(k)), k
 
 
+def test_zeval_hashes_no_matrix(monkeypatch):
+    # the beads come split from the algebra, not from a cache looked up
+    # by the content of R
+    curl = parse_diagram("strands: 2\nchords: 1:+ 2:-\n"
+                         "strand 1: O1 D+ U2\nstrand 2: U1 O2 D-\n")
+    want = zeval(curl, ALG)
+
+    def refuse(self):
+        raise AssertionError("a RingMatrix was hashed")
+
+    monkeypatch.setattr(RingMatrix, "__hash__", refuse)
+    fresh = MatrixXCAlgebra(ALG.d, ALG.R, ALG.Rinv, ALG.kappa, ALG.kappainv,
+                            ALG.variant)
+    got = zeval(curl, fresh)
+    assert (got.value.entries, got.sigma) == (want.value.entries, want.sigma)
+
+
+def _two_leg_terms(m, d):
+    """The (a, c, Q_ac) of m = sum E_ac (x) Q_ac with Q_ac nonzero: Q_ac
+    is the d x d block of m at block row a and block column c."""
+    blocks = [(a, c, RingMatrix([[m[(a * d + b, c * d + e)] for e in range(d)]
+                                 for b in range(d)]))
+              for a in range(d) for c in range(d)]
+    return [t for t in blocks if not t[2].is_zero()]
+
+
 def _assignment_reference(d_, a):
     """The state sum as a plain loop over all assignments of R-terms to
     chords: each strand multiplies its beads on the left, and the strands'
@@ -233,7 +258,7 @@ def _assignment_reference(d_, a):
     assert len(d_.chords) <= 6, "reference is exponential in chords"
     zero, one = Coefficient.zero(a.variant), Coefficient.one(a.variant)
     chords = sorted(d_.chord_sign)
-    terms = [_decompose_two_leg(a.R if d_.chord_sign[c] > 0 else a.Rinv, a.d)
+    terms = [_two_leg_terms(a.R if d_.chord_sign[c] > 0 else a.Rinv, a.d)
              for c in chords]
     size = a.d ** d_.n
     total = RingMatrix([[zero] * size for _ in range(size)])

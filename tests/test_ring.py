@@ -119,6 +119,17 @@ def test_copy_and_pickle_round_trips():
             assert back == v and hash(back) == hash(v)
 
 
+def test_fields_cannot_be_deleted():
+    from xctangle.algebra import RingMatrix
+
+    c = Coefficient.q_power(2)
+    m = RingMatrix([[c]])
+    for value, field in ((c, "variant"), (c, "_payload"), (m, "entries")):
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert c == Coefficient.q_power(2) and m.entries == ((c,),)
+
+
 def test_results_hash_on_first_use_only(monkeypatch):
     import xctangle.ring as ring
     from xctangle.algebra import builtin_uqsl2, mat_mul, mat_tensor
