@@ -12,7 +12,6 @@ from .algebra import (
     MatrixXCAlgebra,
     RingMatrix,
     builtin_uqsl2,
-    check_axioms,
     parse_algebra,
     print_algebra,
 )
@@ -43,8 +42,10 @@ from .gauss import (
 )
 from .invariant import (
     InvariantValue,
+    check_axioms,
     iota_realize,
     long_knot_scalar,
+    validate_pattern,
     ve_compose,
     ve_tensor,
     zeval,
@@ -57,7 +58,6 @@ from .moves import (
     builtin_patterns,
     find_sites,
     orbit,
-    validate_pattern,
 )
 from .polyak import (
     FormalDiagramSum,

@@ -13,9 +13,10 @@ import random
 import time
 
 from . import moves as M
-from .algebra import builtin_uqsl2, check_axioms
+from .algebra import builtin_uqsl2
 from .errors import DomainError, NoSiteError
 from .gauss import (
+    XCGaussDiagram,
     canonical_key,
     compose,
     parse_diagram,
@@ -23,8 +24,10 @@ from .gauss import (
     tensor,
 )
 from .invariant import (
+    check_axioms,
     iota_realize,
     long_knot_scalar,
+    validate_pattern,
     ve_compose,
     ve_tensor,
     zeval,
@@ -99,8 +102,6 @@ def _q_mirror(c: Coefficient) -> Coefficient:
 def golden_codes():
     """The four benchmark long-knot codes: unknot, both trefoils and the
     figure-eight knot."""
-    from .gauss import XCGaussDiagram
-
     tre = [(("O", 1), ("U", 2), ("O", 3), ("U", 1), ("O", 2), ("U", 3))]
     f8 = [(("O", 1), ("U", 2), ("O", 3), ("U", 1),
            ("O", 4), ("U", 3), ("O", 2), ("U", 4))]
@@ -126,7 +127,7 @@ def criterion_2(seed: int) -> tuple[str, bool, str]:
     alg = builtin_uqsl2()
     bad = []
     for p in M.builtin_patterns():
-        ok, _ = M.validate_pattern(p, alg)
+        ok, _ = validate_pattern(p, alg)
         if not ok:
             bad.append(f"{p.kind} v{p.variant}")
     detail = (f"{len(M.builtin_patterns())} patterns certified"

@@ -12,9 +12,8 @@ on V (x) V (basis ``e_i (x) e_j``, first factor major) and ``kappa`` /
 * (XC3)  R_12 R_13 R_23 = R_23 R_13 R_12  [G3]
 * invertibility of R [G2] and kappa [G0r].
 
-Each axiom is checked as the ``zeval`` of two diagrams: the two sides of
-its move from ``data/patterns.cfg``, opened by ``moves.open_sides``
-(fragment i on strand i), as ``validate_pattern`` certifies every move.
+:func:`~xctangle.invariant.check_axioms` checks each axiom as the
+``zeval`` of the two opened sides of its move from ``data/patterns.cfg``.
 
 Algebra file format::
 
@@ -39,8 +38,7 @@ from collections.abc import Sequence
 from functools import cached_property
 
 from .errors import DimensionError, ParseError, VariantMismatchError
-from .gauss import XCGaussDiagram, is_decimal
-from .moves import builtin_patterns, open_sides
+from .gauss import is_decimal
 from .record import FrozenRecord
 from .ring import LAURENT, RATIONAL, Coefficient, parse_laurent
 
@@ -173,51 +171,6 @@ class MatrixXCAlgebra(FrozenRecord):
 
         return (block(self.kappa, 0, 0), block(self.kappainv, 0, 0),
                 {1: terms(self.R), -1: terms(self.Rinv)})
-
-
-# Each axiom is one shipped move (data/patterns.cfg) opened by
-# moves.open_sides, in report order: kind, variant, sign choice e, and
-# whether the axiom's lhs is the move's right side.
-_AXIOM_MOVES = {
-    "invertibility-R": ("G2", 1, -1, False),
-    "invertibility-R'": ("G2", 1, 1, False),
-    "invertibility-kappa": ("G0r", 1, 1, False),
-    "XC0": ("G0", 1, 1, True),
-    "XC0'": ("G0", 1, -1, True),
-    "XC1f": ("G1f", 1, 1, False),
-    "XC2c": ("G2p", 2, 1, True),
-    "XC2d": ("G2p", 3, 1, True),
-    "XC3": ("G3", 1, 1, False),
-}
-
-
-def _axiom_diagrams() -> list[tuple[str, XCGaussDiagram, XCGaussDiagram]]:
-    """The XC axioms as (name, lhs, rhs) diagram pairs, in report order."""
-    patterns = {(p.kind, p.variant): p for p in builtin_patterns()}
-    out = []
-    for name, (kind, variant, eps, flipped) in _AXIOM_MOVES.items():
-        lhs, rhs = open_sides(patterns[(kind, variant)], eps)
-        out.append((name, rhs, lhs) if flipped else (name, lhs, rhs))
-    return out
-
-
-def check_axioms(a: MatrixXCAlgebra) -> dict:
-    """Verify the XC axioms exactly; returns a per-axiom report."""
-    from .invariant import zeval
-
-    report: dict[str, dict] = {}
-
-    def record(name: str, lhs: RingMatrix, rhs: RingMatrix) -> None:
-        rows = zip(lhs.entries, rhs.entries)
-        where = next(((i, j) for i, (lrow, rrow) in enumerate(rows)
-                      for j, (x, y) in enumerate(zip(lrow, rrow)) if x != y), None)
-        report[name] = {"ok": True} if where is None else {
-            "ok": False, "entry": where, "lhs": str(lhs[where]), "rhs": str(rhs[where])}
-
-    for name, lhs, rhs in _axiom_diagrams():
-        record(name, zeval(lhs, a).value, zeval(rhs, a).value)
-    report["ok"] = all(v["ok"] for k, v in report.items() if k != "ok")
-    return report
 
 
 def builtin_uqsl2() -> MatrixXCAlgebra:

@@ -18,7 +18,7 @@ import sys
 
 from . import moves as M
 from .acceptance import CRITERIA, DEFAULT_SEED, run_all, run_criterion
-from .algebra import builtin_uqsl2, check_axioms, parse_algebra
+from .algebra import builtin_uqsl2, parse_algebra
 from .errors import DomainError, ParseError
 from .gauss import (
     compose,
@@ -27,7 +27,7 @@ from .gauss import (
     renumber_canonically,
     tensor,
 )
-from .invariant import iota_realize, zeval
+from .invariant import check_axioms, iota_realize, zeval
 from .polyak import framing_formula, pairing, parse_formula
 from .tangle import (
     from_gauss,
@@ -75,16 +75,36 @@ _READERS = {"diagram": parse_diagram, "code": parse_code,
             "formula": parse_formula}
 
 
-def cmd_validate(args) -> int:
-    _READERS[args.type](_read(args.file))
-    _emit(args, {"valid": True, "type": args.type}, "valid\n")
+#: The commands that read one file and print one value: name -> (help,
+#: reader, the value printed for what it reads, its json-lines key).
+_ONE_FILE = {
+    "canon": ("canonical form of a diagram", parse_diagram,
+              lambda d: print_diagram(renumber_canonically(d)), "canonical"),
+    "to-tangle": ("diagram -> tangle graph", parse_diagram,
+                  lambda d: print_tangle(from_gauss(d)), "tangle"),
+    "to-gauss": ("tangle graph -> diagram", parse_tangle,
+                 lambda t: print_diagram(to_gauss(t)), "diagram"),
+    "lift": ("planar lift of a signed code", parse_code,
+             lambda g: print_diagram(lift(g)), "diagram"),
+    "forget": ("drop diamonds from a diagram", parse_diagram,
+               lambda d: print_code(forget(d)), "code"),
+    "framing": ("degree-one framing formula", parse_diagram, framing_formula,
+                "framing"),
+    "bracket": ("bracket state sum of a code", parse_code,
+                lambda g: str(bracket_oracle(g)), "bracket"),
+}
+
+
+def cmd_one_file(args) -> int:
+    _, reader, value, key = _ONE_FILE[args.command]
+    val = value(reader(_read(args.file)))
+    _emit(args, {key: val}, str(val))
     return 0
 
 
-def cmd_canon(args) -> int:
-    d = parse_diagram(_read(args.file))
-    out = print_diagram(renumber_canonically(d))
-    _emit(args, {"canonical": out}, out)
+def cmd_validate(args) -> int:
+    _READERS[args.type](_read(args.file))
+    _emit(args, {"valid": True, "type": args.type}, "valid\n")
     return 0
 
 
@@ -101,34 +121,6 @@ def cmd_tensor(args) -> int:
     right = parse_diagram(_read(args.right))
     out = print_diagram(tensor(left, right))
     _emit(args, {"diagram": out}, out)
-    return 0
-
-
-def cmd_to_tangle(args) -> int:
-    d = parse_diagram(_read(args.file))
-    out = print_tangle(from_gauss(d))
-    _emit(args, {"tangle": out}, out)
-    return 0
-
-
-def cmd_to_gauss(args) -> int:
-    t = parse_tangle(_read(args.file))
-    out = print_diagram(to_gauss(t))
-    _emit(args, {"diagram": out}, out)
-    return 0
-
-
-def cmd_lift(args) -> int:
-    g = parse_code(_read(args.file))
-    out = print_diagram(lift(g))
-    _emit(args, {"diagram": out}, out)
-    return 0
-
-
-def cmd_forget(args) -> int:
-    d = parse_diagram(_read(args.file))
-    out = print_code(forget(d))
-    _emit(args, {"code": out}, out)
     return 0
 
 
@@ -164,20 +156,6 @@ def cmd_pair(args) -> int:
     d = parse_diagram(_read(args.diagram))
     val = pairing(formula, d)
     _emit(args, {"pairing": val}, f"{val}\n")
-    return 0
-
-
-def cmd_framing(args) -> int:
-    d = parse_diagram(_read(args.file))
-    val = framing_formula(d)
-    _emit(args, {"framing": val}, f"{val}\n")
-    return 0
-
-
-def cmd_bracket(args) -> int:
-    g = parse_code(_read(args.file))
-    val = bracket_oracle(g)
-    _emit(args, {"bracket": str(val)}, f"{val}\n")
     return 0
 
 
@@ -275,8 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--type", default="diagram", choices=tuple(_READERS))
 
-    p = add("canon", cmd_canon, help="canonical form of a diagram")
-    p.add_argument("file")
+    def one_file(name):
+        add(name, cmd_one_file, help=_ONE_FILE[name][0]).add_argument("file")
+
+    one_file("canon")
 
     p = add("compose", cmd_compose, help="stack two diagrams")
     p.add_argument("lower")
@@ -286,17 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left")
     p.add_argument("right")
 
-    p = add("to-tangle", cmd_to_tangle, help="diagram -> tangle graph")
-    p.add_argument("file")
-
-    p = add("to-gauss", cmd_to_gauss, help="tangle graph -> diagram")
-    p.add_argument("file")
-
-    p = add("lift", cmd_lift, help="planar lift of a signed code")
-    p.add_argument("file")
-
-    p = add("forget", cmd_forget, help="drop diamonds from a diagram")
-    p.add_argument("file")
+    for name in ("to-tangle", "to-gauss", "lift", "forget"):
+        one_file(name)
 
     p = add("zeval", cmd_zeval, help="evaluate the universal invariant")
     p.add_argument("file")
@@ -313,11 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", required=True)
     p.add_argument("--diagram", required=True)
 
-    p = add("framing", cmd_framing, help="degree-one framing formula")
-    p.add_argument("file")
-
-    p = add("bracket", cmd_bracket, help="bracket state sum of a code")
-    p.add_argument("file")
+    one_file("framing")
+    one_file("bracket")
 
     pm = sub.add_parser("moves", help="local rewrite moves")
     msub = pm.add_subparsers(dest="subcommand", required=True)

@@ -58,13 +58,12 @@ class XCGaussDiagram(FrozenRecord):
         chords: Iterable[tuple[int, int]],
         events: Sequence[Sequence[Event]],
     ):
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "top", tuple(int(t) for t in top))
+        # values are kept as given; validate refuses any that is not an int
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "top", tuple(top))
+        object.__setattr__(self, "chords", tuple(sorted((c, s) for c, s in chords)))
         object.__setattr__(
-            self, "chords", tuple(sorted((int(c), int(s)) for c, s in chords))
-        )
-        object.__setattr__(
-            self, "events", tuple(tuple((k, int(v)) for k, v in ev) for ev in events)
+            self, "events", tuple(tuple((k, v) for k, v in ev) for ev in events)
         )
 
     # Diagrams are hashed and compared in every orbit and sum, so the
@@ -100,28 +99,40 @@ def identity(n: int) -> XCGaussDiagram:
     return XCGaussDiagram(n, tuple(range(1, n + 1)), (), tuple(() for _ in range(n)))
 
 
+def is_int(x) -> bool:
+    """Whether ``x`` is an int; a bool is not taken for one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def validate(d: XCGaussDiagram) -> None:
     """Check all structural invariants; raise ValidationError on the first
-    violation."""
+    violation.  Every count, id and sign must be an int."""
+    if not is_int(d.n):
+        raise ValidationError(f"strand count {d.n!r} is not an int")
     if d.n < 0:
         raise ValidationError("negative strand count")
     if len(d.top) != d.n:
         raise ValidationError(f"top has length {len(d.top)}, expected {d.n}")
-    if sorted(d.top) != list(range(1, d.n + 1)):
+    if not all(map(is_int, d.top)) or sorted(d.top) != list(range(1, d.n + 1)):
         raise ValidationError(f"top {d.top} is not a bijection on 1..{d.n}")
     if len(d.events) != d.n:
         raise ValidationError(f"{len(d.events)} strand event lists, expected {d.n}")
     signs = {}
     for cid, s in d.chords:
+        if not is_int(cid):
+            raise ValidationError(f"chord id {cid!r} is not an int")
         if cid in signs:
             raise ValidationError(f"chord {cid} listed twice")
-        if s not in (1, -1):
+        if not is_int(s) or s not in (1, -1):
             raise ValidationError(f"chord {cid} has sign {s}, expected +1 or -1")
         signs[cid] = s
     seen_over: set[int] = set()
     seen_under: set[int] = set()
     for i, ev in enumerate(d.events, start=1):
         for kind, val in ev:
+            if not is_int(val):
+                raise ValidationError(
+                    f"event value {val!r} on strand {i} is not an int")
             # chord ends outnumber diamonds, so they are tested first
             if kind == OVER:
                 if val not in signs:

@@ -34,6 +34,15 @@ Values compose by the twisted law of the virtual category of elements:
 realization map sends ``(u, sigma)`` to ``sigma . u``.  A permutation acts
 on V^{(x)n} by moving tensor factors, which relabels basis indices, so it
 is applied by reindexing rows and columns, never as a matrix product.
+
+The same evaluation certifies moves.  :func:`validate_pattern` is the
+binding correctness gate for the shipped patterns: it opens both sides of
+a pattern (:func:`~xctangle.moves.open_sides`, fragment i alone on strand
+i) and checks that their values agree exactly for every sign choice.  A
+move is an identity in A^{(x)k}; since every closure's value is a linear
+image of the open value, open equality implies equality in every context.
+:func:`check_axioms` evaluates the XC axioms of an algebra as the opened
+sides of the moves they stand for.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ from . import gauss
 from .algebra import MatrixXCAlgebra, RingMatrix, mat_mul, mat_tensor
 from .errors import DimensionError, GuardrailError, NonScalarError, ValidationError
 from .gauss import DIAMOND, OVER, XCGaussDiagram
+from .moves import MovePattern, builtin_patterns, open_sides
 from .record import FrozenRecord
 from .ring import Coefficient, kernel
 
@@ -267,3 +277,63 @@ def long_knot_scalar(u: InvariantValue) -> Coefficient:
                     f"off-diagonal entry ({i},{j}) = {e} is nonzero", (i, j)
                 )
     return lam
+
+
+# -- certification: moves and axioms as opened sides -------------------
+
+
+def validate_pattern(pattern: MovePattern, algebra) -> tuple[bool, object]:
+    """Check that both sides of a pattern, opened by
+    :func:`~xctangle.moves.open_sides`, evaluate identically for every
+    sign choice; returns (ok, counterexample), the counterexample being
+    the open pair.  Since ``zeval`` is a strict monoidal functor, open
+    equality gives equality in every closure.  A side that is not a valid
+    diagram raises ValidationError from ``zeval``."""
+    for eps in pattern.sides["L"].eps_choices:
+        lhs, rhs = open_sides(pattern, eps)
+        if zeval(lhs, algebra) != zeval(rhs, algebra):
+            return False, (lhs, rhs)
+    return True, None
+
+
+# Each axiom is one shipped move (data/patterns.cfg) opened by
+# moves.open_sides, in report order: kind, variant, sign choice e, and
+# whether the axiom's lhs is the move's right side.
+_AXIOM_MOVES = {
+    "invertibility-R": ("G2", 1, -1, False),
+    "invertibility-R'": ("G2", 1, 1, False),
+    "invertibility-kappa": ("G0r", 1, 1, False),
+    "XC0": ("G0", 1, 1, True),
+    "XC0'": ("G0", 1, -1, True),
+    "XC1f": ("G1f", 1, 1, False),
+    "XC2c": ("G2p", 2, 1, True),
+    "XC2d": ("G2p", 3, 1, True),
+    "XC3": ("G3", 1, 1, False),
+}
+
+
+def _axiom_diagrams() -> list[tuple[str, XCGaussDiagram, XCGaussDiagram]]:
+    """The XC axioms as (name, lhs, rhs) diagram pairs, in report order."""
+    patterns = {(p.kind, p.variant): p for p in builtin_patterns()}
+    out = []
+    for name, (kind, variant, eps, flipped) in _AXIOM_MOVES.items():
+        lhs, rhs = open_sides(patterns[(kind, variant)], eps)
+        out.append((name, rhs, lhs) if flipped else (name, lhs, rhs))
+    return out
+
+
+def check_axioms(a: MatrixXCAlgebra) -> dict:
+    """Verify the XC axioms exactly; returns a per-axiom report."""
+    report: dict[str, dict] = {}
+
+    def record(name: str, lhs: RingMatrix, rhs: RingMatrix) -> None:
+        rows = zip(lhs.entries, rhs.entries)
+        where = next(((i, j) for i, (lrow, rrow) in enumerate(rows)
+                      for j, (x, y) in enumerate(zip(lrow, rrow)) if x != y), None)
+        report[name] = {"ok": True} if where is None else {
+            "ok": False, "entry": where, "lhs": str(lhs[where]), "rhs": str(rhs[where])}
+
+    for name, lhs, rhs in _axiom_diagrams():
+        record(name, zeval(lhs, a).value, zeval(rhs, a).value)
+    report["ok"] = all(v["ok"] for k, v in report.items() if k != "ok")
+    return report

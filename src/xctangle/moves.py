@@ -42,12 +42,10 @@ no two slots that fall on one slot once the runs are removed: the same
 leaf is built with the two insertions the other way round.  Each member's
 raised rows are made once for all of its literal sides.
 
-``validate_pattern`` is the binding correctness gate: it opens both sides
-of a pattern (:func:`open_sides`, fragment i alone on strand i) and checks
-that their ``zeval`` values agree exactly for every sign choice.  A move is
-an identity in A^{(x)k}; since every closure's value is a linear image of
-the open value, open equality implies equality in every context.
-``check_axioms`` evaluates the XC axioms as the same opened sides.
+:func:`open_sides` opens both sides of a pattern, fragment i alone on
+strand i.  :func:`~xctangle.invariant.validate_pattern` certifies a move by
+the ``zeval`` values of its opened sides, and
+:func:`~xctangle.invariant.check_axioms` checks the XC axioms the same way.
 
 Config format::
 
@@ -63,7 +61,7 @@ where tokens are ``O<letter>``, ``U<letter>``, ``D+``, ``D-``.
 from __future__ import annotations
 
 import re
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, product
 
 from .errors import NoSiteError, ParseError, StaleSiteError, ValidationError
@@ -75,6 +73,7 @@ from .gauss import (
     built,
     canonical_key,
     is_decimal,
+    is_int,
     renumbered,
     validate,
 )
@@ -248,22 +247,16 @@ def parse_patterns(text: str) -> list[MovePattern]:
     return patterns
 
 
-_BUILTIN: list[MovePattern] | None = None
-
-
+@cache
 def builtin_patterns() -> list[MovePattern]:
-    """The shipped pattern table, loaded from ``data/patterns.cfg``."""
-    global _BUILTIN
-    if _BUILTIN is None:
-        # imported here: it loads pathlib, zipfile and tempfile, and only
-        # the data files need it
-        from importlib import resources
+    """The shipped pattern table, loaded from ``data/patterns.cfg`` on the
+    first call; every call returns the same list."""
+    # imported here: it loads pathlib, zipfile and tempfile, and only the
+    # data files need it
+    from importlib import resources
 
-        text = (
-            resources.files("xctangle").joinpath("data/patterns.cfg").read_text()
-        )
-        _BUILTIN = parse_patterns(text)
-    return _BUILTIN
+    return parse_patterns(
+        resources.files("xctangle").joinpath("data/patterns.cfg").read_text())
 
 
 # -- matching ----------------------------------------------------------
@@ -565,11 +558,6 @@ def find_sites(d: XCGaussDiagram, kind: str) -> list[MoveSite]:
     return out
 
 
-def _is_int(x) -> bool:
-    """Whether ``x`` is an int; a bool is not taken for one."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_pair(x) -> bool:
     """Whether ``x`` is a tuple or list of two items."""
     return isinstance(x, (tuple, list)) and len(x) == 2
@@ -582,12 +570,12 @@ def _in_range(site: MoveSite, side: _Side, n: int) -> bool:
     ``assign`` entries that are (letter, id) pairs, each letter bound by
     the side.  A bool is not taken for an int."""
     return (len(site.locs) == len(side.src)
-            and all(_is_pair(loc) and _is_int(loc[0]) and _is_int(loc[1])
+            and all(_is_pair(loc) and is_int(loc[0]) and is_int(loc[1])
                     and 0 <= loc[0] < n and loc[1] >= 0
                     for loc in site.locs)
-            and _is_int(site.eps) and site.eps in side.eps_choices
+            and is_int(site.eps) and site.eps in side.eps_choices
             and all(_is_pair(pair) and isinstance(pair[0], str)
-                    and pair[0] in side.letters and _is_int(pair[1])
+                    and pair[0] in side.letters and is_int(pair[1])
                     for pair in site.assign))
 
 
@@ -793,7 +781,7 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
     is raised.
     """
     for budget in (max_depth, max_size):
-        if not _is_int(budget):
+        if not is_int(budget):
             raise ValidationError(f"orbit budget {budget!r} is not an int")
     if max_depth <= 0 or max_size <= 0:
         raise ValidationError("orbit budgets must be positive")
@@ -941,7 +929,7 @@ def _splices(cur, side, spots, ids_before, memo, share, *, lifts=None,
             yield key
 
 
-# -- the validator (binding oracle for pattern transcription) ----------
+# -- opened sides (what invariant.validate_pattern evaluates) ----------
 
 
 def open_sides(pattern: MovePattern, eps: int
@@ -961,19 +949,3 @@ def open_sides(pattern: MovePattern, eps: int
                               [(c, sign[c]) for c in sorted(present)], events)
 
     return side(pattern.left), side(pattern.right)
-
-
-def validate_pattern(pattern: MovePattern, algebra) -> tuple[bool, object]:
-    """Check that both sides of a pattern, opened by :func:`open_sides`,
-    evaluate identically for every sign choice; returns (ok,
-    counterexample), the counterexample being the open pair.  Since ``zeval``
-    is a strict monoidal functor, open equality gives equality in every
-    closure.  A side that is not a valid diagram raises ValidationError
-    from ``zeval``."""
-    from .invariant import zeval
-
-    for eps in pattern.sides["L"].eps_choices:
-        lhs, rhs = open_sides(pattern, eps)
-        if zeval(lhs, algebra) != zeval(rhs, algebra):
-            return False, (lhs, rhs)
-    return True, None

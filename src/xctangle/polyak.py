@@ -55,6 +55,8 @@ from .gauss import (
     renumbered,
     validate,
 )
+from .moves import KINDS, apply, random_site
+from .randomgen import random_diagram
 from .record import FrozenRecord
 
 
@@ -377,20 +379,17 @@ def framing_formula(d: XCGaussDiagram) -> int:
 def check_formula_invariance(formula, samples: int, seed: int = 0) -> dict:
     """Evaluate a formula on randomized move-related diagram pairs and
     report every pair where the values differ."""
-    from . import moves as M
-    from .randomgen import random_diagram
-
     rng = random.Random(seed)
     failures = []
     checked = 0
     while checked < samples:
         d = random_diagram(rng, n=1, max_chords=3, max_diamonds=3)
-        kind = rng.choice(M.KINDS)
+        kind = rng.choice(KINDS)
         try:
-            site = M.random_site(d, kind, rng)
+            site = random_site(d, kind, rng)
         except NoSiteError:
             continue
-        d2 = M.apply(d, site)
+        d2 = apply(d, site)
         if d2.decoration_count() > 9:
             continue
         checked += 1

@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 
 from .gauss import DIAMOND, OVER, UNDER, XCGaussDiagram, validate
-from .virtualt import SignedGaussCode
 
 
 def random_permutation(rng: random.Random, n: int) -> tuple[int, ...]:
@@ -24,7 +23,7 @@ def random_code(
     n: int = 1,
     max_chords: int = 6,
     pure: bool = False,
-) -> SignedGaussCode:
+) -> XCGaussDiagram:
     """A random signed Gauss code on n strands (no diamonds)."""
     k = rng.randrange(max_chords + 1)
     chords = [(c, rng.choice((1, -1))) for c in range(1, k + 1)]

@@ -30,7 +30,7 @@ from collections.abc import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
 from .gauss import (DIAMOND, OVER, UNDER, XCGaussDiagram, is_decimal,
-                    validate)
+                    is_int, validate)
 from .record import FrozenRecord
 
 OUT = "out"
@@ -65,21 +65,13 @@ class XCTangleGraph(FrozenRecord):
         out_order: Sequence[int],
         in_order: Sequence[int],
     ):
-        object.__setattr__(
-            self, "vertices", tuple(sorted((int(v), k) for v, k in vertices))
-        )
-        object.__setattr__(
-            self,
-            "edges",
-            tuple(
-                sorted(
-                    (int(e), (int(a), int(pa)), (int(b), int(pb)), int(r))
-                    for e, (a, pa), (b, pb), r in edges
-                )
-            ),
-        )
-        object.__setattr__(self, "out_order", tuple(int(v) for v in out_order))
-        object.__setattr__(self, "in_order", tuple(int(v) for v in in_order))
+        # values are kept as given; validate_tangle refuses any id, port
+        # or rotation that is not an int
+        object.__setattr__(self, "vertices", tuple(sorted((v, k) for v, k in vertices)))
+        object.__setattr__(self, "edges", tuple(sorted(
+            (e, (a, pa), (b, pb), r) for e, (a, pa), (b, pb), r in edges)))
+        object.__setattr__(self, "out_order", tuple(out_order))
+        object.__setattr__(self, "in_order", tuple(in_order))
 
     @property
     def kind(self) -> dict[int, str]:
@@ -108,9 +100,12 @@ def validate_tangle(t: XCTangleGraph) -> None:
     """Check structural invariants; raise ValidationError on the first
     violation.  In particular every strand (maximal directed path going
     straight at crossings) must start at an ``out`` vertex and end at an
-    ``in`` vertex, and no closed strand may exist."""
+    ``in`` vertex, and no closed strand may exist.  Every id, port and
+    rotation must be an int."""
     kind = {}
     for vid, k in t.vertices:
+        if not is_int(vid):
+            raise ValidationError(f"vertex id {vid!r} is not an int")
         if vid in kind:
             raise ValidationError(f"vertex {vid} listed twice")
         if k not in _KINDS:
@@ -120,17 +115,19 @@ def validate_tangle(t: XCTangleGraph) -> None:
     by_target: dict[Half, int] = {}
     eids = set()
     for eid, src, dst, rot in t.edges:
+        if not is_int(eid):
+            raise ValidationError(f"edge id {eid!r} is not an int")
         if eid in eids:
             raise ValidationError(f"edge {eid} listed twice")
         eids.add(eid)
-        if rot not in (-1, 0, 1):
+        if not is_int(rot) or rot not in (-1, 0, 1):
             raise ValidationError(f"edge {eid} has rotation {rot}")
         for half, table, role in ((src, _SOURCE_PORTS, "source"),
                                   (dst, _TARGET_PORTS, "target")):
             vid, port = half
-            if vid not in kind:
+            if not is_int(vid) or vid not in kind:
                 raise ValidationError(f"edge {eid} references unknown vertex {vid}")
-            if port not in table.get(kind[vid], ()):
+            if not is_int(port) or port not in table.get(kind[vid], ()):
                 raise ValidationError(
                     f"edge {eid} uses port {port} as {role} on a "
                     f"{kind[vid]!r} vertex"
@@ -153,15 +150,13 @@ def validate_tangle(t: XCTangleGraph) -> None:
                 raise ValidationError(f"vertex {vid} port {p} has no incoming edge")
     outs = [v for v, k in t.vertices if k == OUT]
     ins = [v for v, k in t.vertices if k == IN]
-    if sorted(t.out_order) != sorted(outs):
+    if not all(map(is_int, t.out_order)) or sorted(t.out_order) != sorted(outs):
         raise ValidationError("outorder is not a permutation of the out vertices")
-    if sorted(t.in_order) != sorted(ins):
+    if not all(map(is_int, t.in_order)) or sorted(t.in_order) != sorted(ins):
         raise ValidationError("inorder is not a permutation of the in vertices")
-    if len(outs) != len(ins):
-        raise ValidationError(
-            f"{len(outs)} strand starts but {len(ins)} strand ends"
-        )
-    # trace strands; count visited edges to detect closed components
+    # every port is used once and a bi or crossing vertex has as many
+    # source ports as target ports, so there are as many outs as ins;
+    # trace strands, counting visited edges to detect closed components
     visited = sum(1 for start in outs for _ in _strand(kind, by_source, start))
     if visited != len(t.edges):
         raise ValidationError("closed component: some edges lie on no strand")

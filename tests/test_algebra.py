@@ -8,15 +8,14 @@ import pytest
 from xctangle.algebra import (
     MatrixXCAlgebra,
     RingMatrix,
-    _axiom_diagrams,
     builtin_uqsl2,
-    check_axioms,
     mat_mul,
     parse_algebra,
     print_algebra,
 )
 from xctangle.errors import DimensionError, ParseError, VariantMismatchError
 from xctangle.gauss import canonical_key, parse_diagram
+from xctangle.invariant import _axiom_diagrams, check_axioms
 from xctangle.ring import RATIONAL, Coefficient
 
 # The reference axiom diagrams, written out by hand in report order: name,

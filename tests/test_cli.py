@@ -96,6 +96,58 @@ def test_bracket_golden(files, capsys):
     assert code == 0 and out.strip() == "-q^8 + q^6 + q^2"
 
 
+SKEW = ("strands: 2\ntop: 2 1\nchords: 7:+ 3:-\n"
+        "strand 1: O7 D+ U3\nstrand 2: O3 D- U7\n")
+
+
+@pytest.mark.parametrize("fmt, golden", [
+    ("text", "one_file.txt"),
+    ("json-lines", "one_file.jsonl"),
+])
+def test_one_file_commands_golden(files, tmp_path, capsys, fmt, golden):
+    # canon renumbers chords 7 and 3; to-gauss reads the to-tangle output
+    # and framing the lift of the trefoil code
+    _, _, tre = files
+    paths = {"diagram": tmp_path / "skew.txt", "code": tre,
+             "tangle": tmp_path / "skew_tangle.txt",
+             "lifted": tmp_path / "lifted.txt"}
+    paths["diagram"].write_text(SKEW)
+    paths["tangle"].write_text(run(capsys, "to-tangle", str(paths["diagram"]))[1])
+    paths["lifted"].write_text(run(capsys, "lift", str(tre))[1])
+    parts = []
+    for command, source in (("canon", "diagram"), ("to-tangle", "diagram"),
+                            ("to-gauss", "tangle"), ("lift", "code"),
+                            ("forget", "diagram"), ("framing", "lifted"),
+                            ("bracket", "code")):
+        code, out, _ = run(capsys, command, str(paths[source]), "--format", fmt)
+        assert code == 0
+        parts.append(f"$ xct {command}\n{out}")
+    want = (Path(__file__).parent / "golden" / golden).read_text()
+    assert "".join(parts) == want
+
+
+PARSERS = [(), ("validate",), ("canon",), ("compose",), ("tensor",),
+           ("to-tangle",), ("to-gauss",), ("lift",), ("forget",), ("zeval",),
+           ("axioms",), ("pair",), ("framing",), ("bracket",), ("moves",),
+           ("moves", "list"), ("moves", "apply"), ("moves", "orbit"),
+           ("selftest",)]
+
+
+def test_help_golden(capsys, monkeypatch):
+    # wide enough that argparse wraps no line, so the text does not hang
+    # on its line-wrapping rules
+    monkeypatch.setenv("COLUMNS", "200")
+    parts = []
+    for words in PARSERS:
+        with pytest.raises(SystemExit) as exc:
+            main([*words, "--help"])
+        assert exc.value.code == 0
+        parts.append(f"$ xct {' '.join((*words, '--help'))}\n"
+                     + capsys.readouterr().out)
+    want = (Path(__file__).parent / "golden" / "help.txt").read_text()
+    assert "".join(parts) == want
+
+
 def test_bracket_guardrail_exit_1(tmp_path, capsys):
     big = tmp_path / "kinks.txt"
     big.write_text("strands: 1\nstrand 1: "

@@ -58,6 +58,12 @@ def test_validate_rejects_unknown_chord_sign():
 
 O1, U1 = (OVER, 1), (UNDER, 1)
 
+
+def _kink(n=1, top=(1,), chords=((1, 1),), events=((O1, ("D", 1), U1),)):
+    """strands: 1, chords: 1:+, strand 1: O1 D+ U1, with the fields given
+    in place of its own."""
+    return XCGaussDiagram(n, top, chords, events)
+
 # one case per message of validate, each diagram breaking one invariant
 VALIDATE_CASES = {
     "negative n": (built(-1, (), (), ()), "negative strand count"),
@@ -91,6 +97,24 @@ VALIDATE_CASES = {
     "chord 1 first": (built(1, (1,), ((1, 1), (2, 1)),
                             (((OVER, 2), U1),)),
                       "chord 1 has no over endpoint"),
+    # through the constructor, which keeps each value as given, with one
+    # value that is not an int; a bool is not taken for an int
+    "non-int n": (_kink(n=True), "strand count True is not an int"),
+    "float n": (_kink(n=1.0), "strand count 1.0 is not an int"),
+    "float top": (_kink(top=[1.2]), "top (1.2,) is not a bijection on 1..1"),
+    "true top": (_kink(top=[True]),
+                 "top (True,) is not a bijection on 1..1"),
+    "float chord id": (_kink(chords=[(1.0, 1)]), "chord id 1.0 is not an int"),
+    "float chord sign": (_kink(chords=[(1, 1.7)]),
+                         "chord 1 has sign 1.7, expected +1 or -1"),
+    "true chord sign": (_kink(chords=[(1, True)]),
+                        "chord 1 has sign True, expected +1 or -1"),
+    "true chord end": (_kink(events=[[(OVER, True), ("D", 1), U1]]),
+                       "event value True on strand 1 is not an int"),
+    "text chord end": (_kink(events=[[O1, ("D", 1), (UNDER, "1")]]),
+                       "event value '1' on strand 1 is not an int"),
+    "float diamond sign": (_kink(events=[[O1, ("D", 1.0), U1]]),
+                           "event value 1.0 on strand 1 is not an int"),
 }
 
 
@@ -100,6 +124,16 @@ def test_validate_messages(case):
     with pytest.raises(ValidationError) as err:
         validate(d)
     assert str(err.value) == message
+
+
+def test_diagram_keeps_values_as_given():
+    d = XCGaussDiagram(True, [1.2], [(1, 1.7), (2.8, -1.2)],
+                       [[("O", 1.5), ("U", True), ("O", 2.2), ("U", "2")]])
+    assert d.n is True and d.top == (1.2,)
+    assert d.chords == ((1, 1.7), (2.8, -1.2))
+    assert d.events[0][1][1] is True and d.events[0][3] == ("U", "2")
+    with pytest.raises(ValidationError):
+        validate(d)
 
 
 def test_built_diagram_equals_the_constructed_one():

@@ -1,8 +1,9 @@
 """Code hygiene of the package: no private helper or private method
 without a caller, no public function or class that is neither exported
 nor used, no module importing another module's private name, no import
-that a module does not use, no attribute guard outside the record base,
-and no slow standard module loaded by importing the CLI."""
+that a module does not use, no package module imported inside a function,
+no cycle among the modules' imports, no attribute guard outside the record
+base, and no slow standard module loaded by importing the CLI."""
 
 import ast
 import os
@@ -143,6 +144,64 @@ def test_no_unused_imports():
                     if bound not in used:
                         unused.append(f"{name}: {bound}")
     assert unused == []
+
+
+def _package_modules(node):
+    """The modules of the package that an import statement loads, by
+    their file stems: ``moves`` for ``from .moves import apply``, ``from .
+    import moves`` and ``import xctangle.moves``, ``__init__`` for
+    ``import xctangle``."""
+    if isinstance(node, ast.ImportFrom):
+        path = (node.module or "").split(".")
+        if not node.level:
+            if path[0] != "xctangle":
+                return []
+            path = path[1:]
+        return [path[0]] if path else [alias.name for alias in node.names]
+    if isinstance(node, ast.Import):
+        return [alias.name.partition(".")[2] or "__init__"
+                for alias in node.names
+                if alias.name.split(".")[0] == "xctangle"]
+    return []
+
+
+def test_no_function_imports_a_package_module():
+    # a package module imported inside a function hides a dependency, or
+    # breaks an import cycle that the module layout should not have;
+    # standard modules that are slow to load (fractions,
+    # importlib.resources) are still imported where they are needed
+    inner = []
+    for name, tree in _modules().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner += [f"{name}: {fn.name} imports {module}"
+                          for node in ast.walk(fn)
+                          for module in _package_modules(node)]
+    assert inner == []
+
+
+def test_module_imports_form_no_cycle():
+    # the modules import one way: errors and record below the ring, the
+    # diagrams below the algebras, the move engine below the evaluator
+    graph = {name[:-3]: {m for node in tree.body for m in _package_modules(node)}
+             for name, tree in _modules().items()}
+    done, path, cycles = set(), [], []
+
+    def visit(module):
+        if module in path:
+            cycles.append(path[path.index(module):] + [module])
+            return
+        if module in done:
+            return
+        path.append(module)
+        for dep in sorted(graph.get(module, ())):
+            visit(dep)
+        path.pop()
+        done.add(module)
+
+    for module in sorted(graph):
+        visit(module)
+    assert cycles == []
 
 
 def test_only_the_record_base_guards_its_fields():

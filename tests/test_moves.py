@@ -21,7 +21,7 @@ from xctangle.gauss import (
     identity,
     parse_diagram,
 )
-from xctangle.invariant import iota_realize, zeval
+from xctangle.invariant import iota_realize, validate_pattern, zeval
 from xctangle.randomgen import random_diagram
 
 ALG = builtin_uqsl2()
@@ -32,6 +32,7 @@ KINK = XCGaussDiagram(1, (1,), [(1, 1)],
 
 def test_builtin_table_shape():
     pats = M.builtin_patterns()
+    assert M.builtin_patterns() is pats  # read once, then shared
     by_kind = {}
     for p in pats:
         by_kind.setdefault(p.kind, []).append(p)
@@ -44,7 +45,7 @@ def test_builtin_table_shape():
 
 def test_every_builtin_pattern_is_sound():
     for p in M.builtin_patterns():
-        ok, ce = M.validate_pattern(p, ALG)
+        ok, ce = validate_pattern(p, ALG)
         assert ok and ce is None, (p.kind, p.variant)
 
 
@@ -54,7 +55,7 @@ def test_validator_rejects_wrong_pattern():
         "G1f", 1, (("c", "+"),),
         (((("O"), "c"), ("U", "c")),),
         (((("U"), "c"), ("O", "c")),))
-    ok, counterexample = M.validate_pattern(wrong, ALG)
+    ok, counterexample = validate_pattern(wrong, ALG)
     assert not ok
     assert counterexample is not None
 
@@ -85,7 +86,7 @@ def test_validator_rejects_every_diamond_flip():
     ]
     assert len(mutants) == 20
     for m in mutants:
-        ok, counterexample = M.validate_pattern(m, ALG)
+        ok, counterexample = validate_pattern(m, ALG)
         assert not ok, m
         assert counterexample in [M.open_sides(m, e) for e in (1, -1)], m
 
@@ -96,7 +97,7 @@ DANGLING = "pattern G1f\nvar a: +\nfrag 1: Oa\nto 1: Ua\nend\n"
 def test_validator_rejects_dangling_chord():
     (dangling,) = M.parse_patterns(DANGLING)
     with pytest.raises(ValidationError):
-        M.validate_pattern(dangling, ALG)
+        validate_pattern(dangling, ALG)
     # and neither of its sides balances, so orbit refuses it
     assert not any(side.balanced for side in dangling.sides.values())
 

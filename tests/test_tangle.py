@@ -10,6 +10,7 @@ from xctangle.gauss import (XCGaussDiagram, canonical_key, identity,
                             parse_diagram)
 from xctangle.randomgen import random_diagram
 from xctangle.tangle import (
+    BI,
     IN,
     OUT,
     XCTangleGraph,
@@ -59,6 +60,86 @@ def test_validate_rejects_bad_port():
     t = XCTangleGraph([(1, OUT), (2, IN)], [(1, (1, 1), (2, 0), 0)],
                       [1], [2])
     with pytest.raises(ValidationError):
+        validate_tangle(t)
+
+
+E = (1, (1, 0), (2, 0), 0)  # the one edge of the one-strand graph
+
+
+def _graph(vertices=((1, OUT), (2, IN)), edges=(E,), out_order=(1,),
+           in_order=(2,)):
+    """The one-strand graph out 1 -> in 2, with the fields given in place
+    of its own."""
+    return XCTangleGraph(vertices, edges, out_order, in_order)
+
+
+# one case per message of validate_tangle, each graph breaking one
+# invariant
+VALIDATE_CASES = {
+    "vertex twice": (_graph([(1, OUT), (1, IN)], [], [1], [1]),
+                     "vertex 1 listed twice"),
+    "unknown kind": (_graph([(1, "x")], [], [], []),
+                     "vertex 1 has unknown kind 'x'"),
+    "edge twice": (_graph(edges=[E, E]), "edge 1 listed twice"),
+    "rotation": (_graph(edges=[(1, (1, 0), (2, 0), 2)]),
+                 "edge 1 has rotation 2"),
+    "unknown vertex": (_graph(edges=[(1, (3, 0), (2, 0), 0)]),
+                       "edge 1 references unknown vertex 3"),
+    "source port": (_graph(edges=[(1, (1, 1), (2, 0), 0)]),
+                    "edge 1 uses port 1 as source on a 'out' vertex"),
+    "target port": (_graph(edges=[(1, (1, 0), (2, 1), 0)]),
+                    "edge 1 uses port 1 as target on a 'in' vertex"),
+    "two leave": (_graph([(1, OUT), (2, IN), (3, IN)],
+                         [E, (2, (1, 0), (3, 0), 0)], [1], [2, 3]),
+                  "two edges leave port (1, 0)"),
+    "two enter": (_graph([(1, OUT), (2, IN), (3, OUT)],
+                         [E, (2, (3, 0), (2, 0), 0)], [1, 3], [2]),
+                  "two edges enter port (2, 0)"),
+    "no outgoing": (_graph(edges=[]), "vertex 1 port 0 has no outgoing edge"),
+    "no incoming": (_graph([(1, OUT), (2, IN), (3, IN)], in_order=[2, 3]),
+                    "vertex 3 port 0 has no incoming edge"),
+    "outorder": (_graph(out_order=[]),
+                 "outorder is not a permutation of the out vertices"),
+    "inorder": (_graph(in_order=[2, 2]),
+                "inorder is not a permutation of the in vertices"),
+    "closed": (_graph([(1, OUT), (2, IN), (3, BI)],
+                      [E, (2, (3, 1), (3, 0), 0)]),
+               "closed component: some edges lie on no strand"),
+    # through the constructor, which keeps each value as given, with one
+    # value that is not an int; a bool is not taken for an int
+    "float vertex id": (_graph([(1, OUT), (2.0, IN)]),
+                        "vertex id 2.0 is not an int"),
+    "true edge id": (_graph(edges=[(True, (1, 0), (2, 0), 0)]),
+                     "edge id True is not an int"),
+    "true edge vertex": (_graph(edges=[(1, (True, 0), (2, 0), 0)]),
+                         "edge 1 references unknown vertex True"),
+    "float port": (_graph(edges=[(1, (1, 0), (2, 0.0), 0)]),
+                   "edge 1 uses port 0.0 as target on a 'in' vertex"),
+    "float rotation": (_graph(edges=[(1, (1, 0), (2, 0), 0.4)]),
+                       "edge 1 has rotation 0.4"),
+    "false rotation": (_graph(edges=[(1, (1, 0), (2, 0), False)]),
+                       "edge 1 has rotation False"),
+    "true outorder": (_graph(out_order=[True]),
+                      "outorder is not a permutation of the out vertices"),
+    "float inorder": (_graph(in_order=[2.0]),
+                      "inorder is not a permutation of the in vertices"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATE_CASES))
+def test_validate_tangle_messages(case):
+    t, message = VALIDATE_CASES[case]
+    with pytest.raises(ValidationError) as err:
+        validate_tangle(t)
+    assert str(err.value) == message
+
+
+def test_tangle_keeps_values_as_given():
+    t = XCTangleGraph([(1.9, "out"), (2, "in")], [(1, (1, 0), (2, 0.7), 0.4)],
+                      [1.2], [2])
+    assert t.vertices[0][0] == 1.9 and t.edges[0][2:] == ((2, 0.7), 0.4)
+    assert t.out_order == (1.2,)
+    with pytest.raises(ValidationError, match="vertex id 1.9"):
         validate_tangle(t)
 
 
