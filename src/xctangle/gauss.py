@@ -61,7 +61,8 @@ class XCGaussDiagram(FrozenRecord):
         # values are kept as given; validate refuses any that is not an int
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "top", tuple(top))
-        object.__setattr__(self, "chords", tuple(sorted((c, s) for c, s in chords)))
+        object.__setattr__(self, "chords", sorted_or_given(
+            (c, s) for c, s in chords))
         object.__setattr__(
             self, "events", tuple(tuple((k, v) for k, v in ev) for ev in events)
         )
@@ -93,6 +94,17 @@ _set_n = XCGaussDiagram.n.__set__
 _set_top = XCGaussDiagram.top.__set__
 _set_chords = XCGaussDiagram.chords.__set__
 _set_events = XCGaussDiagram.events.__set__
+
+
+def sorted_or_given(items) -> tuple:
+    """``items``, id-first tuples, sorted, or in the given order when two
+    of them do not compare.  That happens only when an id is not an int
+    or is repeated, which the validators refuse."""
+    items = tuple(items)
+    try:
+        return tuple(sorted(items))
+    except TypeError:
+        return items
 
 
 def identity(n: int) -> XCGaussDiagram:

@@ -26,13 +26,15 @@ but its seed.
 
 A source run is matched by one rule (:meth:`_Side.spots`): where its
 kind signature occurs in a row's, after which a side that is not literal
-binds its letters fragment by fragment.  The side's one site walk yields
-plain ``(locs, assign, eps)`` tuples.
-:func:`find_sites` builds each into a :class:`MoveSite` directly
-(:func:`_site`), :func:`apply` checks a site by the same rule and
-rewrites through the same side, and :func:`orbit` walks the chord sides'
-sites and the literal sides' placements without building a
-:class:`MoveSite`.
+binds its letters fragment by fragment into plain ``(locs, assign,
+eps)`` tuples.  A literal side's sites are only counted: one per sign
+choice and placement.  :func:`find_sites` returns a read-only
+:class:`SiteSequence` over both, which builds a :class:`MoveSite`
+(:func:`_site`) only for an index read or an iteration, so
+:func:`random_site` builds the one site it draws.  :func:`apply` checks a
+site by the same rule and rewrites through the same side, and
+:func:`orbit` walks the chord sides' sites and the literal sides'
+placements without building a :class:`MoveSite`.
 
 At its last level :func:`orbit` takes two commuting insertions in one
 order only.  A member made by a pure insertion (every source run empty)
@@ -61,8 +63,10 @@ where tokens are ``O<letter>``, ``U<letter>``, ``D+``, ``D-``.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from functools import cache, cached_property
 from itertools import chain, product
+from math import prod
 
 from .errors import NoSiteError, ParseError, StaleSiteError, ValidationError
 from .gauss import (
@@ -120,9 +124,9 @@ class MoveSite(FrozenRecord):
     ids (empty when the matched side's source runs hold no chord letter)
     and ``eps`` fixes the shared sign choice.
 
-    Its fields are slots, as a diagram's are; :func:`find_sites` builds
-    each site through :func:`_site`, and the generic constructor serves
-    keyword calls.
+    Its fields are slots, as a diagram's are; the sequence that
+    :func:`find_sites` returns builds each site it hands out through
+    :func:`_site`, and the generic constructor serves keyword calls.
     """
 
     __slots__ = ("pattern", "side", "locs", "assign", "eps")
@@ -446,16 +450,25 @@ class _Side:
         """The sites of this side in the valid diagram ``d``, in the order
         of :func:`find_sites`, as (locs, assign, eps): under each sign
         choice, every binding (:meth:`bindings`), with ``assign`` sorted by
-        letter, or for a literal side every placement, with ``assign``
-        empty.  ``spots`` are the side's spots in ``d`` when known."""
+        letter.  A literal side's bindings are its placements, with
+        ``assign`` empty, but :meth:`found` counts those instead.
+        ``spots`` are the side's spots in ``d`` when known."""
         if spots is None:
             spots = self.spots(_row_signatures(d))
-        if self.literal:
-            return ((locs, (), eps) for eps in self.eps_choices
-                    for locs in product(*spots))
         return [(locs, tuple(sorted(assign.items())), eps)
                 for eps in self.eps_choices
                 for locs, assign in self.bindings(d, spots, eps)]
+
+    def found(self, d: XCGaussDiagram, spots):
+        """The sites of this side in the valid diagram ``d`` whose spots
+        are ``spots``, as (count, listed).  A literal side has one site per
+        sign choice and placement (``product(*spots)``, the first fragment
+        varying slowest), all counted and none listed: ``listed`` is None.
+        Another side lists its sites (:meth:`sites`)."""
+        if self.literal:
+            return len(self.eps_choices) * prod(map(len, spots)), None
+        listed = self.sites(d, spots)
+        return len(listed), listed
 
     def order(self, locs):
         """The fragment indices in the order a rewrite at ``locs`` writes
@@ -544,18 +557,88 @@ def _kind_sides(d: XCGaussDiagram, kind: str) -> list[_Side]:
             for side in pattern.sides.values()]
 
 
-def find_sites(d: XCGaussDiagram, kind: str) -> list[MoveSite]:
+class SiteSequence(Sequence):
+    """The sites that :func:`find_sites` found, as a read-only sequence.
+
+    It holds, per side with a site, the side's spots and its listed
+    sites (:meth:`_Side.found`); a literal side's sites are counted, not
+    listed.  A :class:`MoveSite` is built (:func:`_site`) only when an
+    index is read or the sequence is iterated, and a literal side's site
+    is decoded from its index by mixed radix: the sign choice slowest,
+    then the fragments in order, the last one fastest, which is the
+    order of ``for eps in eps_choices for locs in product(*spots)``.
+
+    It compares site by site with a list or another such sequence, and
+    has no ``append`` and no ``+=``."""
+
+    __slots__ = ("_parts", "_len")
+
+    def __init__(self, d: XCGaussDiagram, sides):
+        # per side with a site: (side, spots, listed, count)
+        self._parts, self._len = [], 0
+        rows = _row_signatures(d)
+        for side in sides:
+            spots = side.spots(rows)
+            count, listed = side.found(d, spots)
+            if count:
+                self._parts.append((side, spots, listed, count))
+                self._len += count
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        try:
+            at = range(self._len)[index]
+        except IndexError:
+            raise IndexError(f"site index {index} out of range "
+                             f"({self._len} sites)") from None
+        if isinstance(at, range):
+            return [self._built(i) for i in at]
+        return self._built(at)
+
+    def _built(self, i: int) -> MoveSite:
+        """The site at index ``i``, which is in range and not negative."""
+        for side, spots, listed, count in self._parts:
+            if i < count:
+                break
+            i -= count
+        if listed is not None:
+            locs, assign, eps = listed[i]
+            return _site(side.pattern, side.name, locs, assign, eps)
+        which, i = divmod(i, count // len(side.eps_choices))
+        locs = []
+        for fspots in reversed(spots):
+            i, r = divmod(i, len(fspots))
+            locs.append(fspots[r])
+        return _site(side.pattern, side.name, tuple(reversed(locs)), (),
+                     side.eps_choices[which])
+
+    def __iter__(self):
+        for side, spots, listed, _ in self._parts:
+            pattern, name = side.pattern, side.name
+            if listed is not None:
+                for locs, assign, eps in listed:
+                    yield _site(pattern, name, locs, assign, eps)
+            else:
+                for eps in side.eps_choices:
+                    for locs in product(*spots):
+                        yield _site(pattern, name, locs, (), eps)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, SiteSequence)):
+            return len(self) == len(other) and all(
+                a == b for a, b in zip(self, other))
+        return NotImplemented
+
+
+def find_sites(d: XCGaussDiagram, kind: str) -> SiteSequence:
     """Every applicable site of the given move kind, either direction, in
     deterministic order: pattern by pattern in table order, its left side
     before its right, and each side's sites in the order of
-    :meth:`_Side.sites`.  Each site is built once, through :func:`_site`."""
-    sides, out = _kind_sides(d, kind), []
-    rows = _row_signatures(d)
-    for side in sides:
-        pattern, name = side.pattern, side.name
-        out += [_site(pattern, name, locs, assign, eps)
-                for locs, assign, eps in side.sites(d, side.spots(rows))]
-    return out
+    :meth:`_Side.found`.  The sites are counted here and built only when
+    read (:class:`SiteSequence`)."""
+    return SiteSequence(d, _kind_sides(d, kind))
 
 
 def _is_pair(x) -> bool:
@@ -608,8 +691,9 @@ def apply(d: XCGaussDiagram, site: MoveSite) -> XCGaussDiagram:
 
 
 def random_site(d: XCGaussDiagram, kind: str, rng) -> MoveSite:
-    """One site of :func:`find_sites`, drawn by ``rng.randrange``.  A
-    diagram with no site raises NoSiteError and makes no draw."""
+    """One site of :func:`find_sites`, drawn by ``rng.randrange``; only
+    the drawn site is built.  A diagram with no site raises NoSiteError
+    and makes no draw."""
     sites = find_sites(d, kind)
     if not sites:
         raise NoSiteError(f"no {kind} site in the diagram")
@@ -817,8 +901,7 @@ def orbit(d: XCGaussDiagram, max_depth: int, max_size: int) -> OrbitResult:
                 if not spots[-1]:
                     continue
                 if over:
-                    # a site is a nonempty tuple
-                    truncated = any(side.sites(cur, spots))
+                    truncated = side.found(cur, spots)[0] > 0
                     continue
                 if side.literal:
                     if lifts is None:

@@ -30,7 +30,7 @@ from collections.abc import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
 from .gauss import (DIAMOND, OVER, UNDER, XCGaussDiagram, is_decimal,
-                    is_int, validate)
+                    is_int, sorted_or_given, validate)
 from .record import FrozenRecord
 
 OUT = "out"
@@ -67,9 +67,10 @@ class XCTangleGraph(FrozenRecord):
     ):
         # values are kept as given; validate_tangle refuses any id, port
         # or rotation that is not an int
-        object.__setattr__(self, "vertices", tuple(sorted((v, k) for v, k in vertices)))
-        object.__setattr__(self, "edges", tuple(sorted(
-            (e, (a, pa), (b, pb), r) for e, (a, pa), (b, pb), r in edges)))
+        object.__setattr__(self, "vertices", sorted_or_given(
+            (v, k) for v, k in vertices))
+        object.__setattr__(self, "edges", sorted_or_given(
+            (e, (a, pa), (b, pb), r) for e, (a, pa), (b, pb), r in edges))
         object.__setattr__(self, "out_order", tuple(out_order))
         object.__setattr__(self, "in_order", tuple(in_order))
 

@@ -487,6 +487,37 @@ def test_moves_list_and_apply_golden(tmp_path, capsys, fmt, golden):
     assert "".join(parts) == want
 
 
+THREE_STRANDS = ("strands: 3\ntop: 2 3 1\nchords: 1:+ 2:- 3:+ 4:- 5:+\n"
+                 "strand 1: O1 O2 D+ D- U3 D+ D+\n"
+                 "strand 2: D- O3 O4 D- U5 D+\n"
+                 "strand 3: O5 U1 U2 U4 D+ D- D-\n")
+# 1059 G2 sites: one deletion, then 2 sign choices x 23 x 23 slot pairs,
+# which the site sequence decodes from the index; the applied indices
+# cross each digit's carry and the sign choice
+G2_AT = (0, 1, 2, 23, 24, 530, 800, 1058)
+
+
+@pytest.mark.parametrize("fmt, golden", [
+    ("text", "moves_three_strands_g2.txt"),
+    ("json-lines", "moves_three_strands_g2.jsonl"),
+])
+def test_moves_list_and_apply_many_sites_golden(tmp_path, capsys, fmt,
+                                                golden):
+    path = tmp_path / "three.txt"
+    path.write_text(THREE_STRANDS)
+    code, out, _ = run(capsys, "moves", "list", str(path), "--kind", "G2",
+                       "--format", fmt)
+    assert code == 0
+    parts = [f"$ moves list --kind G2\n{out}"]
+    for i in G2_AT:
+        code, out, _ = run(capsys, "moves", "apply", str(path), "--kind", "G2",
+                           "--index", str(i), "--format", fmt)
+        assert code == 0
+        parts.append(f"$ moves apply --kind G2 --index {i}\n{out}")
+    want = (Path(__file__).parent / "golden" / golden).read_text()
+    assert "".join(parts) == want
+
+
 def test_pair_formula(files, capsys, tmp_path):
     _, _, tre = files
     code, out, _ = run(capsys, "lift", str(tre))

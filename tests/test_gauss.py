@@ -105,6 +105,8 @@ VALIDATE_CASES = {
     "true top": (_kink(top=[True]),
                  "top (True,) is not a bijection on 1..1"),
     "float chord id": (_kink(chords=[(1.0, 1)]), "chord id 1.0 is not an int"),
+    "text chord id beside an int": (_kink(chords=[(1, 1), ("a", 1)]),
+                                    "chord id 'a' is not an int"),
     "float chord sign": (_kink(chords=[(1, 1.7)]),
                          "chord 1 has sign 1.7, expected +1 or -1"),
     "true chord sign": (_kink(chords=[(1, True)]),

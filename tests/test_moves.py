@@ -2,6 +2,7 @@
 orbit search, and the open-fragment validator."""
 
 import random
+from collections.abc import Sequence
 from itertools import product
 
 import pytest
@@ -284,6 +285,87 @@ def test_random_site_is_the_drawn_site():
                 drawn += 1
             assert ours.getstate() == theirs.getstate()
     assert drawn > 300 and empty > 50
+
+
+def _eager_sites(d, kind):
+    """The sites of ``kind`` in ``d`` as a list of :class:`MoveSite`, built
+    one by one: each side in table order, its spots, then under each sign
+    choice every binding, or every placement of a literal side in product
+    order."""
+    rows = M._row_signatures(d)
+    out = []
+    for pattern in M.builtin_patterns():
+        if pattern.kind != kind:
+            continue
+        for side in pattern.sides.values():
+            spots = side.spots(rows)
+            for eps in side.eps_choices:
+                if side.literal:
+                    found = [(locs, ()) for locs in product(*spots)]
+                else:
+                    found = [(locs, tuple(sorted(assign.items())))
+                             for locs, assign in side.bindings(d, spots, eps)]
+                out += [M.MoveSite(pattern, side.name, locs, assign, eps)
+                        for locs, assign in found]
+    return out
+
+
+def _walk_diagrams(seed, count=30):
+    """Seeded random diagrams on 1, 2 and 3 strands in turn."""
+    rng = random.Random(seed)
+    return [random_diagram(rng, n=1 + i % 3, max_chords=3, max_diamonds=4)
+            for i in range(count)]
+
+
+def test_find_sites_is_a_sequence_of_the_eager_sites():
+    literal = listed = most = 0
+    for d in _walk_diagrams(11):
+        for kind in M.KINDS:
+            want = _eager_sites(d, kind)
+            sites = M.find_sites(d, kind)
+            assert isinstance(sites, Sequence) and not isinstance(sites, list)
+            assert len(sites) == len(want) and bool(sites) == bool(want)
+            assert [sites[i] for i in range(len(want))] == want
+            assert [sites[-i] for i in range(1, len(want) + 1)] == want[::-1]
+            assert sites[1:-1:3] == want[1:-1:3] and sites[::-1] == want[::-1]
+            assert list(sites) == want
+            assert sites == want and want == sites
+            assert sites == M.find_sites(d, kind)
+            for bad in (len(want), -len(want) - 1):
+                with pytest.raises(IndexError):
+                    sites[bad]
+            if want:
+                assert sites != want[:-1] and want[1:] != sites
+            literal += sum(s.pattern.sides[s.side].literal for s in want)
+            listed += sum(not s.pattern.sides[s.side].literal for s in want)
+            most = max(most, len(want))
+    # both kinds of side, and sequences long enough to carry in the decode
+    assert literal > 5000 and listed > 40 and most > 300
+
+
+def test_find_sites_builds_only_the_sites_read(monkeypatch):
+    made = []
+    real = M._site
+
+    def counting(*fields):
+        made.append(fields)
+        return real(*fields)
+
+    monkeypatch.setattr(M, "_site", counting)
+    rng = random.Random(12)
+    drawn = 0
+    for d in _walk_diagrams(12):
+        for kind in M.KINDS:
+            made.clear()
+            sites = M.find_sites(d, kind)
+            assert made == []
+            if sites:
+                M.random_site(d, kind, rng)
+                assert len(made) == 1
+                drawn += 1
+            made.clear()
+            assert sum(1 for _ in sites) == len(made) == len(sites)
+    assert drawn > 60
 
 
 def test_orbit_contains_seed_and_flags_truncation():

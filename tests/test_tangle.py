@@ -109,6 +109,8 @@ VALIDATE_CASES = {
     # value that is not an int; a bool is not taken for an int
     "float vertex id": (_graph([(1, OUT), (2.0, IN)]),
                         "vertex id 2.0 is not an int"),
+    "text vertex id beside an int": (_graph([(1, OUT), ("2", IN)]),
+                                     "vertex id '2' is not an int"),
     "true edge id": (_graph(edges=[(True, (1, 0), (2, 0), 0)]),
                      "edge id True is not an int"),
     "true edge vertex": (_graph(edges=[(1, (True, 0), (2, 0), 0)]),
