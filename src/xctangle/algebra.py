@@ -52,7 +52,7 @@ class RingMatrix(FrozenRecord):
     entries: tuple[tuple[Coefficient, ...], ...]
 
     def __init__(self, entries: Sequence[Sequence[Coefficient]]):
-        rows = tuple(tuple(row) for row in entries)
+        rows = tuple([tuple(row) for row in entries])
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise DimensionError("ragged matrix")
         object.__setattr__(self, "rows", len(rows))

@@ -63,8 +63,11 @@ class XCGaussDiagram(FrozenRecord):
         object.__setattr__(self, "top", tuple(top))
         object.__setattr__(self, "chords", sorted_or_given(
             (c, s) for c, s in chords))
+        # tuple() of a list, not of a generator: that one is built at a
+        # guessed size and resized, and once freed it waits on the free
+        # list of its final size, which kept pages of freed tuples resident
         object.__setattr__(
-            self, "events", tuple(tuple((k, v) for k, v in ev) for ev in events)
+            self, "events", tuple([tuple([(k, v) for k, v in ev]) for ev in events])
         )
 
     # Diagrams are hashed and compared in every orbit and sum, so the
@@ -100,11 +103,11 @@ def sorted_or_given(items) -> tuple:
     """``items``, id-first tuples, sorted, or in the given order when two
     of them do not compare.  That happens only when an id is not an int
     or is repeated, which the validators refuse."""
-    items = tuple(items)
+    items = list(items)  # not tuple(items): see XCGaussDiagram.__init__
     try:
         return tuple(sorted(items))
     except TypeError:
-        return items
+        return tuple(items)
 
 
 def identity(n: int) -> XCGaussDiagram:

@@ -9,25 +9,33 @@ deposits kappa.  Beads encountered later along a strand multiply on the
 LEFT.  The value is realized as a single d^n x d^n matrix on V^{(x)n}.
 
 Writing R^s = sum E_ac (x) Q_ac makes the value a state sum over one term
-per chord.  ``zeval`` walks it depth first, strand by strand, so states
-that share a prefix of beads share its product, and it drops a branch as
-soon as its partial product is zero, since every later bead multiplies on
-the left.  The walk is still exponential in the chord count: about 2x per
-crossing on T(2,k) lifts, against 3x for the plain sum.  So the plain
-sum's states are counted before the walk, and a diagram with more than
-:data:`STATE_MAX` of them raises :class:`GuardrailError`.
+per chord.  Only a chord whose two ends lie on different strands (a shared
+chord) couples the strands' words; a chord with both ends on one strand
+(an own chord) is summed inside that strand's word.  ``zeval`` walks the
+strands in order, and each strand depth first, one start column at a time:
+the walk branches over a chord's terms where it first meets the chord, so
+states that share a prefix of beads share its product, and a column stops
+as soon as its partial product is zero, since every later bead multiplies
+on the left.  A strand's finished columns are summed into words keyed by
+the terms chosen for its shared chords, and the next strand is walked once
+from each nonzero word.  So a knot (one strand) has one word, and the
+strands of a tensor product are walked once each.  The walk is still
+exponential in the chords of a strand; a work estimate per strand belongs
+with a contraction that does not branch on own chords.  The guard counts
+the plain sum's states, over all the chords, before the walk, and a
+diagram with more than :data:`STATE_MAX` of them raises
+:class:`GuardrailError`.
 
 Each bead (kappa, kappa^-1 and every Q_ac) is split once per algebra
 into sparse rows of its nonzero ``(column, payload)`` pairs, and a bead
 product multiplies only those pairs.  Bead products run on bare normal-form
 payloads with the ring's payload kernel (:func:`~xctangle.ring.kernel`):
-the split beads, the walk's running product and its partial sums are
-payloads, and zero is the falsy payload.  A strand's word becomes a
-:class:`RingMatrix` of :class:`Coefficient` entries only when the strand
-closes; the tensor product of the words and the sum into the value use
-``Coefficient`` arithmetic.  The product reports a zero result as
-``None``, and an E_ac bead ends its branch when row c of the partial
-product is zero, so no product is scanned for zeros afterwards.
+the split beads, the walk's columns and the words' sums are payloads, and
+zero is the falsy payload.  A word becomes a :class:`RingMatrix` of
+:class:`Coefficient` entries only when its strand's walk is done; the
+tensor product of the words and the sum into the value use ``Coefficient``
+arithmetic.  An E_ac bead moves entry c of a column to entry a, so a term
+whose E_ac meets a zero entry is not walked at all.
 
 Values compose by the twisted law of the virtual category of elements:
 ``(u, sigma) o (v, tau) = (tau^-1-permuted u . v, sigma o tau)``, and the
@@ -57,11 +65,12 @@ from .ring import Coefficient, kernel
 
 DEFAULT_GUARDRAIL = 4096
 
-#: The most states one :func:`zeval` sums over: the product over the
-#: chords of the number of terms of R or R^-1 for each chord's sign, 3^c
-#: for c chords of the builtin algebra.  2^32 admits 3^20; the T(2,19)
-#: lift took 15 s on a 2-vCPU VM, so the 20 chords of T(2,20) take about
-#: half a minute, and each further crossing about doubles that.
+#: The most states one :func:`zeval` sums over: the product over all the
+#: chords, own and shared, of the number of terms of R or R^-1 for each
+#: chord's sign, 3^c for c chords of the builtin algebra.  2^32 admits
+#: 3^20.  The walk still branches on every chord, own or shared, so the
+#: count bounds its work: the T(2,19) lift took 12 s on a 2-vCPU VM, and
+#: each further crossing about doubles that.
 STATE_MAX = 1 << 32
 
 
@@ -115,48 +124,40 @@ class InvariantValue(FrozenRecord):
             raise ValidationError("sigma is not a permutation")
 
 
-def _left_mul(k: tuple, acc: list, mul, add, zero) -> list | None:
-    """k . acc for a bead ``k`` in sparse rows and ``acc`` as d rows of
-    payloads, multiplying only nonzero pairs with the kernel's ``mul`` and
-    ``add``; ``None`` when the product is zero."""
-    out, nonzero = [], False
-    cols = range(len(acc))
-    for pairs in k:
-        row = []
-        for c in cols:
-            s = zero
-            for j, x in pairs:
-                y = acc[j][c]
-                if y:
-                    s = add(s, mul(x, y)) if s else mul(x, y)
-            if s:
-                nonzero = True
-            row.append(s)
-        out.append(row)
-    return out if nonzero else None
-
-
 def zeval(
     d_: XCGaussDiagram, a: MatrixXCAlgebra, guardrail: int = DEFAULT_GUARDRAIL
 ) -> InvariantValue:
     """Evaluate the universal invariant of a diagram in algebra ``a``.
 
     The value is a state sum: every chord picks one term E_ac (x) Q_ac of
-    R^s, and each strand multiplies its beads.  The sum is walked depth
-    first over the events in strand-major order (strand 1 bottom to top,
-    then strand 2, ...).  The walk carries the current strand's partial
-    bead product and the finished strands' words; it branches over a
-    chord's terms where it first meets the chord and reuses the chosen term
-    at the other endpoint, so states with a common prefix share its
-    product.  A branch stops as soon as its partial product is zero: later
-    beads multiply on the left, and a left multiple of zero is zero.  Each
-    completed state adds the tensor product of its words into the value.
+    R^s, each strand multiplies its beads into a word, and each state adds
+    the tensor product of its words.  A chord with both ends on one strand
+    (an own chord) couples nothing else, so its terms are summed inside
+    that strand's word; only the terms of the chords whose ends lie on two
+    strands (shared chords) are carried from one strand to the next.
 
-    Besides ``guardrail``, which bounds the d^n size of the value, the
-    states are counted before the walk: the product over the chords of
-    the number of terms of R or R^-1 for each chord's sign.  More than
-    :data:`STATE_MAX` of them raise :class:`GuardrailError`.
+    The strands are walked in order, strand 1 bottom to top first.  A
+    strand is walked depth first one start column at a time: the walk
+    carries the column's partial bead product, branches over a chord's
+    terms where it first meets the chord, and reuses the chosen term at the
+    other end, so states with a common prefix share its product.  A column
+    stops as soon as its partial product is zero: later beads multiply on
+    the left, and a left multiple of zero is zero.  Each finished column is
+    added into the strand's word for the terms it chose for shared chords.
+    The next strand is walked once from each nonzero word, with that
+    word's shared terms chosen, and each word of the last strand adds the
+    tensor product of its choice's words into the value.
+
+    ``guardrail`` must be a positive int (not a bool), or ValidationError
+    is raised; a value of size d^n above it raises GuardrailError.  The
+    states are also counted before the walk: the product over all the
+    chords of the number of terms of R or R^-1 for each chord's sign.  More
+    than :data:`STATE_MAX` of them raise :class:`GuardrailError`.
     """
+    if not gauss.is_int(guardrail):
+        raise ValidationError(f"guardrail {guardrail!r} is not an int")
+    if guardrail <= 0:
+        raise ValidationError(f"guardrail must be positive, got {guardrail}")
     gauss.validate(d_)
     n = d_.n
     dim = a.d
@@ -178,53 +179,103 @@ def zeval(
         raise GuardrailError(
             f"state sum over {len(sign)} chords has {states} states, "
             f"more than {STATE_MAX}")
-    unit = [[ops.one if i == j else pzero for j in range(dim)] for i in range(dim)]
-    # strand-major events, None closing each strand
-    steps = [ev for strand in d_.events for ev in (*strand, None)]
+    strands = d_.events
+    home: dict[int, int] = {}  # chord -> the strand of its first end
+    shared: set[int] = set()
+    for j, events in enumerate(strands):
+        for kind, val in events:
+            if kind != DIAMOND and home.setdefault(val, j) != j:
+                shared.add(val)
+    # per strand, the shared chords whose first end is on it, in event order
+    opened = [[c for kind, c in events if kind != DIAMOND and c in shared
+               and home[c] == j] for j, events in enumerate(strands)]
+    normal = Coefficient._normal
+    units = [[ops.one if r == c else pzero for r in range(dim)] for c in range(dim)]
     size = dim**n
     total = [[zero] * size for _ in range(size)]
     chosen: dict[int, tuple] = {}  # chord -> its term in the current state
 
-    def walk(i: int, acc: list, words: tuple) -> None:
-        while i < len(steps):
-            step = steps[i]
+    def column(events: tuple, i: int, v: list, key: tuple, col: int,
+               words: dict) -> None:
+        """Walk a strand from event i with ``v`` as column ``col`` of its
+        partial product; ``key`` holds the term indices chosen so far for
+        the strand's shared chords.  A finished column is added into
+        column ``col`` of ``words[key]``, None while it is zero."""
+        while i < len(events):
+            kind, val = events[i]
             i += 1
-            if step is None:
-                words += (RingMatrix([[Coefficient._normal(variant, x) if x else zero
-                                       for x in row] for row in acc]),)
-                acc = unit
-                continue
-            kind, val = step
             if kind == DIAMOND:
-                acc = _left_mul(kappainv if val > 0 else kappa, acc, mul, add, pzero)
-            elif val not in chosen:
-                for term in decomp[sign[val]]:
-                    chosen[val] = term
-                    walk(i - 1, acc, words)
-                chosen.pop(val, None)
-                return
+                k = kappainv if val > 0 else kappa
             else:
-                aa, cc, q = chosen[val]
-                if kind == OVER:  # E_ac . acc moves row c to row a
-                    if not any(acc[cc]):
+                term = chosen.get(val)
+                if term is None:
+                    into, over = val in shared, kind == OVER
+                    for t, term in enumerate(decomp[sign[val]]):
+                        if over and not v[term[1]]:
+                            continue  # E_ac zeroes the column
+                        chosen[val] = term
+                        column(events, i - 1, v, key + (t,) if into else key, col, words)
+                    chosen.pop(val, None)
+                    return
+                aa, cc, k = term
+                if kind == OVER:  # E_ac . v moves entry c to entry a
+                    x = v[cc]
+                    if not x:
                         return
-                    acc = [acc[cc] if r == aa else [pzero] * dim for r in range(dim)]
-                else:
-                    acc = _left_mul(q, acc, mul, add, pzero)
-            if acc is None:
+                    v = [pzero] * dim
+                    v[aa] = x
+                    continue
+            out = []  # k . v, over k's nonzero entries
+            for pairs in k:
+                s = pzero
+                for j, x in pairs:
+                    y = v[j]
+                    if y:
+                        s = add(s, mul(x, y)) if s else mul(x, y)
+                out.append(s)
+            if not any(out):
                 return
-        m = words[0] if words else RingMatrix([[one]])
-        for w in words[1:]:
-            m = mat_tensor(m, w)
-        for trow, mrow in zip(total, m.entries):
-            for c, e in enumerate(mrow):
-                if not e.is_zero():
-                    trow[c] = trow[c] + e
+            v = out
+        cols = words.get(key)
+        if cols is None:
+            cols = words[key] = [None] * dim
+        w = cols[col]
+        if w is not None:
+            v = [add(x, y) if x and y else x or y for x, y in zip(w, v)]
+        cols[col] = v if any(v) else None
 
-    try:
-        walk(0, unit, ())
-    finally:
-        del walk  # it refers to itself; free it without the cyclic collector
+    def walk(j: int, words: tuple) -> None:
+        """Walk strand j after the words of the strands before it, then
+        the strands after it from each of its nonzero words."""
+        found: dict[tuple, list] = {}
+        for col, v in enumerate(units):
+            column(strands[j], 0, v, (), col, found)
+        for key, cols in found.items():
+            if not any(cols):
+                continue
+            m = RingMatrix([[normal(variant, c[r]) if c and c[r] else zero
+                             for c in cols] for r in range(dim)])
+            if j + 1 < n:
+                for c, t in zip(opened[j], key):
+                    chosen[c] = decomp[sign[c]][t]
+                walk(j + 1, words + (m,))
+                continue
+            for w in reversed(words):
+                m = mat_tensor(w, m)
+            for trow, mrow in zip(total, m.entries):
+                for c, e in enumerate(mrow):
+                    if e._payload:
+                        trow[c] = trow[c] + e
+        for c in opened[j]:
+            chosen.pop(c, None)
+
+    if n:
+        try:
+            walk(0, ())
+        finally:
+            del walk, column  # they refer to themselves; free them without the cyclic collector
+    else:
+        total[0][0] = one
     return InvariantValue(n, RingMatrix(total), d_.top, dim, variant)
 
 

@@ -275,7 +275,10 @@ def bracket_oracle(g: SignedGaussCode) -> Coefficient:
             undo(r2)
             undo(r1)
 
-    walk(0, 0, max(m, 1))  # the empty code is one loop
+    try:
+        walk(0, 0, max(m, 1))  # the empty code is one loop
+    finally:
+        del walk  # it refers to itself; free it without the cyclic collector
     # A^(a-b) * delta^(L-1) with delta = -A^2 - A^-2, once per (a, L)
     total: dict[int, int] = {}
     for a, row in enumerate(leaves):

@@ -18,10 +18,12 @@ from xctangle.algebra import (
     mat_mul,
     mat_tensor,
 )
-from xctangle.errors import GuardrailError, NonScalarError
+from xctangle import invariant
+from xctangle.errors import GuardrailError, NonScalarError, ValidationError
 from xctangle.gauss import (
     DIAMOND,
     OVER,
+    UNDER,
     XCGaussDiagram,
     braiding,
     compose,
@@ -41,7 +43,7 @@ from xctangle.invariant import (
     zeval,
 )
 from xctangle.randomgen import random_diagram, random_permutation
-from xctangle.ring import Coefficient
+from xctangle.ring import LAURENT, Coefficient, Kernel, kernel
 from xctangle.virtualt import lift
 
 ALG = builtin_uqsl2()
@@ -165,19 +167,72 @@ def test_compose_and_realize_match_dense_permutation_matrices():
                 _dense_mul(_perm_matrix(w.sigma, w.d, w.variant), w.value)
 
 
+def _one_strand_chords(rng, k):
+    """A one-strand diagram with exactly k chords, both ends of each on
+    the strand, and up to two diamonds."""
+    events = [(kind, c) for c in range(1, k + 1) for kind in (OVER, UNDER)]
+    rng.shuffle(events)
+    for _ in range(rng.randrange(3)):
+        events.insert(rng.randrange(len(events) + 1), (DIAMOND, rng.choice((1, -1))))
+    return XCGaussDiagram(1, (1,), [(c, rng.choice((1, -1))) for c in range(1, k + 1)],
+                          [tuple(events)])
+
+
+def _own_and_shared(rng, own):
+    """Strand i carries ``own[i]`` chords of its own, and one more chord
+    joins two of the strands: the tensor of one-strand diagrams, composed
+    above or below a diagram whose one chord runs between two strands."""
+    n = len(own)
+    parts = _one_strand_chords(rng, own[0])
+    for k in own[1:]:
+        parts = tensor(parts, _one_strand_chords(rng, k))
+    over, under = rng.sample(range(n), 2)
+    events = [[] for _ in range(n)]
+    events[over].append((OVER, 1))
+    events[under].append((UNDER, 1))
+    events[rng.randrange(n)].append((DIAMOND, rng.choice((1, -1))))
+    join = XCGaussDiagram(n, random_permutation(rng, n), [(1, rng.choice((1, -1)))],
+                          [tuple(e) for e in events])
+    return compose(join, parts) if rng.random() < 0.5 else compose(parts, join)
+
+
 def test_monoidality_randomized():
     rng = random.Random(43)
+    cases = []
     for _ in range(300):
         d1 = random_diagram(rng, n=1, max_chords=2, max_diamonds=2)
         d2 = random_diagram(rng, n=rng.randrange(1, 3),
                             max_chords=1, max_diamonds=2)
-        assert zeval(tensor(d1, d2), ALG) == \
-            ve_tensor(zeval(d1, ALG), zeval(d2, ALG))
+        cases.append((d1, d2, ALG))
+    # own chords beside shared ones, over algebras whose beads are not
+    # monomial too
+    for _ in range(8):
+        own = rng.choice(([2, 2], [2, 3], [2, 1, 2]))
+        cases.append((_own_and_shared(rng, own),
+                      _one_strand_chords(rng, rng.randint(2, 3)), ALG))
+    for _ in range(8):
+        own = rng.choice(([2, 1], [1, 2], [1, 1, 1]))
+        cases.append((_own_and_shared(rng, own), _one_strand_chords(rng, 1),
+                      _random_rational_algebra(rng, 2)))
+    for d1, d2, a in cases:
+        assert zeval(tensor(d1, d2), a) == \
+            ve_tensor(zeval(d1, a), zeval(d2, a))
 
 
 def test_guardrail():
     with pytest.raises(GuardrailError):
         zeval(identity(3), ALG, guardrail=7)
+    assert zeval(identity(3), ALG, guardrail=8).n == 3
+    # the guardrail must be a positive int: a bool, a float or a string is
+    # refused before the diagram is read, and so is 0 or less
+    for bad in (True, False, 4096.5, "4096", None):
+        with pytest.raises(ValidationError) as exc:
+            zeval(identity(1), ALG, guardrail=bad)
+        assert str(exc.value) == f"guardrail {bad!r} is not an int"
+    for bad in (0, -1):
+        with pytest.raises(ValidationError) as exc:
+            zeval(identity(0), ALG, guardrail=bad)
+        assert str(exc.value) == f"guardrail must be positive, got {bad}"
 
 
 def test_state_guardrail():
@@ -304,6 +359,12 @@ def test_zeval_equals_assignment_reference():
         a, chords = algebras[k % len(algebras)]
         n = rng.randrange(1, 3 if a.d == 3 else 4)
         cases.append((random_diagram(rng, n=n, max_chords=chords, max_diamonds=3), a))
+    # own chords summed inside a word beside a chord joining two strands
+    for own in ([2, 2], [2, 3], [3, 2], [2, 2, 1], [1, 2, 2]):
+        cases.append((_own_and_shared(rng, own), ALG))
+    for own, (a, _) in (([2, 1], algebras[1]), ([1, 2], algebras[2]),
+                        ([1, 1, 1], algebras[1]), ([1, 1], algebras[3])):
+        cases.append((_own_and_shared(rng, own), a))
     for d_, a in cases:
         got, want = zeval(d_, a), _assignment_reference(d_, a)
         assert (got.value, got.sigma) == (want.value, want.sigma), d_
@@ -324,3 +385,32 @@ def test_zeval_leaves_no_reference_cycles():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_tensor_of_knots_multiplies_additively(monkeypatch):
+    # Each strand's own chords are summed inside its word, so the strands
+    # of a tensor product are walked once each, not once per state of the
+    # strands before them.
+    calls = [0]
+    ops = kernel(LAURENT)
+
+    def mul(x, y):
+        calls[0] += 1
+        return ops.mul(x, y)
+
+    counting = Kernel(mul, ops.add, ops.neg, ops.zero, ops.one)
+    monkeypatch.setattr(invariant, "kernel", lambda variant: counting)
+
+    def torus_lift(k):  # the lift of T(2,k): chords 1..k, twice, alternating
+        ends = [(OVER if i % 2 == 0 else UNDER, i % k + 1) for i in range(2 * k)]
+        return lift(XCGaussDiagram(1, (1,), [(c, 1) for c in range(1, k + 1)],
+                                   [tuple(ends)]))
+
+    def multiplications(d):
+        calls[0] = 0
+        zeval(d, ALG)
+        return calls[0]
+
+    k5, k7 = torus_lift(5), torus_lift(7)
+    alone = multiplications(k5) + multiplications(k7)
+    assert 0 < multiplications(tensor(k5, k7)) <= alone

@@ -1,6 +1,7 @@
 """Signed Gauss codes: planar lifts, the forgetful direction, classical
 moves on codes, the bracket oracle, and the code text format."""
 
+import gc
 import random
 import re
 from pathlib import Path
@@ -155,6 +156,22 @@ def test_bracket_oracle_guardrail():
     with pytest.raises(GuardrailError,
                        match=r"26 chords has 2\^26 = 67108864 states"):
         bracket_oracle(_kinks([1] * (BRACKET_MAX_CHORDS + 1)))
+
+
+def test_bracket_oracle_leaves_no_reference_cycles():
+    # the walk's closure refers to itself; it is freed when the walk ends,
+    # so a knot-by-knot loop leaves nothing for the cyclic collector
+    codes = [g for _, g in golden_codes()] + [_kinks([1, -1, 1])]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for g in codes:
+            bracket_oracle(g)
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _bracket_reference(g):
